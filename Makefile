@@ -1,4 +1,4 @@
-.PHONY: all build test test-par fmt check bench-telemetry bench-scaling bench-json bench-smoke kron-smoke bench-kron bench-env bench-ladder serve-smoke bench-load load-smoke replica-smoke clean
+.PHONY: all build test test-par fmt check perfbench-selfcheck bench-telemetry bench-scaling bench-json bench-smoke kron-smoke bench-kron bench-env bench-ladder serve-smoke bench-load load-smoke replica-smoke clean
 
 all: build
 
@@ -19,9 +19,16 @@ fmt:
 
 # Everything CI needs: the build, formatting (dune files; the container has
 # no ocamlformat), the full test suite, the parallel suite under a forced
-# multi-domain pool, and the multi-replica serving smoke (routing, worker
-# kill/respawn, result-cache persistence).
-check: build fmt test test-par kron-smoke replica-smoke
+# multi-domain pool, the kron smoke, the multi-replica serving smoke
+# (routing, worker kill/respawn, result-cache persistence) and the perfbench
+# generator's self-check.
+check: build fmt test test-par kron-smoke replica-smoke perfbench-selfcheck
+
+# The perfbench request-stream generator's own tests (one stream per seed,
+# the fixed per-workload plans, the excluded outlier requests): 11 stdlib
+# Python tests, about 1 s.
+perfbench-selfcheck:
+	python3 perfbench/test_gen.py
 
 # Quick end-to-end telemetry smoke: the solver-telemetry bench section with
 # JSONL events streamed to a file.

@@ -96,9 +96,10 @@ let exp_solve () =
         Cdr.Config.create_exn { Cdr.Config.default with Cdr.Config.grid_points; sigma_w = 0.04 }
       in
       let model = Cdr.Model.build cfg in
-      let mg, mg_t = time (fun () -> Cdr.Model.solve ~tol model) in
-      let gs, gs_t = time (fun () -> Cdr.Model.solve ~solver:`Gauss_seidel ~tol model) in
-      let pw, pw_t = time (fun () -> Cdr.Model.solve ~solver:`Power ~tol model) in
+      let ctx = Cdr.Context.make ~tol () in
+      let mg, mg_t = time (fun () -> Cdr.Model.solve ~ctx model) in
+      let gs, gs_t = time (fun () -> Cdr.Model.solve ~solver:`Gauss_seidel ~ctx model) in
+      let pw, pw_t = time (fun () -> Cdr.Model.solve ~solver:`Power ~ctx model) in
       Format.printf "%-6d %-8d %6d cyc %9.2fs %6d swp %9.2fs %6d it %10.2fs@." grid_points
         model.Cdr.Model.n_states mg.Markov.Solution.iterations mg_t gs.Markov.Solution.iterations
         gs_t pw.Markov.Solution.iterations pw_t)
@@ -445,10 +446,11 @@ let exp_smoke () =
   in
   let cache = Cdr.Solver_cache.create () in
   let model = Cdr.Model.build cfg in
-  let _ = Cdr.Model.solve ~cache model in
-  let _ = Cdr.Model.solve ~cache model in
+  let ctx = Cdr.Context.make ~cache () in
+  let _ = Cdr.Model.solve ~ctx model in
+  let _ = Cdr.Model.solve ~ctx model in
   let model2, reused = Cdr.Model.rebuild model { cfg with Cdr.Config.sigma_w = 0.0611 } in
-  let _ = Cdr.Model.solve ~cache model2 in
+  let _ = Cdr.Model.solve ~ctx model2 in
   Format.printf "1 direct build, 3 multigrid solves, 1 in-place rebuild (pattern reused: %b)@."
     reused;
   Format.printf "solver cache: %d hits, %d misses@." (Cdr.Solver_cache.hits cache)
@@ -767,7 +769,8 @@ let exp_parallel () =
       (* one pool per setting, shut down between runs: no leaked domains *)
       let points, dt =
         time (fun () ->
-            Cdr_par.Pool.with_pool ~jobs (fun pool -> Cdr.Sweep.counter_lengths ~pool base lengths))
+            Cdr_par.Pool.with_pool ~jobs (fun pool ->
+                Cdr.Sweep.counter_lengths ~ctx:(Cdr.Context.make ~pool ()) base lengths))
       in
       let bers = List.map (fun p -> Int64.bits_of_float p.Cdr.Sweep.report.Cdr.Report.ber) points in
       let identical, t1 =
@@ -1066,7 +1069,8 @@ let exp_warm () =
   let cold_points, cold_t = time (fun () -> Cdr.Sweep.sigma_w_values base sigmas) in
   let hits0 = counter_of "solver_cache.hits" and miss0 = counter_of "solver_cache.misses" in
   let warm_points, warm_t =
-    time (fun () -> Cdr.Sweep.sigma_w_values ~strategy:Cdr.Sweep.warm base sigmas)
+    let ctx = Cdr.Context.make ~strategy:Cdr.Context.warm () in
+    time (fun () -> Cdr.Sweep.sigma_w_values ~ctx base sigmas)
   in
   let hits = counter_of "solver_cache.hits" - hits0
   and misses = counter_of "solver_cache.misses" - miss0 in
@@ -1117,7 +1121,8 @@ let kernels () =
       Test.make ~name:"build-direct-ref"
         (Staged.stage (fun () -> ignore (Cdr.Model.build_direct_reference cfg_small)));
       Test.make ~name:"mg-solve"
-        (Staged.stage (fun () -> ignore (Cdr.Model.solve ~tol:1e-8 model)));
+        (let ctx = Cdr.Context.make ~tol:1e-8 () in
+         Staged.stage (fun () -> ignore (Cdr.Model.solve ~ctx model)));
     ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in

@@ -100,13 +100,12 @@ let params_term =
       (const make $ scenario_flag $ grid $ n_phases $ counter $ sigma_w $ drift_mean $ drift_max
      $ max_run $ p_transition $ p01 $ p10))
 
-let config_term =
-  let to_cfg params =
-    match Params.to_config params with
-    | Ok cfg -> Ok cfg
-    | Error msg -> Error (`Msg ("invalid configuration: " ^ msg))
-  in
-  Term.(term_result (const to_cfg $ params_term))
+let to_cfg params =
+  match Params.to_config params with
+  | Ok cfg -> Ok cfg
+  | Error msg -> Error (`Msg ("invalid configuration: " ^ msg))
+
+let config_term = Term.(term_result (const to_cfg $ params_term))
 
 (* ---------- environment flags (analyze only) ---------- *)
 
@@ -179,11 +178,6 @@ let smoother =
   in
   Arg.(value & opt smoother_conv `Lex & info [ "smoother" ] ~doc)
 
-(* the CLI exposes the three practical solvers; widen to Model.solve's type *)
-let widen_solver (s : [ `Multigrid | `Power | `Gauss_seidel ]) =
-  (s
-    :> [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation | `Arnoldi ])
-
 (* ---------- parallelism (see Cdr_par) ---------- *)
 
 let jobs =
@@ -223,7 +217,7 @@ let no_cache =
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
 let strategy_of warm no_cache =
-  if warm then { Cdr.Sweep.warm_start = true; reuse_setup = not no_cache } else Cdr.Sweep.cold
+  if warm then { Cdr.Context.warm_start = true; reuse_setup = not no_cache } else Cdr.Context.cold
 
 (* ---------- telemetry flags (see Cdr_obs) ---------- *)
 
@@ -247,14 +241,7 @@ let metrics_file =
    (the Report.t fields are computed from the Kronecker operator's solution),
    so the printed output, trace CSV and telemetry stay uniform *)
 let run_analyze_kron ~pool ~solver cfg =
-  let solver =
-    match solver with
-    | `Gauss_seidel ->
-        Format.eprintf "cdr_analyze: solver gauss-seidel has no matrix-free path; use --backend csr@.";
-        exit 2
-    | `Multigrid -> `Multigrid
-    | `Power -> `Power
-  in
+  let solver = (solver :> Cdr.Kron_model.solver) in
   let model = Cdr.Kron_model.build cfg in
   let trace = Cdr_obs.Trace.create ~name:(Cdr.Kron_model.solver_name solver) () in
   let ctx = Cdr.Context.make ~pool ~trace ~backend:`Kron () in
@@ -285,20 +272,19 @@ let run_analyze_kron ~pool ~solver cfg =
 (* analyze composed with a jitter environment: build env (x) CDR on the
    requested backend, solve, and print the regime-conditional report *)
 let run_analyze_env ~pool ~solver ~smoother ~backend env cfg =
-  let solver =
-    match (backend, solver) with
-    | `Kron, `Gauss_seidel ->
-        Format.eprintf
-          "cdr_analyze: solver gauss-seidel has no matrix-free path; use --backend csr@.";
-        exit 2
-    | _, s -> (s :> Cdr_env.Composed.solver)
-  in
   let ctx = Cdr.Context.make ~pool ~smoother ~backend () in
-  let _, report = Cdr_env.Report.run ~backend ~solver ~ctx env cfg in
+  let _, report = Cdr_env.Report.run ~solver:(solver :> Cdr_env.Composed.solver) ~ctx env cfg in
   Format.printf "%a@." Cdr_env.Report.pp report
 
+(* analyze reads its solver, backend and smoother flags into the shared
+   Params record, so Params.to_config applies the service's rules to them *)
+let analyze_config_term =
+  let with_flags p solver backend smoother = { p with Params.solver; backend; smoother } in
+  let check p = Result.map (fun cfg -> (p, cfg)) (to_cfg p) in
+  Term.(term_result (const check $ (const with_flags $ params_term $ solver $ backend $ smoother)))
+
 let analyze_term =
-  let run cfg env solver backend smoother jobs trace_file metrics_file =
+  let run ({ Params.solver; backend; smoother; _ }, cfg) env jobs trace_file metrics_file =
     with_jobs jobs @@ fun pool ->
     Option.iter
       (fun path ->
@@ -334,10 +320,10 @@ let analyze_term =
           match backend with
           | `Kron -> run_analyze_kron ~pool ~solver cfg
           | `Csr ->
-              let report = Cdr.Report.run ~solver ~pool ~smoother cfg in
-              Format.printf "%a@." Cdr.Report.pp report;
               let model = Cdr.Model.build ~pool cfg in
-              let solution = Cdr.Model.solve ~solver:(widen_solver solver) ~pool ~smoother model in
+              let ctx = Cdr.Context.make ~pool ~smoother () in
+              let report, solution = Cdr.Report.run_model ~solver ~ctx model in
+              Format.printf "%a@." Cdr.Report.pp report;
               let mtbf = Cdr.Cycle_slip.mean_time_between model ~pi:solution.Markov.Solution.pi in
               Format.printf "Mean time between cycle slips: %.3e bit intervals@." mtbf;
               report
@@ -353,9 +339,7 @@ let analyze_term =
           metrics_out;
         Cdr_obs.Sink.close_all ()
   in
-  Term.(
-    const run $ config_term $ env_term $ solver $ backend $ smoother $ jobs $ trace_file
-    $ metrics_file)
+  Term.(const run $ analyze_config_term $ env_term $ jobs $ trace_file $ metrics_file)
 
 let analyze_cmd =
   let doc = "Stationary phase-error density, BER and cycle-slip time for one configuration." in
@@ -371,7 +355,8 @@ let sweep_cmd =
   let run cfg solver smoother jobs warm no_cache lengths =
     with_jobs jobs @@ fun pool ->
     let strategy = strategy_of warm no_cache in
-    let points = Cdr.Sweep.counter_lengths ~solver ~smoother ~pool ~strategy cfg lengths in
+    let ctx = Cdr.Context.make ~pool ~smoother ~strategy () in
+    let points = Cdr.Sweep.counter_lengths ~solver ~ctx cfg lengths in
     Format.printf "%a@." Cdr.Sweep.pp_points points;
     (* one point list feeds both the table and the optimum: no re-solving *)
     let k, ber = Cdr.Sweep.optimal_of_points points in
@@ -391,7 +376,8 @@ let sigma_cmd =
   let run cfg solver smoother jobs warm no_cache sigmas =
     with_jobs jobs @@ fun pool ->
     let strategy = strategy_of warm no_cache in
-    let points = Cdr.Sweep.sigma_w_values ~solver ~smoother ~pool ~strategy cfg sigmas in
+    let ctx = Cdr.Context.make ~pool ~smoother ~strategy () in
+    let points = Cdr.Sweep.sigma_w_values ~solver ~ctx cfg sigmas in
     Format.printf "%a@." Cdr.Sweep.pp_points points
   in
   let doc = "BER vs eye-opening jitter level (the axis of the paper's Figure 4)." in
@@ -403,7 +389,7 @@ let sigma_cmd =
 let slip_cmd =
   let run cfg solver =
     let model = Cdr.Model.build cfg in
-    let solution = Cdr.Model.solve ~solver:(widen_solver solver) model in
+    let solution = Cdr.Model.solve ~solver:(solver :> Cdr.Model.solver) model in
     let rate = Cdr.Cycle_slip.rate model ~pi:solution.Markov.Solution.pi in
     let mtbf = Cdr.Cycle_slip.mean_time_between model ~pi:solution.Markov.Solution.pi in
     let first = Cdr.Cycle_slip.mean_first_slip_time model in
@@ -574,7 +560,7 @@ let solvers_cmd =
     List.iter
       (fun (name, s) ->
         let t0 = Unix.gettimeofday () in
-        let sol = Cdr.Model.solve ~solver:s ~tol:1e-10 model in
+        let sol = Cdr.Model.solve ~solver:s ~ctx:(Cdr.Context.make ~tol:1e-10 ()) model in
         Format.printf "%-14s %6d iterations  residual %.2e  %6.2fs %s@." name
           sol.Markov.Solution.iterations sol.Markov.Solution.residual
           (Unix.gettimeofday () -. t0)

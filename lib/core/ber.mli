@@ -34,16 +34,8 @@ val eye_density : Config.t -> rho:Linalg.Vec.t -> (float * float) array
 
 val analyze :
   ?solver:[ `Multigrid | `Power | `Gauss_seidel ] ->
-  ?init:Linalg.Vec.t ->
-  ?cache:Solver_cache.t ->
-  ?trace:Cdr_obs.Trace.t ->
-  ?pool:Cdr_par.Pool.t ->
-  ?smoother:Markov.Multigrid.smoother ->
   ?ctx:Context.t ->
   Model.t ->
   result * Markov.Solution.t
-(** Solve for the stationary distribution and evaluate everything. [?init],
-    [?cache], [?trace], [?pool] and [?smoother] are forwarded to the solver
-    (see {!Model.solve}); [?ctx] carries the same knobs (and the tolerance
-    and cancellation hook) as one {!Context.t}, with explicit arguments
-    overriding matching context fields. *)
+(** Solve for the stationary distribution ({!Model.solve} under [ctx]) and
+    evaluate everything. *)

@@ -15,8 +15,8 @@ type t = {
   backend : Cdr_op.kind;
 }
 
-(* these literals are the historical per-call defaults; changing any of them
-   changes the behavior of every call site that passes no arguments *)
+(* changing any of these literals changes the behavior of every call site
+   that passes no context *)
 let default =
   {
     pool = None;
@@ -47,3 +47,5 @@ let override ?pool ?trace ?cache ?init ?smoother ?strategy ?tol ?cancel ?backend
     cancel = keep cancel t.cancel;
     backend = Option.value backend ~default:t.backend;
   }
+
+let init_for t n = match t.init with Some v when Array.length v = n -> Some v | _ -> None

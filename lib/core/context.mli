@@ -1,22 +1,18 @@
 (** One bundle for everything a stationary analysis threads through its
     solver stack.
 
-    Before this module, every entry point ({!Model.solve}, {!Ber.analyze},
-    {!Report.run_model}, the {!Sweep} runners) grew its own copy of the same
-    optional-argument list — pool, trace, cache, warm-start vector, smoother,
-    tolerance — and adding one knob meant touching every layer. A [Context.t]
-    is that list as a value: build it once, hand it to any entry point with
-    [?ctx], and the layers below forward it unchanged.
-
-    The per-call optional arguments are kept on every entry point as thin
-    wrappers: an explicit argument overrides the corresponding context field
-    ({!override}), and a call that passes neither gets {!default} — which
-    reproduces the historical defaults exactly, so existing call sites are
-    bitwise unchanged.
+    A [Context.t] carries the pool, trace, setup cache, warm-start vector,
+    smoother, sweep strategy, tolerance, cancellation hook and backend as
+    one value: build it once with {!make}, hand it to any entry point
+    ({!Model.solve}, {!Ber.analyze}, {!Report.run_model}, the {!Sweep}
+    runners, the composed-chain solves) with [?ctx], and the layers below
+    forward it unchanged. It is the only way to pass these knobs: the entry
+    points take nothing but [?solver] and [?ctx], and a call that passes
+    neither gets {!default}.
 
     The long-running analysis service is the motivating consumer: it builds
     one context per request (process-wide cache, shared pool, per-request
-    deadline hook) instead of spelling seven arguments at four call sites. *)
+    deadline hook). *)
 
 type strategy = {
   warm_start : bool;
@@ -26,8 +22,7 @@ type strategy = {
       (** sweeps: rebuild models in place and cache multigrid setups per
           structure *)
 }
-(** Sweep continuation strategy. Defined here (not in [Sweep]) so a context
-    can carry it below the [Sweep] layer; [Sweep.strategy] re-exports it. *)
+(** Sweep continuation strategy, read by the {!Sweep} runners. *)
 
 val cold : strategy
 (** Independent cold solves — the historical default. *)
@@ -50,17 +45,15 @@ type t = {
           deadline check. Only the multigrid solver polls it — the other
           solvers complete normally. *)
   backend : Cdr_op.kind;
-      (** operator representation the solve runs on, [`Csr]. [`Kron] routes
-          the entry points that support it through the matrix-free Kronecker
-          operator ({!Kron_model}) instead of the materialized chain; entry
-          points with no matrix-free path reject it rather than silently
-          falling back. *)
+      (** operator representation, [`Csr]. Read only by
+          [Cdr_env.Report.run], which builds the composed chain on this
+          backend. Every other entry point takes an already built model, so
+          the model's own representation decides, and the field is ignored. *)
 }
 
 val default : t
 (** No pool, no trace, no cache, no warm start, [`Lex] smoother, {!cold}
-    strategy, tolerance [1e-12], no cancellation, [`Csr] backend — exactly
-    the defaults the per-call optional arguments have always had. *)
+    strategy, tolerance [1e-12], no cancellation, [`Csr] backend. *)
 
 val make :
   ?pool:Cdr_par.Pool.t ->
@@ -89,8 +82,12 @@ val override :
   t ->
   t
 (** [t] with every {e explicitly passed} argument replacing the matching
-    field — the wrapper the entry points use to keep their historical
-    optional arguments: [Model.solve ?tol ?pool ?ctx] is
-    [solve_ctx (override ?tol ?pool ctx)]. An argument that is not passed
+    field, e.g. [override ~strategy:warm ctx] for a sweep that keeps the
+    caller's pool and cancellation hook. An argument that is not passed
     leaves the field alone (there is no way to {e clear} a field through
     [override]; build a fresh context for that). *)
+
+val init_for : t -> int -> Linalg.Vec.t option
+(** [init_for t n] is [t.init] when it has length [n], else [None]: a
+    warm-start vector of the wrong length (e.g. threaded across a counter
+    sweep whose state count moved) is dropped, never an error. *)

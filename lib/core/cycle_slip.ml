@@ -2,8 +2,7 @@ let crossing model i j =
   Phase_error.crosses_boundary model.Model.config ~src:(model.Model.phase_bin i)
     ~dst:(model.Model.phase_bin j)
 
-let rate model ~pi =
-  Markov.Passage.flux model.Model.chain ~pi ~crossing:(crossing model)
+let rate model ~pi = Markov.Passage.flux (Model.operator model) ~pi ~crossing:(crossing model)
 
 let mean_time_between model ~pi =
   let r = rate model ~pi in

@@ -175,12 +175,12 @@ let index_of t ~data ~counter ~phase =
   then None
   else Some ((((data * t.n_counter) + counter) * t.m) + phase)
 
-(* Same coarsening strategy as {!Model.hierarchy} — halve the phase grid,
-   then the counter — but on the full product space, where every (d, c, p)
-   triple exists and the lumping maps are pure arithmetic. *)
-let hierarchy t =
+(* {!Model.keyed_hierarchy}'s strategy — halve the phase grid, then the
+   counter — on a full product space [lead * n_counter * m], where every
+   tuple exists and the lumping maps are pure arithmetic. *)
+let box_hierarchy ~lead ~n_counter ~m =
   let rec go ~n_counter ~m acc =
-    let n = t.n_data * n_counter * m in
+    let n = lead * n_counter * m in
     if n <= Markov.Gth.max_direct_size || (m <= 1 && n_counter <= 1) then List.rev acc
     else if m > 1 then begin
       let mc = (m + 1) / 2 in
@@ -203,62 +203,63 @@ let hierarchy t =
       go ~n_counter:cc ~m (Markov.Partition.create map :: acc)
     end
   in
-  go ~n_counter:t.n_counter ~m:t.m []
+  go ~n_counter ~m []
 
-type solver = [ `Power | `Jacobi | `Multigrid ]
+let hierarchy t = box_hierarchy ~lead:t.n_data ~n_counter:t.n_counter ~m:t.m
 
-let solver_name = function `Power -> "power" | `Jacobi -> "jacobi" | `Multigrid -> "multigrid"
+type solver = [ `Multigrid | `Power | `Gauss_seidel | `Jacobi ]
+
+let solver_name = function
+  | `Multigrid -> "multigrid"
+  | `Power -> "power"
+  | `Gauss_seidel -> "gauss-seidel"
+  | `Jacobi -> "jacobi"
+
+let solve_op ~solver ~ctx ~hierarchy ~iad ~set_iad op =
+  let { Context.tol; trace; pool; cancel; _ } = ctx in
+  let init = Context.init_for ctx (Cdr_op.dim op) in
+  match solver with
+  | `Power -> Markov.Power.solve_op ~tol ?init ?trace ?pool op
+  | `Jacobi -> Markov.Splitting.solve_op ~tol ?init ?trace ?pool op
+  | `Gauss_seidel -> invalid_arg "Kron_model.solve_op: no matrix-free Gauss-Seidel sweep"
+  | `Multigrid -> (
+      match hierarchy () with
+      | [] ->
+          (* the whole model fits a direct solve; no aggregation level to
+             run the IAD cycle through *)
+          Markov.Power.solve_op ~tol ?init ?trace ?pool op
+      | partition :: coarse_hierarchy ->
+          (* the IAD setup (partition arrays, workspaces, aggregated coarse
+             pattern) depends only on the operator's structure: prepare
+             once, reuse for every solve against this model *)
+          let setup =
+            match iad () with
+            | Some s when Markov.Op_multigrid.matches s op -> s
+            | _ ->
+                let s = Markov.Op_multigrid.prepare ~coarse_hierarchy ~partition op in
+                set_iad s;
+                s
+          in
+          fst (Markov.Op_multigrid.solve_with ~tol ?init ?trace ?pool ?cancel setup op))
 
 let solve ?(solver = `Power) ?(ctx = Context.default) t =
-  let { Context.tol; trace; pool; cancel; _ } = ctx in
-  let init =
-    match ctx.Context.init with
-    | Some v when Array.length v = t.n_states -> Some v
-    | Some _ | None -> None
-  in
   Cdr_obs.Span.with_ ~name:"model.solve"
     ~attrs:[ ("solver", solver_name solver); ("backend", "kron") ]
   @@ fun () ->
   Cdr_obs.Metrics.incr "model.solves"
     ~labels:[ ("solver", solver_name solver); ("backend", "kron") ];
-  match solver with
-  | `Power -> Markov.Power.solve_op ~tol ?init ?trace ?pool t.op
-  | `Jacobi -> Markov.Splitting.solve_op ~tol ?init ?trace ?pool t.op
-  | `Multigrid -> (
-      match hierarchy t with
-      | [] ->
-          (* the whole model fits a direct solve; no aggregation level to
-             run the IAD cycle through *)
-          Markov.Power.solve_op ~tol ?init ?trace ?pool t.op
-      | partition :: coarse_hierarchy ->
-          (* the IAD setup (partition arrays, workspaces, aggregated coarse
-             pattern) depends only on the model's structure: prepare once,
-             reuse for every solve against this model *)
-          let setup =
-            match t.iad with
-            | Some s when Markov.Op_multigrid.matches s t.op -> s
-            | _ ->
-                let s = Markov.Op_multigrid.prepare ~coarse_hierarchy ~partition t.op in
-                t.iad <- Some s;
-                s
-          in
-          let solution, _stats =
-            Markov.Op_multigrid.solve_with ~tol ?init ?trace ?pool ?cancel setup t.op
-          in
-          solution)
+  solve_op ~solver ~ctx
+    ~hierarchy:(fun () -> hierarchy t)
+    ~iad:(fun () -> t.iad)
+    ~set_iad:(fun s -> t.iad <- Some s)
+    t.op
 
 let phase_marginal t ~pi =
   Markov.Stat.marginal ~pi ~label:(fun i -> i mod t.m) ~n_labels:t.m
 
 let slip_rate t ~pi =
-  if Array.length pi <> t.n_states then invalid_arg "Kron_model.slip_rate: dimension mismatch";
-  let cfg = t.config in
-  let m = t.m in
-  let acc = ref 0.0 in
-  Cdr_op.iter_entries t.op (fun i j v ->
-      if Phase_error.crosses_boundary cfg ~src:(i mod m) ~dst:(j mod m) then
-        acc := !acc +. (pi.(i) *. v));
-  !acc
+  Markov.Passage.flux t.op ~pi ~crossing:(fun i j ->
+      Phase_error.crosses_boundary t.config ~src:(i mod t.m) ~dst:(j mod t.m))
 
 let mean_time_between_slips t ~pi =
   let r = slip_rate t ~pi in

@@ -51,31 +51,54 @@ val phase_bin : t -> int -> int
 val index_of : t -> data:int -> counter:int -> phase:int -> int option
 (** Always [Some] for in-range codes — the full space has every triple. *)
 
-type solver = [ `Power | `Jacobi | `Multigrid ]
+type solver = [ `Multigrid | `Power | `Gauss_seidel | `Jacobi ]
+(** The solvers a matrix-free operator can run; [`Gauss_seidel] is listed
+    only so the materialized and matrix-free representations share one
+    solver type, and is rejected ({!solve_op}). *)
 
 val solver_name : solver -> string
 
-val solve : ?solver:solver -> ?ctx:Context.t -> t -> Markov.Solution.t
-(** Stationary distribution, matrix-free. Default [`Power] (the workhorse at
-    scale). [`Jacobi] runs the damped operator splitting; [`Multigrid] runs
-    {!Markov.Op_multigrid} with the first {!hierarchy} level as the
+val solve_op :
+  solver:solver ->
+  ctx:Context.t ->
+  hierarchy:(unit -> Markov.Partition.t list) ->
+  iad:(unit -> Markov.Op_multigrid.setup option) ->
+  set_iad:(Markov.Op_multigrid.setup -> unit) ->
+  Cdr_op.t ->
+  Markov.Solution.t
+(** The stationary solve of a matrix-free operator — the one path behind
+    {!solve} and the composed chain's Kronecker representation. [`Power]
+    and [`Jacobi] run the operator solvers directly; [`Multigrid] runs
+    {!Markov.Op_multigrid} with the first [hierarchy ()] level as the
     aggregation partition and the rest solving the coarse chain (falling
-    back to power when the model is below the direct-solve size).
-    [ctx.cancel] is polled by the [`Multigrid] path only, matching
-    {!Model.solve}. Uses [ctx]'s tolerance, warm start (ignored on a length
-    mismatch), trace and pool. *)
+    back to power when the hierarchy is empty, i.e. the operator fits a
+    direct solve). The IAD setup is memoized by the caller: [iad ()] is
+    reused when it {!Markov.Op_multigrid.matches} the operator, otherwise a
+    fresh setup is prepared and handed to [set_iad] before the solve.
+    [`Gauss_seidel] raises [Invalid_argument] (no matrix-free sweep). Uses
+    [ctx]'s tolerance, warm start (ignored on a length mismatch), trace and
+    pool; [ctx.cancel] is polled by the [`Multigrid] path only. *)
+
+val solve : ?solver:solver -> ?ctx:Context.t -> t -> Markov.Solution.t
+(** {!solve_op} on the model's operator with {!hierarchy} and the [iad]
+    memo, inside a ["model.solve"] span. Default [`Power] (the workhorse at
+    scale). *)
+
+val box_hierarchy : lead:int -> n_counter:int -> m:int -> Markov.Partition.t list
+(** {!Model.keyed_hierarchy}'s coarsening (halve phase bins, then the
+    counter) on a full product space of [lead * n_counter * m] states packed
+    [((l * n_counter) + c) * m + p], where [lead] counts every coordinate
+    that is never lumped. The lumping maps are pure arithmetic. *)
 
 val hierarchy : t -> Markov.Partition.t list
-(** {!Model.hierarchy}'s coarsening strategy (halve phase bins, then the
-    counter) on the full product space, where the lumping maps are pure
-    arithmetic. *)
+(** {!box_hierarchy} with the data states as the leading dimension. *)
 
 val phase_marginal : t -> pi:Linalg.Vec.t -> Linalg.Vec.t
 (** Stationary marginal over phase bins — feed to {!Ber.of_marginal}. *)
 
 val slip_rate : t -> pi:Linalg.Vec.t -> float
-(** Stationary probability flux through boundary-wrapping transitions,
-    computed by enumerating the operator's entries matrix-free — the
-    {!Cycle_slip.rate} functional without the CSR. *)
+(** Stationary probability flux through boundary-wrapping transitions
+    ({!Markov.Passage.flux} on the operator) — the {!Cycle_slip.rate}
+    functional without the CSR. *)
 
 val mean_time_between_slips : t -> pi:Linalg.Vec.t -> float

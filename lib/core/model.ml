@@ -372,13 +372,16 @@ let operator t = Cdr_op.Csr_backend.create (Markov.Chain.tpm t.chain)
 let phase_marginal t ~pi =
   Markov.Stat.marginal ~pi ~label:t.phase_bin ~n_labels:t.config.Config.grid_points
 
-let hierarchy t =
-  (* keys of the current level; level 0 = chain states. Coarsening lumps
-     pairs of consecutive phase bins (the paper's strategy); once the phase
-     grid cannot be halved any further but the level is still too large for a
-     direct solve, counter pairs are lumped as well (the counter is the other
-     slow coordinate on long-filter designs). *)
-  let keys = Array.init t.n_states (fun i -> (t.data_code i, t.counter_code i, t.phase_bin i)) in
+(* The coarsening the structured multigrid hierarchies share: every state
+   is keyed by (lead, counter, phase), where [lead] packs the coordinates
+   that are never lumped (the data state; regime and data on a composed
+   chain). Each level lumps pairs of consecutive phase bins (the paper's
+   strategy); once the phase grid cannot be halved any further but the
+   level is still too large for a direct solve, counter pairs are lumped as
+   well (the counter is the other slow coordinate on long-filter designs).
+   Coarse states are numbered in order of first appearance. *)
+let keyed_hierarchy ~n ~lead ~counter ~phase =
+  let keys = Array.init n (fun i -> (lead i, counter i, phase i)) in
   let rec go keys acc =
     let n = Array.length keys in
     let max_phase = Array.fold_left (fun m (_, _, p) -> max m p) 0 keys in
@@ -386,7 +389,7 @@ let hierarchy t =
     if n <= Markov.Gth.max_direct_size || (max_phase < 1 && max_counter < 1) then List.rev acc
     else begin
       let coarse_key =
-        if max_phase >= 1 then fun (d, c, p) -> (d, c, p / 2) else fun (d, c, p) -> (d, c / 2, p)
+        if max_phase >= 1 then fun (l, c, p) -> (l, c, p / 2) else fun (l, c, p) -> (l, c / 2, p)
       in
       let table = Hashtbl.create (2 * n) in
       let coarse_keys = ref [] in
@@ -411,7 +414,13 @@ let hierarchy t =
   in
   go keys []
 
-let solver_name = function
+let hierarchy t =
+  keyed_hierarchy ~n:t.n_states ~lead:t.data_code ~counter:t.counter_code ~phase:t.phase_bin
+
+type solver =
+  [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation | `Arnoldi ]
+
+let solver_name : solver -> string = function
   | `Multigrid -> "multigrid"
   | `Power -> "power"
   | `Gauss_seidel -> "gauss-seidel"
@@ -420,51 +429,37 @@ let solver_name = function
   | `Arnoldi -> "arnoldi"
   | `Aggregation -> "aggregation"
 
-let solve ?(solver = `Multigrid) ?tol ?init ?cache ?trace ?pool ?smoother ?(ctx = Context.default)
-    t =
-  (* the per-call optional arguments are wrappers over the context: an
-     explicit argument wins, an omitted one falls back to the context field,
-     and the default context reproduces the historical defaults bitwise *)
-  let ctx = Context.override ?tol ?init ?cache ?trace ?pool ?smoother ctx in
+let solve_chain ?(solver = `Multigrid) ~ctx ~hierarchy chain =
   let { Context.tol; cache; trace; pool; smoother; cancel; _ } = ctx in
-  Cdr_obs.Span.with_ ~name:"model.solve" ~attrs:[ ("solver", solver_name solver) ] @@ fun () ->
-  Cdr_obs.Metrics.incr "model.solves" ~labels:[ ("solver", solver_name solver) ];
-  (* an init of the wrong length (e.g. threaded across a counter sweep whose
-     state count moved) is dropped, not an error: warm-starting is an
-     optimization, never a constraint *)
-  let init =
-    match ctx.Context.init with
-    | Some v when Array.length v = t.n_states -> Some v
-    | Some _ | None -> None
-  in
+  let init = Context.init_for ctx (Markov.Chain.n_states chain) in
   match solver with
   | `Multigrid ->
       let solution, _stats =
         match cache with
         | Some cache ->
-            let s =
-              Solver_cache.setup cache ~smoother ~hierarchy:(fun () -> hierarchy t) t.chain
-            in
-            Markov.Multigrid.solve_with ~tol ?init ?trace ?pool ?cancel s t.chain
+            let s = Solver_cache.setup cache ~smoother ~hierarchy chain in
+            Markov.Multigrid.solve_with ~tol ?init ?trace ?pool ?cancel s chain
         | None ->
             Markov.Multigrid.solve ~tol ?init ?trace ?pool ?cancel ~smoother
-              ~hierarchy:(hierarchy t) t.chain
+              ~hierarchy:(hierarchy ()) chain
       in
       solution
-  | `Power -> Markov.Power.solve ~tol ?init ?trace ?pool t.chain
+  | `Power -> Markov.Power.solve ~tol ?init ?trace ?pool chain
   | `Gauss_seidel ->
-      Markov.Splitting.solve ~method_:Markov.Splitting.Gauss_seidel ~tol ?init ?trace ?pool
-        t.chain
-  | `Jacobi ->
-      Markov.Splitting.solve ~method_:Markov.Splitting.Jacobi ~tol ?init ?trace ?pool t.chain
+      Markov.Splitting.solve ~method_:Markov.Splitting.Gauss_seidel ~tol ?init ?trace ?pool chain
+  | `Jacobi -> Markov.Splitting.solve ~method_:Markov.Splitting.Jacobi ~tol ?init ?trace ?pool chain
   | `Sor omega ->
-      Markov.Splitting.solve ~method_:(Markov.Splitting.Sor omega) ~tol ?init ?trace ?pool
-        t.chain
-  | `Arnoldi -> Markov.Arnoldi.solve ~tol ?trace t.chain
+      Markov.Splitting.solve ~method_:(Markov.Splitting.Sor omega) ~tol ?init ?trace ?pool chain
+  | `Arnoldi -> Markov.Arnoldi.solve ~tol ?trace chain
   | `Aggregation ->
       let partition =
-        match hierarchy t with
+        match hierarchy () with
         | first :: _ -> first
-        | [] -> Markov.Partition.identity t.n_states
+        | [] -> Markov.Partition.identity (Markov.Chain.n_states chain)
       in
-      Markov.Aggregation.solve ~tol ~partition t.chain
+      Markov.Aggregation.solve ~tol ~partition chain
+
+let solve ?(solver = `Multigrid) ?(ctx = Context.default) t =
+  Cdr_obs.Span.with_ ~name:"model.solve" ~attrs:[ ("solver", solver_name solver) ] @@ fun () ->
+  Cdr_obs.Metrics.incr "model.solves" ~labels:[ ("solver", solver_name solver) ];
+  solve_chain ~solver ~ctx ~hierarchy:(fun () -> hierarchy t) t.chain

@@ -105,50 +105,52 @@ val operator : t -> Cdr_op.t
 val phase_marginal : t -> pi:Linalg.Vec.t -> Linalg.Vec.t
 (** Stationary marginal over phase bins (the density the paper plots). *)
 
+val keyed_hierarchy :
+  n:int ->
+  lead:(int -> int) ->
+  counter:(int -> int) ->
+  phase:(int -> int) ->
+  Markov.Partition.t list
+(** The structured coarsening over [n] states keyed by [(lead i, counter i,
+    phase i)]: each level lumps pairs of consecutive phase bins while keeping
+    the other coordinates — the paper's strategy — and lumps counter pairs
+    once the phase grid is exhausted. [lead] packs every coordinate that is
+    never lumped (the data state here; regime and data on a composed chain).
+    Halving stops once the level fits {!Markov.Gth.max_direct_size} or
+    neither coordinate can be halved further. *)
+
 val hierarchy : t -> Markov.Partition.t list
-(** Structured multigrid coarsening: each level lumps pairs of consecutive
-    phase bins while keeping the FSM coordinates — the paper's coarsening
-    strategy. Halving stops once the level fits {!Markov.Gth.max_direct_size}
-    or the phase grid cannot be halved further. *)
+(** {!keyed_hierarchy} over the chain's (data, counter, phase) codes. *)
 
-val solve :
-  ?solver:
-    [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation | `Arnoldi ] ->
-  ?tol:float ->
-  ?init:Linalg.Vec.t ->
-  ?cache:Solver_cache.t ->
-  ?trace:Cdr_obs.Trace.t ->
-  ?pool:Cdr_par.Pool.t ->
-  ?smoother:Markov.Multigrid.smoother ->
-  ?ctx:Context.t ->
-  t ->
+type solver =
+  [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation | `Arnoldi ]
+
+val solve_chain :
+  ?solver:solver ->
+  ctx:Context.t ->
+  hierarchy:(unit -> Markov.Partition.t list) ->
+  Markov.Chain.t ->
   Markov.Solution.t
-(** Stationary distribution; default [`Multigrid] with the structured
-    {!hierarchy} (and tolerance [1e-12]). [?init] warm-starts the iterative
-    solvers (multigrid, power, the splittings) from a given vector instead of
-    the uniform one — the continuation device for sweeps, where the previous
-    point's stationary density is an excellent guess for the next; an [init]
-    of the wrong length is ignored. [?cache] (multigrid only) looks the
-    symbolic setup up by the chain's sparsity structure instead of rebuilding
-    it (see {!Solver_cache}). [?trace] is forwarded to the
-    selected solver's convergence recorder ([`Aggregation] does not record
-    one). [?pool] is forwarded to the solvers that have deterministic
-    parallel kernels (multigrid, power, the splittings); [`Aggregation] and
-    [`Arnoldi] ignore it. [?smoother] (multigrid only, default [`Lex])
-    selects the Gauss-Seidel variant — see {!Markov.Multigrid.smoother} —
-    and participates in the [?cache] key. The whole solve runs inside a
-    ["model.solve"] span.
+(** The stationary solve of a materialized chain under [ctx] — the one CSR
+    path behind {!solve} and the composed chain's CSR representation.
+    Default [`Multigrid] over [hierarchy ()], whose setup comes from
+    [ctx.cache] when the context carries one (see {!Solver_cache}).
+    [ctx.init] warm-starts the iterative solvers (multigrid, power, the
+    splittings) and is ignored when its length is not the chain's.
+    [ctx.trace] is forwarded to every solver's convergence recorder except
+    [`Aggregation]'s; [ctx.pool] to the solvers with deterministic parallel
+    kernels (not [`Aggregation] or [`Arnoldi]); [ctx.smoother] selects the
+    multigrid Gauss-Seidel variant and is part of the cache key. A firing
+    [ctx.cancel] aborts a multigrid solve with {!Markov.Multigrid.Cancelled};
+    the other solvers do not poll it. [`Aggregation] aggregates over the
+    first hierarchy level. *)
 
-    [?ctx] bundles every one of these knobs (plus a cooperative-cancellation
-    hook polled between multigrid V-cycles) into one {!Context.t}; the
-    per-call arguments are thin wrappers that override the matching context
-    field, and omitting both yields {!Context.default} — the historical
-    behavior, bitwise. A firing [ctx.cancel] aborts a multigrid solve with
-    {!Markov.Multigrid.Cancelled}; the other solvers do not poll it. *)
+val solve : ?solver:solver -> ?ctx:Context.t -> t -> Markov.Solution.t
+(** {!solve_chain} on the model's chain with the structured {!hierarchy},
+    inside a ["model.solve"] span. [ctx] defaults to {!Context.default}:
+    multigrid at tolerance [1e-12], cold start, no cache, no pool. *)
 
-val solver_name :
-  [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation | `Arnoldi ] ->
-  string
+val solver_name : solver -> string
 (** Stable lower-case names used in span attributes and telemetry labels. *)
 
 val network : Config.t -> Fsm.Network.t * int array

@@ -10,19 +10,9 @@ type t = {
   trace : Cdr_obs.Trace.t;
 }
 
-let run_model ?(solver = `Multigrid) ?pool ?init ?cache ?smoother ?(ctx = Context.default) model
-    =
-  let ctx = Context.override ?pool ?init ?cache ?smoother ctx in
+let run_model ?(solver = `Multigrid) ?(ctx = Context.default) model =
   Cdr_obs.Span.with_ ~name:"report.run" @@ fun () ->
-  let trace =
-    Cdr_obs.Trace.create
-      ~name:
-        (Model.solver_name
-           (solver
-             :> [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation
-                | `Arnoldi ]))
-      ()
-  in
+  let trace = Cdr_obs.Trace.create ~name:(Model.solver_name (solver :> Model.solver)) () in
   (* the report owns the convergence trace it returns, so it overrides any
      trace the caller's context carries *)
   let ctx = Context.override ~trace ctx in
@@ -50,8 +40,7 @@ let run_model ?(solver = `Multigrid) ?pool ?init ?cache ?smoother ?(ctx = Contex
     },
     solution )
 
-let run ?solver ?pool ?smoother ?ctx cfg =
-  fst (run_model ?solver ?pool ?smoother ?ctx (Model.build cfg))
+let run ?solver ?ctx cfg = fst (run_model ?solver ?ctx (Model.build cfg))
 
 let header_line t =
   Printf.sprintf "COUNTER: %d  STDnw: %.1e  MAXnr: %.1e  BER: %.1e" t.config.Config.counter_length

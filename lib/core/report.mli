@@ -21,36 +21,26 @@ type t = {
 }
 
 val run :
-  ?solver:[ `Multigrid | `Power | `Gauss_seidel ] ->
-  ?pool:Cdr_par.Pool.t ->
-  ?smoother:Markov.Multigrid.smoother ->
-  ?ctx:Context.t ->
-  Config.t ->
-  t
-(** Build, solve, analyze, and time everything. The solve runs with a fresh
-    {!Cdr_obs.Trace.t} (returned in [trace]); [iterations] is populated from
-    that trace uniformly for all three solver choices, so V-cycles, power
-    steps and Gauss-Seidel sweeps are counted the same way. [?pool] and
-    [?smoother] are forwarded to the solver kernels (see {!Model.solve});
-    [?ctx] carries the same knobs plus tolerance and cancellation as one
-    {!Context.t} (explicit arguments win; the report's own fresh trace
-    always replaces [ctx.trace]). *)
+  ?solver:[ `Multigrid | `Power | `Gauss_seidel ] -> ?ctx:Context.t -> Config.t -> t
+(** Build, solve, analyze, and time everything: {!run_model} on a fresh
+    {!Model.build}. *)
 
 val run_model :
   ?solver:[ `Multigrid | `Power | `Gauss_seidel ] ->
-  ?pool:Cdr_par.Pool.t ->
-  ?init:Linalg.Vec.t ->
-  ?cache:Solver_cache.t ->
-  ?smoother:Markov.Multigrid.smoother ->
   ?ctx:Context.t ->
   Model.t ->
   t * Markov.Solution.t
-(** {!run} on an already built model, also returning the full stationary
-    solution — the warm-sweep entry point: [?init] threads the previous
-    sweep point's stationary vector into the solver and [?cache] reuses the
-    multigrid setup across points with one sparsity structure (see
-    {!Model.solve}). [matrix_form_seconds] reports the model's own build
-    time, as recorded by {!Model.build} or {!Model.rebuild}. *)
+(** Solve an already built model under [ctx] ({!Model.solve}), analyze it,
+    and also return the full stationary solution — the entry point for
+    callers that need more functionals of it (cycle slips) and for warm
+    sweeps, whose context threads the previous point's stationary vector
+    ([ctx.init]) and a setup cache ([ctx.cache]). The solve runs with a
+    fresh {!Cdr_obs.Trace.t} (returned in [trace]) that replaces
+    [ctx.trace]; [iterations] is populated from that trace uniformly for
+    all three solver choices, so V-cycles, power steps and Gauss-Seidel
+    sweeps are counted the same way. [matrix_form_seconds] reports the
+    model's own build time, as recorded by {!Model.build} or
+    {!Model.rebuild}. *)
 
 val header_line : t -> string
 

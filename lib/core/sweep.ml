@@ -1,10 +1,5 @@
 type point = { config : Config.t; report : Report.t }
 
-type strategy = Context.strategy = { warm_start : bool; reuse_setup : bool }
-
-let cold = Context.cold
-let warm = Context.warm
-
 (* A sweep point's solve is always serial (the point is the parallel unit)
    and owns its own warm-start state, so only the scalar knobs of the
    caller's context — smoother, tolerance, cancellation — flow into it. *)
@@ -59,16 +54,15 @@ let predict ~v ~v1 ~pi1 ~v2 ~pi2 =
    renumber the cached sparsity pattern in place, (b) a secant extrapolation
    of the previous points' stationary vectors as the next solve's initial
    iterate, and (c) a structure-keyed [Solver_cache] of multigrid setups.
-   Under [?pool] the chunks run in parallel and warm-starting happens within
+   Under a pool the chunks run in parallel and warm-starting happens within
    each worker's chunk; results return in the caller's original order. *)
-let map_points_continuation ?solver ~ctx ~compare ~attr_name ~attr_of ~param_of ~config_of
-    values =
+let map_points_continuation ?solver ~ctx ~attr_name ~attr_of ~param_of ~config_of values =
   let strategy = ctx.Context.strategy and pool = ctx.Context.pool in
   let indexed = List.mapi (fun i v -> (i, v)) values in
-  let sorted = List.stable_sort (fun (_, a) (_, b) -> compare a b) indexed in
+  let sorted = List.stable_sort (fun (_, a) (_, b) -> Stdlib.compare a b) indexed in
   let jobs = match pool with None -> 1 | Some p -> Cdr_par.Pool.jobs p in
   let run_chunk chunk =
-    let cache = if strategy.reuse_setup then Some (Solver_cache.create ()) else None in
+    let cache = if strategy.Context.reuse_setup then Some (Solver_cache.create ()) else None in
     let prev = ref None and prev2 = ref None in
     List.map
       (fun (idx, v) ->
@@ -77,12 +71,12 @@ let map_points_continuation ?solver ~ctx ~compare ~attr_name ~attr_of ~param_of 
         Cdr_obs.Metrics.incr "sweep.points";
         let model =
           match !prev with
-          | Some (prev_model, _, _) when strategy.reuse_setup ->
+          | Some (prev_model, _, _) when strategy.Context.reuse_setup ->
               fst (Model.rebuild prev_model config)
           | Some _ | None -> Model.build config
         in
         let init =
-          if not strategy.warm_start then None
+          if not strategy.Context.warm_start then None
           else
             match (!prev, !prev2) with
             | Some (_, pi1, v1), Some (pi2, v2) ->
@@ -111,35 +105,27 @@ let map_points_continuation ?solver ~ctx ~compare ~attr_name ~attr_of ~param_of 
   |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
   |> List.map snd
 
-let counter_lengths ?solver ?smoother ?pool ?strategy ?(ctx = Context.default) base lengths =
-  let ctx = Context.override ?smoother ?pool ?strategy ctx in
+(* One sweep over [values]: independent cold points, or the continuation
+   when the context's strategy asks for warm starts or setup reuse. *)
+let sweep ?solver ~ctx ~attr_name ~attr_of ~param_of ~config_of values =
   let strategy = ctx.Context.strategy in
-  if (not strategy.warm_start) && not strategy.reuse_setup then
+  if (not strategy.Context.warm_start) && not strategy.Context.reuse_setup then
     map_points ?pool:ctx.Context.pool
-      (fun k ->
-        let config = Config.create_exn { base with Config.counter_length = k } in
-        point ~ctx ~attr_name:"counter" ~attr_value:(string_of_int k) config solver)
-      lengths
-  else
-    map_points_continuation ?solver ~ctx ~compare:Stdlib.compare ~attr_name:"counter"
-      ~attr_of:string_of_int ~param_of:float_of_int
-      ~config_of:(fun k -> { base with Config.counter_length = k })
-      lengths
+      (fun v ->
+        let config = Config.create_exn (config_of v) in
+        point ~ctx ~attr_name ~attr_value:(attr_of v) config solver)
+      values
+  else map_points_continuation ?solver ~ctx ~attr_name ~attr_of ~param_of ~config_of values
 
-let sigma_w_values ?solver ?smoother ?pool ?strategy ?(ctx = Context.default) base sigmas =
-  let ctx = Context.override ?smoother ?pool ?strategy ctx in
-  let strategy = ctx.Context.strategy in
-  if (not strategy.warm_start) && not strategy.reuse_setup then
-    map_points ?pool:ctx.Context.pool
-      (fun sigma ->
-        let config = Config.create_exn { base with Config.sigma_w = sigma } in
-        point ~ctx ~attr_name:"sigma_w" ~attr_value:(string_of_float sigma) config solver)
-      sigmas
-  else
-    map_points_continuation ?solver ~ctx ~compare:Stdlib.compare ~attr_name:"sigma_w"
-      ~attr_of:string_of_float ~param_of:Fun.id
-      ~config_of:(fun sigma -> { base with Config.sigma_w = sigma })
-      sigmas
+let counter_lengths ?solver ?(ctx = Context.default) base lengths =
+  sweep ?solver ~ctx ~attr_name:"counter" ~attr_of:string_of_int ~param_of:float_of_int
+    ~config_of:(fun k -> { base with Config.counter_length = k })
+    lengths
+
+let sigma_w_values ?solver ?(ctx = Context.default) base sigmas =
+  sweep ?solver ~ctx ~attr_name:"sigma_w" ~attr_of:string_of_float ~param_of:Fun.id
+    ~config_of:(fun sigma -> { base with Config.sigma_w = sigma })
+    sigmas
 
 let optimal_of_points = function
   | [] -> invalid_arg "Sweep.optimal_of_points: no points"
@@ -151,10 +137,10 @@ let optimal_of_points = function
       in
       (best.config.Config.counter_length, best.report.Report.ber)
 
-let optimal_counter ?solver ?smoother ?pool ?strategy ?ctx base lengths =
+let optimal_counter ?solver ?ctx base lengths =
   match lengths with
   | [] -> invalid_arg "Sweep.optimal_counter: no candidate lengths"
-  | _ -> optimal_of_points (counter_lengths ?solver ?smoother ?pool ?strategy ?ctx base lengths)
+  | _ -> optimal_of_points (counter_lengths ?solver ?ctx base lengths)
 
 let pp_points ppf points =
   Format.fprintf ppf "@[<v>%-8s %-8s %-12s %-10s %-8s %s@,"

@@ -3,15 +3,15 @@
     ... architectures ... in a short time" motivation.
 
     Each sweep point is an independent stationary solve, so the sweeps are
-    embarrassingly parallel: pass a [Cdr_par.Pool.t] to run one {!Report.run}
-    per pool worker. The point list is order-preserving and bit-identical for
+    embarrassingly parallel: a context carrying a [Cdr_par.Pool.t] runs one
+    {!Report.run} per pool worker. The point list is order-preserving and bit-identical for
     any job count (apart from the wall-clock timing fields, which measure the
     run they came from).
 
     Adjacent points are also nearly the same problem: their chains share one
     sparsity structure (sigma sweeps) or a tiny set of structures (counter
-    sweeps), and their stationary densities nearly coincide. The {!warm}
-    strategy exploits both — a continuation: points are processed in
+    sweeps), and their stationary densities nearly coincide. The
+    {!Context.warm} strategy exploits both — a continuation: points are processed in
     parameter order, each worker's chunk reuses the previous point's state
     enumeration and CSR pattern ({!Model.rebuild}), caches multigrid setups
     per structure ({!Solver_cache}), and starts each solve from a secant
@@ -19,33 +19,14 @@
     with the cold path within the solver tolerance (the convergence test is
     unchanged; only the starting point and the symbolic setup are reused).
 
-    [?smoother] (multigrid only, default [`Lex]) selects the Gauss-Seidel
-    variant inside each point's V-cycles; see {!Markov.Multigrid.smoother}. *)
+    The context's [smoother] (multigrid only, default [`Lex]) selects the
+    Gauss-Seidel variant inside each point's V-cycles; see
+    {!Markov.Multigrid.smoother}. *)
 
 type point = { config : Config.t; report : Report.t }
 
-type strategy = Context.strategy = {
-  warm_start : bool;
-      (** start each solve from a secant extrapolation of the previous
-          points' stationary vectors *)
-  reuse_setup : bool;
-      (** rebuild models in place and cache multigrid setups per structure *)
-}
-(** Re-export of {!Context.strategy}, so a {!Context.t} can carry the sweep
-    mode and existing [{ Sweep.warm_start; reuse_setup }] literals keep
-    working. *)
-
-val cold : strategy
-(** Independent cold solves — the default, bit-identical for any job count. *)
-
-val warm : strategy
-(** Warm-started, structure-cached continuation (both fields true). *)
-
 val counter_lengths :
   ?solver:[ `Multigrid | `Power | `Gauss_seidel ] ->
-  ?smoother:Markov.Multigrid.smoother ->
-  ?pool:Cdr_par.Pool.t ->
-  ?strategy:strategy ->
   ?ctx:Context.t ->
   Config.t ->
   int list ->
@@ -53,22 +34,19 @@ val counter_lengths :
 (** BER for each counter length, all other parameters fixed (Figure 5).
 
     [?ctx] supplies the pool, strategy, smoother, tolerance and cancellation
-    hook as one {!Context.t} (explicit arguments win). A context's [init],
-    [cache] and [trace] do {e not} flow into the points: every point owns its
-    warm-start state (the continuation computes per-point inits and one setup
-    cache per worker chunk) and its own convergence trace. *)
+    hook. A context's [init], [cache] and [trace] do {e not} flow into the
+    points: every point owns its warm-start state (the continuation computes
+    per-point inits and one setup cache per worker chunk) and its own
+    convergence trace. *)
 
 val sigma_w_values :
   ?solver:[ `Multigrid | `Power | `Gauss_seidel ] ->
-  ?smoother:Markov.Multigrid.smoother ->
-  ?pool:Cdr_par.Pool.t ->
-  ?strategy:strategy ->
   ?ctx:Context.t ->
   Config.t ->
   float list ->
   point list
 (** BER for each eye-opening jitter level (Figure 4's two panels as the
-    endpoints of a continuum). With {!warm} this is the headline fast path:
+    endpoints of a continuum). With {!Context.warm} this is the headline fast path:
     every point shares the sigma-independent state space, so rebuilds reuse
     the pattern and the multigrid setup cache hits on all but the first
     point of each structure group. *)
@@ -80,9 +58,6 @@ val optimal_of_points : point list -> int * float
 
 val optimal_counter :
   ?solver:[ `Multigrid | `Power | `Gauss_seidel ] ->
-  ?smoother:Markov.Multigrid.smoother ->
-  ?pool:Cdr_par.Pool.t ->
-  ?strategy:strategy ->
   ?ctx:Context.t ->
   Config.t ->
   int list ->

@@ -22,7 +22,7 @@ let nr_of_family family amplitude_bins =
 let ber_at cfg family amplitude_bins =
   let cfg = Config.create_exn { cfg with Config.nr = nr_of_family family amplitude_bins } in
   let model = Model.build cfg in
-  let solution = Model.solve ~tol:1e-11 model in
+  let solution = Model.solve ~ctx:(Context.make ~tol:1e-11 ()) model in
   let rho = Model.phase_marginal model ~pi:solution.Markov.Solution.pi in
   Ber.of_marginal cfg ~rho
 

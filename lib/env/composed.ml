@@ -197,140 +197,33 @@ let build ?(backend = `Csr) env base =
    then the counter — on the composed space. The regime and data
    coordinates are never lumped: regimes carry the modulation (collapsing
    them is exactly the mixture approximation), and the data dimension is
-   small. On the Kron repr every tuple exists so the maps are pure
-   arithmetic with leading dimension R * n_data. *)
+   small. Both lead the key, so the base chain's coarsenings apply with
+   regime and data as one leading coordinate. *)
 let hierarchy t =
   match t.repr with
   | Kron _ ->
-      let lead = t.n_regimes * t.n_data in
-      let rec go ~n_counter ~m acc =
-        let n = lead * n_counter * m in
-        if n <= Markov.Gth.max_direct_size || (m <= 1 && n_counter <= 1) then List.rev acc
-        else if m > 1 then begin
-          let mc = (m + 1) / 2 in
-          let map =
-            Array.init n (fun i ->
-                let p = i mod m and dc = i / m in
-                (dc * mc) + (p / 2))
-          in
-          go ~n_counter ~m:mc (Markov.Partition.create map :: acc)
-        end
-        else begin
-          let cc = (n_counter + 1) / 2 in
-          let map =
-            Array.init n (fun i ->
-                let p = i mod m in
-                let c = i / m mod n_counter in
-                let d = i / (m * n_counter) in
-                (((d * cc) + (c / 2)) * m) + p)
-          in
-          go ~n_counter:cc ~m (Markov.Partition.create map :: acc)
-        end
-      in
-      go ~n_counter:t.n_counter ~m:t.m []
+      Cdr.Kron_model.box_hierarchy ~lead:(t.n_regimes * t.n_data) ~n_counter:t.n_counter ~m:t.m
   | Chain _ ->
-      let keys =
-        Array.init t.n_states (fun i ->
-            (t.regime_code i, t.data_code i, t.counter_code i, t.phase_code i))
-      in
-      let rec go keys acc =
-        let n = Array.length keys in
-        let max_phase = Array.fold_left (fun acc (_, _, _, p) -> max acc p) 0 keys in
-        let max_counter = Array.fold_left (fun acc (_, _, c, _) -> max acc c) 0 keys in
-        if n <= Markov.Gth.max_direct_size || (max_phase < 1 && max_counter < 1) then
-          List.rev acc
-        else begin
-          let coarse_key =
-            if max_phase >= 1 then fun (e, d, c, p) -> (e, d, c, p / 2)
-            else fun (e, d, c, p) -> (e, d, c / 2, p)
-          in
-          let table = Hashtbl.create (2 * n) in
-          let coarse_keys = ref [] in
-          let next = ref 0 in
-          let map =
-            Array.map
-              (fun key0 ->
-                let key = coarse_key key0 in
-                match Hashtbl.find_opt table key with
-                | Some b -> b
-                | None ->
-                    let b = !next in
-                    Hashtbl.add table key b;
-                    coarse_keys := key :: !coarse_keys;
-                    incr next;
-                    b)
-              keys
-          in
-          let partition = Markov.Partition.create map in
-          go (Array.of_list (List.rev !coarse_keys)) (partition :: acc)
-        end
-      in
-      go keys []
+      Cdr.Model.keyed_hierarchy ~n:t.n_states
+        ~lead:(fun i -> (t.regime_code i * t.n_data) + t.data_code i)
+        ~counter:t.counter_code ~phase:t.phase_code
 
-type solver = [ `Multigrid | `Power | `Gauss_seidel | `Jacobi ]
-
-let solver_name = function
-  | `Multigrid -> "multigrid"
-  | `Power -> "power"
-  | `Gauss_seidel -> "gauss-seidel"
-  | `Jacobi -> "jacobi"
+type solver = Cdr.Kron_model.solver
 
 let solve ?(solver = `Multigrid) ?(ctx = Cdr.Context.default) t =
-  let { Cdr.Context.tol; cache; trace; pool; smoother; cancel; _ } = ctx in
-  let init =
-    match ctx.Cdr.Context.init with
-    | Some v when Array.length v = t.n_states -> Some v
-    | Some _ | None -> None
+  let labels =
+    [ ("solver", Cdr.Kron_model.solver_name solver); ("backend", Cdr_op.kind_string (backend t)) ]
   in
-  let via = Cdr_op.kind_string (backend t) in
-  Cdr_obs.Span.with_ ~name:"env.solve"
-    ~attrs:[ ("solver", solver_name solver); ("backend", via) ]
-  @@ fun () ->
-  Cdr_obs.Metrics.incr "env.solves" ~labels:[ ("solver", solver_name solver); ("backend", via) ];
+  Cdr_obs.Span.with_ ~name:"env.solve" ~attrs:labels @@ fun () ->
+  Cdr_obs.Metrics.incr "env.solves" ~labels;
+  let hierarchy () = hierarchy t in
   match t.repr with
-  | Chain chain -> (
-      match solver with
-      | `Multigrid ->
-          let solution, _stats =
-            match cache with
-            | Some cache ->
-                let s =
-                  Cdr.Solver_cache.setup cache ~smoother ~hierarchy:(fun () -> hierarchy t) chain
-                in
-                Markov.Multigrid.solve_with ~tol ?init ?trace ?pool ?cancel s chain
-            | None ->
-                Markov.Multigrid.solve ~tol ?init ?trace ?pool ?cancel ~smoother
-                  ~hierarchy:(hierarchy t) chain
-          in
-          solution
-      | `Power -> Markov.Power.solve ~tol ?init ?trace ?pool chain
-      | `Gauss_seidel ->
-          Markov.Splitting.solve ~method_:Markov.Splitting.Gauss_seidel ~tol ?init ?trace ?pool
-            chain
-      | `Jacobi ->
-          Markov.Splitting.solve ~method_:Markov.Splitting.Jacobi ~tol ?init ?trace ?pool chain)
-  | Kron _ -> (
-      match solver with
-      | `Power -> Markov.Power.solve_op ~tol ?init ?trace ?pool t.op
-      | `Jacobi -> Markov.Splitting.solve_op ~tol ?init ?trace ?pool t.op
-      | `Gauss_seidel ->
-          invalid_arg "Cdr_env.Composed.solve: no matrix-free Gauss-Seidel sweep"
-      | `Multigrid -> (
-          match hierarchy t with
-          | [] -> Markov.Power.solve_op ~tol ?init ?trace ?pool t.op
-          | partition :: coarse_hierarchy ->
-              let setup =
-                match t.iad with
-                | Some s when Markov.Op_multigrid.matches s t.op -> s
-                | _ ->
-                    let s = Markov.Op_multigrid.prepare ~coarse_hierarchy ~partition t.op in
-                    t.iad <- Some s;
-                    s
-              in
-              let solution, _stats =
-                Markov.Op_multigrid.solve_with ~tol ?init ?trace ?pool ?cancel setup t.op
-              in
-              solution))
+  | Chain chain -> Cdr.Model.solve_chain ~solver:(solver :> Cdr.Model.solver) ~ctx ~hierarchy chain
+  | Kron _ ->
+      Cdr.Kron_model.solve_op ~solver ~ctx ~hierarchy
+        ~iad:(fun () -> t.iad)
+        ~set_iad:(fun s -> t.iad <- Some s)
+        t.op
 
 (* ---------- functionals of the composed stationary vector ----------
 
@@ -385,12 +278,8 @@ let ber t ~pi =
 
 let slip_rate t ~pi =
   check_pi t pi ~fn:"slip_rate";
-  let cfg = t.base in
-  let acc = ref 0.0 in
-  Cdr_op.iter_entries t.op (fun i j v ->
-      if Cdr.Phase_error.crosses_boundary cfg ~src:(t.phase_code i) ~dst:(t.phase_code j) then
-        acc := !acc +. (pi.(i) *. v));
-  !acc
+  Markov.Passage.flux t.op ~pi ~crossing:(fun i j ->
+      Cdr.Phase_error.crosses_boundary t.base ~src:(t.phase_code i) ~dst:(t.phase_code j))
 
 let mean_bits_between_slips t ~pi =
   let r = slip_rate t ~pi in

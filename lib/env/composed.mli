@@ -52,23 +52,21 @@ val n_states : t -> int
 val operator : t -> Cdr_op.t
 
 val hierarchy : t -> Markov.Partition.t list
-(** {!Cdr.Model.hierarchy}'s strategy (halve phases, then the counter) on
-    the composed space. Regimes and data are never lumped: the regime
-    coordinate carries the modulation — aggregating it away is exactly the
-    mixture approximation the composed model exists to avoid. *)
+(** The base chain's coarsening (halve phases, then the counter) on the
+    composed space, with regime and data as one leading coordinate that is
+    never lumped: the regime coordinate carries the modulation — aggregating
+    it away is exactly the mixture approximation the composed model exists
+    to avoid. {!Cdr.Model.keyed_hierarchy} on the [`Csr] repr,
+    {!Cdr.Kron_model.box_hierarchy} on the [`Kron] repr. *)
 
-type solver = [ `Multigrid | `Power | `Gauss_seidel | `Jacobi ]
-
-val solver_name : solver -> string
+type solver = Cdr.Kron_model.solver
 
 val solve : ?solver:solver -> ?ctx:Cdr.Context.t -> t -> Markov.Solution.t
-(** Stationary distribution of the composed chain (default [`Multigrid]).
-    The [`Csr] repr dispatches like {!Cdr.Model.solve} (including the
-    context's {!Cdr.Solver_cache}); the [`Kron] repr dispatches like
-    {!Cdr.Kron_model.solve} with the memoized IAD setup, and rejects
-    [`Gauss_seidel] with [Invalid_argument] (no matrix-free sweep). Uses
-    the context's tolerance, warm start (dropped on length mismatch),
-    smoother, trace, pool and cancellation. *)
+(** Stationary distribution of the composed chain (default [`Multigrid]),
+    inside an ["env.solve"] span. The [`Csr] repr runs
+    {!Cdr.Model.solve_chain} (including the context's {!Cdr.Solver_cache});
+    the [`Kron] repr runs {!Cdr.Kron_model.solve_op} with the memoized IAD
+    setup, and rejects [`Gauss_seidel] with [Invalid_argument]. *)
 
 val regime_probs : t -> pi:Linalg.Vec.t -> float array
 (** Stationary regime marginal [P(E = e)]. *)
@@ -90,7 +88,7 @@ val ber : t -> pi:Linalg.Vec.t -> float
 
 val slip_rate : t -> pi:Linalg.Vec.t -> float
 (** Stationary probability flux through boundary-wrapping phase
-    transitions of the composed operator. *)
+    transitions of the composed operator ({!Markov.Passage.flux}). *)
 
 val mean_bits_between_slips : t -> pi:Linalg.Vec.t -> float
 

@@ -22,10 +22,11 @@ type t = {
   regime_densities : Linalg.Vec.t array;
 }
 
-let run ?(backend = `Csr) ?solver ?ctx env cfg =
+let run ?solver ?(ctx = Cdr.Context.default) env cfg =
+  let backend = ctx.Cdr.Context.backend in
   let composed = Composed.build ~backend env cfg in
   let t0 = Cdr_obs.Clock.monotonic () in
-  let solution = Composed.solve ?solver ?ctx composed in
+  let solution = Composed.solve ?solver ~ctx composed in
   let solve_seconds = Cdr_obs.Clock.monotonic () -. t0 in
   let pi = solution.Markov.Solution.pi in
   ( composed,

@@ -19,16 +19,10 @@ type t = {
   regime_densities : Linalg.Vec.t array; (* conditional densities *)
 }
 
-val run :
-  ?backend:Cdr_op.kind ->
-  ?solver:Composed.solver ->
-  ?ctx:Cdr.Context.t ->
-  Env.t ->
-  Cdr.Config.t ->
-  Composed.t * t
-(** Build (default [`Csr]) and solve (default [`Multigrid]) under the
-    context's pool/trace/cache/tolerance, then aggregate. Returns the
-    composed model too so callers can reuse it (warm solves, extra
-    functionals). *)
+val run : ?solver:Composed.solver -> ?ctx:Cdr.Context.t -> Env.t -> Cdr.Config.t -> Composed.t * t
+(** Build on the context's backend ([ctx.backend], [`Csr] by default) and
+    solve (default [`Multigrid]) under the context's
+    pool/trace/cache/tolerance, then aggregate. Returns the composed model
+    too so callers can reuse it (warm solves, extra functionals). *)
 
 val pp : Format.formatter -> t -> unit

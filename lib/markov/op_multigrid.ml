@@ -143,26 +143,34 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
   (* the first cycle of the first solve assembles the pattern; every later
      cycle refills the hoisted value buffer in place — no per-cycle (or
      per-request) allocation *)
+  let assemble () =
+    let m0 = Sparse.Csr.assemble ?pool ~rows:n_coarse ~cols:n_coarse coarse_row in
+    s.s_pattern <- Some m0;
+    s.s_values <- Array.make (Sparse.Csr.nnz m0) 0.0;
+    m0
+  in
   let build_coarse () =
     compute_weights ();
     match s.s_pattern with
-    | None ->
-        let m0 = Sparse.Csr.assemble ?pool ~rows:n_coarse ~cols:n_coarse coarse_row in
-        s.s_pattern <- Some m0;
-        s.s_values <- Array.make (Sparse.Csr.nnz m0) 0.0;
-        m0
+    | None -> assemble ()
     | Some m0 ->
         let values = s.s_values in
         Array.fill values 0 (Array.length values) 0.0;
+        (* a setup carried over to an operator of the same dimension but a
+           wider nonzero structure (the service transplants setups across
+           noise parameters) meets coarse entries outside the pattern: flag
+           them and assemble afresh instead of refilling *)
+        let stale = Atomic.make false in
         let slots = coarse_slots n_coarse in
         Cdr_par.Pool.run_slots_opt pool ~slots (fun sl ->
             let lo = n_coarse * sl / slots and hi = (n_coarse * (sl + 1) / slots) - 1 in
             for bi = lo to hi do
               coarse_row bi (fun cj v ->
-                  let k = Sparse.Csr.row_index m0 bi cj in
-                  values.(k) <- values.(k) +. v)
+                  match Sparse.Csr.row_index m0 bi cj with
+                  | -1 -> Atomic.set stale true
+                  | k -> values.(k) <- values.(k) +. v)
             done);
-        Sparse.Csr.refill m0 values
+        if Atomic.get stale then assemble () else Sparse.Csr.refill m0 values
   in
   let solve_coarse () =
     let chain = Chain.of_csr (phase "aggregate" build_coarse) in

@@ -42,8 +42,10 @@ val prepare : ?coarse_hierarchy:Partition.t list -> partition:Partition.t -> Cdr
 
 val matches : setup -> Cdr_op.t -> bool
 (** Whether the operator has the dimension the setup was prepared for.
-    (Structure beyond the dimension is the caller's contract, exactly as
-    one {!Multigrid.setup} serves refilled matrices.) *)
+    The nonzero structure may differ: when the operator emits an aggregated
+    entry outside the cached coarse pattern, {!solve_with} assembles the
+    pattern (and with it the coarse {!Multigrid.setup}) afresh. Entries the
+    new operator no longer emits stay in the pattern as explicit zeros. *)
 
 val solve_with :
   ?tol:float ->

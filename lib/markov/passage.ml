@@ -136,8 +136,8 @@ let absorption_probabilities ?(tol = 1e-12) ?(max_iter = 1_000_000) chain ~a ~b 
   loop 0;
   h
 
-let flux chain ~pi ~crossing =
-  let n = Chain.n_states chain in
-  if Array.length pi <> n then invalid_arg "Passage.flux: dimension mismatch";
-  Sparse.Csr.fold (Chain.tpm chain) ~init:0.0 ~f:(fun acc i j v ->
-      if crossing i j then acc +. (pi.(i) *. v) else acc)
+let flux op ~pi ~crossing =
+  if Array.length pi <> Cdr_op.dim op then invalid_arg "Passage.flux: dimension mismatch";
+  let acc = ref 0.0 in
+  Cdr_op.iter_entries op (fun i j v -> if crossing i j then acc := !acc +. (pi.(i) *. v));
+  !acc

@@ -22,7 +22,9 @@ val absorption_probabilities :
 (** Probability of hitting set [a] before set [b], per start state. The two
     sets must be disjoint and non-empty. *)
 
-val flux : Chain.t -> pi:Linalg.Vec.t -> crossing:(int -> int -> bool) -> float
+val flux : Cdr_op.t -> pi:Linalg.Vec.t -> crossing:(int -> int -> bool) -> float
 (** Stationary probability flux through the marked transitions:
-    [sum pi_i P_ij] over pairs with [crossing i j]. Events per step; its
+    [sum pi_i P_ij] over pairs with [crossing i j], accumulated in
+    {!Cdr_op.iter_entries} order — so one functional serves the
+    materialized and the matrix-free representations. Events per step; its
     inverse is a mean time between events. *)

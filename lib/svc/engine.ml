@@ -32,7 +32,8 @@ type job = {
 }
 
 (* a request whose parameters are well-formed but name a combination this
-   engine cannot serve (matrix-free backend on a CSR-only kind or solver);
+   engine cannot serve (matrix-free backend on a CSR-only kind, an env
+   request without an environment);
    caught in [handle] and mapped to [`Bad_request] — the client mistake
    channel, never [`Internal] *)
 exception Unsupported of string
@@ -72,10 +73,6 @@ let point_json ~key ~value (pt : Cdr.Sweep.point) =
       ("ber", num pt.Cdr.Sweep.report.Cdr.Report.ber);
       ("iterations", int_num pt.Cdr.Sweep.report.Cdr.Report.iterations);
     ]
-
-let full_solver p =
-  (p.Params.solver
-    :> [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation | `Arnoldi ])
 
 (* the "stats" payload: a self-describing snapshot of the serving process,
    assembled from the metrics registry and the engine's own cache. Served
@@ -163,21 +160,26 @@ let stats_payload t =
     @ (match t.replica with Some r -> [ ("replica", int_num r) ] | None -> [])
     @ [ ("pid", int_num (Unix.getpid ())) ])
 
+(* The IAD solver setup a matrix-free model memoizes (partition maps,
+   iterate/weight workspaces, the aggregated coarse pattern and its
+   Multigrid setup) is O(states) and depends on the operator's structure
+   only, so a fresh build of the same shape adopts the previous model's
+   setup and repeated queries reallocate none of it. A setup whose coarse
+   pattern no longer covers the new operator re-assembles it on its first
+   cycle ({!Markov.Op_multigrid.matches}). *)
+let transplant_iad prev op adopt =
+  match prev with Some s when Markov.Op_multigrid.matches s op -> adopt s | _ -> ()
+
 (* The kron model itself is rebuilt per request — factor matrices are a few
-   KB, the build is O(grid) table work — but the IAD solver setup it memoizes
-   (partition maps, iterate/weight workspaces, the aggregated coarse pattern
-   and its Multigrid setup) is O(states) and structure-only. When the
-   structural key repeats, transplant the previous model's setup into the
-   fresh build so repeated kron queries reallocate none of it. *)
+   KB, the build is O(grid) table work — and adopts the previous model's IAD
+   setup when the structural key repeats. *)
 let get_kron_model t params config =
   let key = Params.model_key params in
   let model = Cdr.Kron_model.build config in
   (match t.last_kron with
-  | Some (k, prev) when k = key -> (
-      match prev.Cdr.Kron_model.iad with
-      | Some s when Markov.Op_multigrid.matches s model.Cdr.Kron_model.op ->
-          model.Cdr.Kron_model.iad <- Some s
-      | _ -> ())
+  | Some (k, prev) when k = key ->
+      transplant_iad prev.Cdr.Kron_model.iad model.Cdr.Kron_model.op (fun s ->
+          model.Cdr.Kron_model.iad <- Some s)
   | _ -> ());
   t.last_kron <- Some (key, model);
   model
@@ -202,13 +204,11 @@ let get_env_model t params config env =
     | Some (k, m) when k = key -> m
     | prev ->
         let m = Cdr_env.Composed.build ~backend:params.Params.backend env config in
-        (match prev with
-        | Some (_, old) -> (
-            match old.Cdr_env.Composed.iad with
-            | Some s when Markov.Op_multigrid.matches s m.Cdr_env.Composed.op ->
-                m.Cdr_env.Composed.iad <- Some s
-            | _ -> ())
-        | None -> ());
+        Option.iter
+          (fun (_, old) ->
+            transplant_iad old.Cdr_env.Composed.iad m.Cdr_env.Composed.op (fun s ->
+                m.Cdr_env.Composed.iad <- Some s))
+          prev;
         m
   in
   t.last_env <- Some (key, model);
@@ -220,10 +220,6 @@ let run_env t ~ctx p config =
     | Some e -> e
     | None -> raise (Unsupported "\"env\" requests require a params field \"env\"")
   in
-  (match (p.Params.backend, p.Params.solver) with
-  | `Kron, `Gauss_seidel ->
-      raise (Unsupported "solver \"gauss-seidel\" has no matrix-free path; use backend=csr")
-  | _ -> ());
   let model = get_env_model t p config env in
   let solver = (p.Params.solver :> Cdr_env.Composed.solver) in
   let (sol, degraded), solve_seconds =
@@ -281,13 +277,7 @@ let scenarios_payload () =
    solved through {!Cdr.Kron_model} (full product space, never
    materialized). *)
 let run_analyze_kron t ~ctx p config =
-  let solver =
-    match p.Params.solver with
-    | `Multigrid -> `Multigrid
-    | `Power -> `Power
-    | `Gauss_seidel ->
-        raise (Unsupported "solver \"gauss-seidel\" has no matrix-free path; use backend=csr")
-  in
+  let solver = (p.Params.solver :> Cdr.Kron_model.solver) in
   let model = get_kron_model t p config in
   let (sol, degraded), solve_seconds =
     Cdr_obs.Span.timed ~name:"report.solve" (fun () ->
@@ -308,21 +298,25 @@ let run_analyze_kron t ~ctx p config =
       ],
     degraded )
 
-let reject_kron kind =
-  raise
-    (Unsupported
-       (Printf.sprintf
-          "request kind %S requires the csr backend (first-passage/sweep machinery runs on the \
-           materialized chain); use backend=csr"
-          kind))
+(* the one rule for kinds the matrix-free backend cannot serve: their
+   functionals (first passage, the sweep continuation) run on the
+   materialized chain *)
+let check_backend req =
+  match (req.Protocol.kind, req.Protocol.params.Params.backend) with
+  | (Protocol.Slip | Protocol.Sweep _ | Protocol.Sigma _), `Kron ->
+      raise
+        (Unsupported
+           (Printf.sprintf
+              "request kind %S requires the csr backend (first-passage/sweep machinery runs on \
+               the materialized chain); use backend=csr"
+              (Protocol.kind_name req.Protocol.kind)))
+  | _ -> ()
 
 let run_kind t ~ctx req config =
+  check_backend req;
   let p = req.Protocol.params in
   match req.Protocol.kind with
   | Protocol.Analyze when p.Params.backend = `Kron -> run_analyze_kron t ~ctx p config
-  | Protocol.Slip when p.Params.backend = `Kron -> reject_kron "slip"
-  | Protocol.Sweep _ when p.Params.backend = `Kron -> reject_kron "sweep"
-  | Protocol.Sigma _ when p.Params.backend = `Kron -> reject_kron "sigma"
   | Protocol.Analyze ->
       let model = get_model t p config in
       let (report, sol), degraded =
@@ -343,7 +337,7 @@ let run_kind t ~ctx req config =
       let model = get_model t p config in
       let ((_, sol), degraded) =
         with_degraded_retry ctx (fun ctx ->
-            ((), Cdr.Model.solve ~solver:(full_solver p) ~ctx model))
+            ((), Cdr.Model.solve ~solver:(p.Params.solver :> Cdr.Model.solver) ~ctx model))
       in
       let pi = sol.Markov.Solution.pi in
       ( Cdr_obs.Jsonl.Obj

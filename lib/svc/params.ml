@@ -50,7 +50,9 @@ let to_config p =
       p10 = p.p10;
     }
   in
-  match Cdr.Config.validate cfg with Ok () -> Ok cfg | Error msg -> Error msg
+  match (p.backend, p.solver) with
+  | `Kron, `Gauss_seidel -> Error "solver \"gauss-seidel\" has no matrix-free path; use backend=csr"
+  | _ -> ( match Cdr.Config.validate cfg with Ok () -> Ok cfg | Error msg -> Error msg)
 
 (* A preset's parameter record: the config-derived fields come from the
    scenario (the drift scalars are carried by {!Cdr.Scenario.t} exactly so

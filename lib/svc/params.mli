@@ -36,8 +36,9 @@ type t = {
   smoother : Markov.Multigrid.smoother;
   backend : Cdr_op.kind;
       (** operator representation the solve runs on: [`Csr] (default) or the
-          matrix-free [`Kron]. Request kinds with no matrix-free path reject
-          [`Kron] with [bad_request] instead of falling back. *)
+          matrix-free [`Kron]. Request kinds the matrix-free backend cannot
+          serve reject [`Kron] with [bad_request] instead of falling back,
+          and so does {!to_config} for the [`Gauss_seidel] solver. *)
   env : Cdr_env.Env.t option;
       (** Markov-modulated jitter environment composed with the CDR chain.
           Only the ["env"] request kind consumes it; the protocol rejects it
@@ -51,7 +52,10 @@ val default : t
 
 val to_config : t -> (Cdr.Config.t, string) result
 (** Validated {!Cdr.Config.t} (the drift pmf is built from
-    [drift_mean]/[drift_max]); [Error] carries the validation message. *)
+    [drift_mean]/[drift_max]); [Error] carries the validation message. Also
+    the one place the [`Gauss_seidel] solver, which has no matrix-free
+    sweep, is rejected on the [`Kron] backend, for the CLI and the service
+    alike. *)
 
 val of_scenario : Cdr.Scenario.t -> t
 (** The parameter record equivalent to a scenario preset: config-derived

@@ -275,9 +275,10 @@ let test_hierarchy_lumps_only_phase () =
 
 let test_solvers_agree_on_model () =
   let model = Cdr.Model.build_direct small in
-  let mg = Cdr.Model.solve ~tol:1e-12 model in
-  let power = Cdr.Model.solve ~solver:`Power ~tol:1e-12 model in
-  let gs = Cdr.Model.solve ~solver:`Gauss_seidel ~tol:1e-12 model in
+  let ctx = Cdr.Context.make ~tol:1e-12 () in
+  let mg = Cdr.Model.solve ~ctx model in
+  let power = Cdr.Model.solve ~solver:`Power ~ctx model in
+  let gs = Cdr.Model.solve ~solver:`Gauss_seidel ~ctx model in
   Alcotest.(check bool) "mg converged" true mg.Markov.Solution.converged;
   Alcotest.(check bool) "mg-power" true
     (Linalg.Vec.dist_l1 mg.Markov.Solution.pi power.Markov.Solution.pi < 1e-8);
@@ -346,6 +347,17 @@ let test_cycle_slip_measures () =
   let sol = Cdr.Model.solve model in
   let rate = Cdr.Cycle_slip.rate model ~pi:sol.Markov.Solution.pi in
   Alcotest.(check bool) "positive rate" true (rate > 0.0);
+  (* the operator-based flux visits the entries in the CSR fold's order *)
+  let fold =
+    Sparse.Csr.fold (Markov.Chain.tpm model.Cdr.Model.chain) ~init:0.0 ~f:(fun acc i j v ->
+        if
+          Cdr.Phase_error.crosses_boundary model.Cdr.Model.config
+            ~src:(model.Cdr.Model.phase_bin i) ~dst:(model.Cdr.Model.phase_bin j)
+        then acc +. (sol.Markov.Solution.pi.(i) *. v)
+        else acc)
+  in
+  Alcotest.(check bool) "flux bitwise equals the CSR fold" true
+    (Int64.bits_of_float rate = Int64.bits_of_float fold);
   let mtbf = Cdr.Cycle_slip.mean_time_between model ~pi:sol.Markov.Solution.pi in
   check_float ~eps:1e-6 "mtbf = 1/rate" (1.0 /. rate) mtbf;
   let first = Cdr.Cycle_slip.mean_first_slip_time model in
@@ -454,7 +466,8 @@ let test_model_persistence_roundtrip () =
           Alcotest.(check bool) "TPM equal to 1 ulp" true
             (Sparse.Csr.equal ~tol:1e-15 (Markov.Chain.tpm model.Cdr.Model.chain)
                (Markov.Chain.tpm reloaded));
-          let sol = Cdr.Model.solve ~solver:`Gauss_seidel ~tol:1e-11 model in
+          let ctx = Cdr.Context.make ~tol:1e-11 () in
+          let sol = Cdr.Model.solve ~solver:`Gauss_seidel ~ctx model in
           let sol' =
             Markov.Splitting.solve ~method_:Markov.Splitting.Gauss_seidel ~tol:1e-11 reloaded
           in
@@ -468,7 +481,7 @@ let test_censor_cdr_on_data_pattern () =
   let keep i =
     (Cdr.Data_source.decode small (model.Cdr.Model.data_code i)).Cdr.Data_source.bit = 0
   in
-  let sol = Cdr.Model.solve ~tol:1e-13 model in
+  let sol = Cdr.Model.solve ~ctx:(Cdr.Context.make ~tol:1e-13 ()) model in
   let pi = sol.Markov.Solution.pi in
   let censored, kept = Markov.Censor.stochastic_complement model.Cdr.Model.chain ~keep in
   let censored_pi = Markov.Gth.solve censored in
@@ -530,7 +543,7 @@ let test_activity_drift_balance () =
      per bit vanishes, i.e. G * (advance rate - retard rate) + E[n_r] = 0 up
      to the (negligible) wrap-around flux *)
   let model = Cdr.Model.build_direct active in
-  let sol = Cdr.Model.solve ~tol:1e-12 model in
+  let sol = Cdr.Model.solve ~ctx:(Cdr.Context.make ~tol:1e-12 ()) model in
   let pi = sol.Markov.Solution.pi in
   let cfg = active in
   let m = cfg.Cdr.Config.grid_points in

@@ -33,10 +33,20 @@ let tiny_cfg =
 
 (* ---------- composition ---------- *)
 
+let partition_maps h = List.map (fun (p : Markov.Partition.t) -> p.Markov.Partition.map) h
+
 let test_identity_bitwise () =
   let base = Cdr.Model.build_direct tiny_cfg in
   let composed = Composed.build Env.identity tiny_cfg in
   check_int "same state count" base.Cdr.Model.n_states composed.Composed.n_states;
+  (* both representations coarsen through the base chain's code *)
+  let keyed = partition_maps (Cdr.Model.hierarchy base) in
+  check_bool "csr hierarchy is non-trivial" true (keyed <> []);
+  check_bool "csr hierarchy maps equal" true (keyed = partition_maps (Composed.hierarchy composed));
+  let box = partition_maps (Cdr.Kron_model.hierarchy (Cdr.Kron_model.build tiny_cfg)) in
+  check_bool "kron hierarchy is non-trivial" true (box <> []);
+  let kron = Composed.build ~backend:`Kron Env.identity tiny_cfg in
+  check_bool "kron hierarchy maps equal" true (box = partition_maps (Composed.hierarchy kron));
   match composed.Composed.repr with
   | Composed.Kron _ -> Alcotest.fail "identity composition built kron on the csr backend"
   | Composed.Chain chain ->

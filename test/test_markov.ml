@@ -298,14 +298,17 @@ let test_kac_return_time () =
   let c = birth_death ~n:8 ~p:0.4 in
   let pi = Markov.Gth.solve c in
   let in_a i = i < 2 in
-  let flux_out = Markov.Passage.flux c ~pi ~crossing:(fun i j -> in_a i && not (in_a j)) in
-  let flux_in = Markov.Passage.flux c ~pi ~crossing:(fun i j -> (not (in_a i)) && in_a j) in
+  let op = Cdr_op.Csr_backend.create (Markov.Chain.tpm c) in
+  let flux_out = Markov.Passage.flux op ~pi ~crossing:(fun i j -> in_a i && not (in_a j)) in
+  let flux_in = Markov.Passage.flux op ~pi ~crossing:(fun i j -> (not (in_a i)) && in_a j) in
   check_float ~eps:1e-12 "flux balance" flux_out flux_in
 
 let test_flux_total () =
   let c = two_state 0.3 0.1 in
   let pi = two_state_pi 0.3 0.1 in
-  check_float ~eps:1e-12 "total flux is 1" 1.0 (Markov.Passage.flux c ~pi ~crossing:(fun _ _ -> true))
+  let op = Cdr_op.Csr_backend.create (Markov.Chain.tpm c) in
+  check_float ~eps:1e-12 "total flux is 1" 1.0
+    (Markov.Passage.flux op ~pi ~crossing:(fun _ _ -> true))
 
 let test_empty_target_rejected () =
   Alcotest.check_raises "empty target" (Invalid_argument "Passage: empty target set") (fun () ->

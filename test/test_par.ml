@@ -165,7 +165,7 @@ let test_sweep_deterministic () =
   let lengths = [ 2; 3; 4; 5 ] in
   let run jobs =
     Cdr_par.Pool.with_pool ~jobs @@ fun pool ->
-    Cdr.Sweep.counter_lengths ~pool sweep_base lengths
+    Cdr.Sweep.counter_lengths ~ctx:(Cdr.Context.make ~pool ()) sweep_base lengths
   in
   let p1 = run 1 and p4 = run 4 in
   check_int "same point count" (List.length p1) (List.length p4);

@@ -1,21 +1,12 @@
-(* Tests for the serving layer (Cdr_svc) and the unified Context API:
-   request parsing and strict rejection of unknown fields, admission-queue
-   backpressure at the bound, deadline timeouts that leave the engine
-   serving, structure batching hitting the shared solver cache, cache
-   eviction accounting, and bitwise equivalence of Context-carried options
-   against the historical per-call optional arguments. *)
+(* Tests for the serving layer (Cdr_svc): request parsing and strict
+   rejection of unknown fields, admission-queue backpressure at the bound,
+   deadline timeouts that leave the engine serving, structure batching
+   hitting the shared solver cache, the matrix-free backend's answers and
+   rejections, and cache eviction accounting. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
-
-let bits_equal a b =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri
-        (fun i x -> if Int64.bits_of_float x <> Int64.bits_of_float b.(i) then ok := false)
-        a;
-      !ok)
 
 (* small enough that an analyze request runs in well under a second *)
 let tiny_params =
@@ -284,11 +275,10 @@ let test_engine_kron_analyze () =
 let test_engine_kron_unsupported_kinds () =
   let engine = Cdr_svc.Engine.create () in
   let reply, replies = reply_capture () in
-  let submit id kind =
+  let submit ?(params = kron_params) id kind =
     Cdr_svc.Engine.handle engine
       {
-        Cdr_svc.Engine.request =
-          { (analyze_req ~id ~params:kron_params ()) with Cdr_svc.Protocol.kind };
+        Cdr_svc.Engine.request = { (analyze_req ~id ~params ()) with Cdr_svc.Protocol.kind };
         deadline = None;
         admitted = Cdr_obs.Clock.monotonic ();
         reply;
@@ -297,17 +287,66 @@ let test_engine_kron_unsupported_kinds () =
   submit "slip" Cdr_svc.Protocol.Slip;
   submit "sweep" (Cdr_svc.Protocol.Sweep Cdr_svc.Protocol.default_lengths);
   submit "sigma" (Cdr_svc.Protocol.Sigma [ 0.05 ]);
+  (* gauss-seidel has no matrix-free sweep, on analyze and env alike *)
+  submit ~params:{ kron_params with Cdr_svc.Params.solver = `Gauss_seidel } "gs-analyze"
+    Cdr_svc.Protocol.Analyze;
+  submit
+    ~params:
+      {
+        kron_params with
+        Cdr_svc.Params.solver = `Gauss_seidel;
+        env = Some (Cdr_env.Env.bursty ());
+      }
+    "gs-env" Cdr_svc.Protocol.Env;
   (* a client mistake, not an engine failure: the engine keeps serving *)
   submit "after" Cdr_svc.Protocol.Analyze;
   match replies () with
-  | [ slip; sweep; sigma; after ] ->
+  | [ slip; sweep; sigma; gs_analyze; gs_env; after ] ->
       List.iter
         (fun r ->
           check_bool "rejected" false (is_ok r);
           check_string "bad_request code" "bad_request" (error_code r))
-        [ slip; sweep; sigma ];
+        [ slip; sweep; sigma; gs_analyze; gs_env ];
       check_bool "engine still serves kron analyze" true (is_ok after)
-  | rs -> Alcotest.failf "expected 4 replies, got %d" (List.length rs)
+  | rs -> Alcotest.failf "expected 6 replies, got %d" (List.length rs)
+
+(* A kron model adopts the previous same-structure model's IAD setup, whose
+   coarse pattern was aggregated from the old operator. A larger sigma_w
+   widens the operator's nonzero structure (grid 32, counter 2: 0.06 ->
+   0.07), so the setup must re-assemble its pattern — the answer must be
+   the one a fresh engine gives, and the engine must keep answering. *)
+let test_engine_kron_setup_transplant () =
+  let params sigma_w = { kron_params with Cdr_svc.Params.sigma_w } in
+  let run_all sigmas =
+    let engine = Cdr_svc.Engine.create () in
+    let reply, replies = reply_capture () in
+    List.iteri
+      (fun i s ->
+        Cdr_svc.Engine.handle engine
+          {
+            Cdr_svc.Engine.request =
+              analyze_req ~id:(string_of_int i) ~params:(params s) ();
+            deadline = None;
+            admitted = Cdr_obs.Clock.monotonic ();
+            reply;
+          })
+      sigmas;
+    replies ()
+  in
+  let ber r =
+    match Cdr_obs.Jsonl.member "ber" (field "result" r) with
+    | Some (Cdr_obs.Jsonl.Num v) -> v
+    | _ -> Alcotest.fail "result lacks ber"
+  in
+  match (run_all [ 0.06; 0.07; 0.07 ], run_all [ 0.07 ]) with
+  | ([ _; second; third ] as all), [ fresh ] ->
+      List.iter (fun r -> check_bool "answered ok" true (is_ok r)) (fresh :: all);
+      List.iter
+        (fun r ->
+          check_bool "0.07 BER matches a fresh engine" true
+            (Float.abs (ber r -. ber fresh) <= 1e-12 *. Float.abs (ber fresh)))
+        [ second; third ]
+  | _ -> Alcotest.fail "expected 3 + 1 replies"
 
 (* ---------- Stats round-trip ---------- *)
 
@@ -399,23 +438,6 @@ let test_cache_evictions () =
   setup_of m2;
   check_int "round trip evicts again" 2 (Cdr.Solver_cache.evictions cache)
 
-(* ---------- Context vs per-call optional arguments ---------- *)
-
-let test_context_equivalence () =
-  let cfg =
-    match Cdr_svc.Params.to_config tiny_params with
-    | Ok cfg -> cfg
-    | Error msg -> Alcotest.failf "config: %s" msg
-  in
-  let via_args = Cdr.Report.run ~solver:`Multigrid ~smoother:`Lex cfg in
-  let ctx = Cdr.Context.make ~smoother:`Lex () in
-  let via_ctx = Cdr.Report.run ~solver:`Multigrid ~ctx cfg in
-  check_bool "ber bitwise equal" true
-    (Int64.bits_of_float via_args.Cdr.Report.ber = Int64.bits_of_float via_ctx.Cdr.Report.ber);
-  check_int "iterations equal" via_args.Cdr.Report.iterations via_ctx.Cdr.Report.iterations;
-  check_bool "phase density bitwise equal" true
-    (bits_equal via_args.Cdr.Report.phase_density via_ctx.Cdr.Report.phase_density)
-
 let () =
   Alcotest.run "svc"
     [
@@ -443,10 +465,10 @@ let () =
           Alcotest.test_case "kron analyze matches csr" `Quick test_engine_kron_analyze;
           Alcotest.test_case "kron-unsupported kinds are bad_request" `Quick
             test_engine_kron_unsupported_kinds;
+          Alcotest.test_case "kron setup transplant across sigma_w" `Quick
+            test_engine_kron_setup_transplant;
           Alcotest.test_case "stats round-trip" `Quick test_engine_stats_roundtrip;
         ] );
       ( "cache",
         [ Alcotest.test_case "eviction counter" `Quick test_cache_evictions ] );
-      ( "context",
-        [ Alcotest.test_case "bitwise equals optional args" `Quick test_context_equivalence ] );
     ]

@@ -159,9 +159,11 @@ let sigmas = [ 0.06; 0.07; 0.08; 0.09; 0.11 ]
 
 let bers points = List.map (fun p -> p.Cdr.Sweep.report.Cdr.Report.ber) points
 
+let warm = Cdr.Context.make ~strategy:Cdr.Context.warm ()
+
 let test_warm_matches_cold () =
   let cold_points = Cdr.Sweep.sigma_w_values small sigmas in
-  let warm_points = Cdr.Sweep.sigma_w_values ~strategy:Cdr.Sweep.warm small sigmas in
+  let warm_points = Cdr.Sweep.sigma_w_values ~ctx:warm small sigmas in
   check_int "same number of points" (List.length cold_points) (List.length warm_points);
   List.iter2
     (fun c w ->
@@ -175,7 +177,7 @@ let test_warm_matches_cold () =
           c.Cdr.Sweep.config.Cdr.Config.sigma_w bc bw rel)
     cold_points warm_points;
   (* determinism: the warm continuation reproduces itself bitwise *)
-  let warm_again = Cdr.Sweep.sigma_w_values ~strategy:Cdr.Sweep.warm small sigmas in
+  let warm_again = Cdr.Sweep.sigma_w_values ~ctx:warm small sigmas in
   check_bool "warm sweep is deterministic" true
     (List.for_all2
        (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
@@ -184,9 +186,11 @@ let test_warm_matches_cold () =
 let test_setup_reuse_is_bitwise_cold () =
   (* structure caching alone (no warm start) must not change a single bit:
      the symbolic phase carries no values *)
-  let cache_only = { Cdr.Sweep.warm_start = false; reuse_setup = true } in
+  let cache_only = { Cdr.Context.warm_start = false; reuse_setup = true } in
   let cold_points = Cdr.Sweep.sigma_w_values small sigmas in
-  let cached_points = Cdr.Sweep.sigma_w_values ~strategy:cache_only small sigmas in
+  let cached_points =
+    Cdr.Sweep.sigma_w_values ~ctx:(Cdr.Context.make ~strategy:cache_only ()) small sigmas
+  in
   check_bool "cache-only sweep bitwise equals cold" true
     (List.for_all2
        (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
@@ -199,7 +203,9 @@ let test_warm_under_pool () =
   let cold_points = Cdr.Sweep.sigma_w_values small sigmas in
   let warm_points =
     Cdr_par.Pool.with_pool ~jobs:2 (fun pool ->
-        Cdr.Sweep.sigma_w_values ~pool ~strategy:Cdr.Sweep.warm small sigmas)
+        Cdr.Sweep.sigma_w_values
+          ~ctx:(Cdr.Context.make ~pool ~strategy:Cdr.Context.warm ())
+          small sigmas)
   in
   List.iter2
     (fun c w ->
@@ -212,7 +218,7 @@ let test_warm_under_pool () =
      the cache cannot hit across points, but results must still agree *)
   let lengths = [ 2; 3; 4 ] in
   let cold_k = Cdr.Sweep.counter_lengths small lengths in
-  let warm_k = Cdr.Sweep.counter_lengths ~strategy:Cdr.Sweep.warm small lengths in
+  let warm_k = Cdr.Sweep.counter_lengths ~ctx:warm small lengths in
   List.iter2
     (fun c w ->
       check_int "counter order preserved" c.Cdr.Sweep.config.Cdr.Config.counter_length
