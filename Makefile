@@ -1,4 +1,4 @@
-.PHONY: all build test test-par fmt check perfbench-selfcheck bench-telemetry bench-scaling bench-json bench-smoke kron-smoke bench-kron bench-env bench-ladder serve-smoke bench-load load-smoke replica-smoke clean
+.PHONY: all build test test-par fmt loc check perfbench-selfcheck bench-telemetry bench-scaling bench-json bench-smoke kron-smoke bench-kron bench-env bench-ladder serve-smoke bench-load load-smoke replica-smoke clean
 
 all: build
 
@@ -16,6 +16,11 @@ test-par:
 
 fmt:
 	dune build @fmt
+
+# Line count of the OCaml sources under lib/ and bin/ (.ml and .mli): the
+# size figure CHANGES.md entries and the ROADMAP's code-size gate quote.
+loc:
+	@find lib bin \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l
 
 # Everything CI needs: the build, formatting (dune files; the container has
 # no ocamlformat), the full test suite, the parallel suite under a forced

@@ -237,45 +237,6 @@ let metrics_file =
 
 (* ---------- analyze ---------- *)
 
-(* analyze on the matrix-free backend: same report shape as the CSR path
-   (the Report.t fields are computed from the Kronecker operator's solution),
-   so the printed output, trace CSV and telemetry stay uniform *)
-let run_analyze_kron ~pool ~solver cfg =
-  let solver = (solver :> Cdr.Kron_model.solver) in
-  let model = Cdr.Kron_model.build cfg in
-  let trace = Cdr_obs.Trace.create ~name:(Cdr.Kron_model.solver_name solver) () in
-  let ctx = Cdr.Context.make ~pool ~trace ~backend:`Kron () in
-  let solution, solve_seconds =
-    Cdr_obs.Span.timed ~name:"report.solve" (fun () -> Cdr.Kron_model.solve ~solver ~ctx model)
-  in
-  let pi = solution.Markov.Solution.pi in
-  let rho = Cdr.Kron_model.phase_marginal model ~pi in
-  let report =
-    {
-      Cdr.Report.config = cfg;
-      ber = Cdr.Ber.of_marginal cfg ~rho;
-      size = Cdr.Kron_model.n_states model;
-      iterations = solution.Markov.Solution.iterations;
-      matrix_form_seconds = model.Cdr.Kron_model.build_seconds;
-      solve_seconds;
-      phase_density = rho;
-      eye_density = Cdr.Ber.eye_density cfg ~rho;
-      trace;
-    }
-  in
-  Format.printf "%a@." Cdr.Report.pp report;
-  Format.printf "operator: %s@." (Cdr_op.label (Cdr.Kron_model.operator model));
-  Format.printf "Mean time between cycle slips: %.3e bit intervals@."
-    (Cdr.Kron_model.mean_time_between_slips model ~pi);
-  report
-
-(* analyze composed with a jitter environment: build env (x) CDR on the
-   requested backend, solve, and print the regime-conditional report *)
-let run_analyze_env ~pool ~solver ~smoother ~backend env cfg =
-  let ctx = Cdr.Context.make ~pool ~smoother ~backend () in
-  let _, report = Cdr_env.Report.run ~solver:(solver :> Cdr_env.Composed.solver) ~ctx env cfg in
-  Format.printf "%a@." Cdr_env.Report.pp report
-
 (* analyze reads its solver, backend and smoother flags into the shared
    Params record, so Params.to_config applies the service's rules to them *)
 let analyze_config_term =
@@ -305,39 +266,32 @@ let analyze_term =
           | oc -> (path, oc))
         metrics_file
     in
-    match env with
-    | Some e ->
-        run_analyze_env ~pool ~solver ~smoother ~backend e cfg;
-        Option.iter
-          (fun (path, oc) ->
-            close_out oc;
-            Format.eprintf
-              "cdr_analyze: --metrics has no convergence trace under --env; %s left empty@." path)
-          metrics_out;
-        Cdr_obs.Sink.close_all ()
-    | None ->
-        let report =
-          match backend with
-          | `Kron -> run_analyze_kron ~pool ~solver cfg
-          | `Csr ->
-              let model = Cdr.Model.build ~pool cfg in
-              let ctx = Cdr.Context.make ~pool ~smoother () in
-              let report, solution = Cdr.Report.run_model ~solver ~ctx model in
-              Format.printf "%a@." Cdr.Report.pp report;
-              let mtbf = Cdr.Cycle_slip.mean_time_between model ~pi:solution.Markov.Solution.pi in
-              Format.printf "Mean time between cycle slips: %.3e bit intervals@." mtbf;
-              report
-        in
-        Option.iter
-          (fun (path, oc) ->
-            output_string oc (Cdr_obs.Trace.to_csv report.Cdr.Report.trace);
-            close_out oc;
-            Format.eprintf "convergence trace (%d samples, %s) written to %s@."
-              (Cdr_obs.Trace.length report.Cdr.Report.trace)
-              (Cdr_obs.Trace.name report.Cdr.Report.trace)
-              path)
-          metrics_out;
-        Cdr_obs.Sink.close_all ()
+    (* one library path per request kind, whatever the backend: the
+       context carries the backend and both reports build on it *)
+    let ctx = Cdr.Context.make ~pool ~smoother ~backend () in
+    let trace =
+      match env with
+      | Some e ->
+          let report = Cdr_env.Report.run ~solver:(solver :> Cdr_env.Composed.solver) ~ctx e cfg in
+          Format.printf "%a@." Cdr_env.Report.pp report;
+          report.Cdr_env.Report.trace
+      | None ->
+          let model = Cdr.Report.build ctx cfg in
+          let report, solution = Cdr.Report.run_model ~solver ~ctx model in
+          Format.printf "%a@." Cdr.Report.pp report;
+          Format.printf "operator: %s@." (Cdr_op.label (Cdr.Report.operator model));
+          Format.printf "Mean time between cycle slips: %.3e bit intervals@."
+            (Cdr.Report.mean_time_between_slips model ~pi:solution.Markov.Solution.pi);
+          report.Cdr.Report.trace
+    in
+    Option.iter
+      (fun (path, oc) ->
+        output_string oc (Cdr_obs.Trace.to_csv trace);
+        close_out oc;
+        Format.eprintf "convergence trace (%d samples, %s) written to %s@."
+          (Cdr_obs.Trace.length trace) (Cdr_obs.Trace.name trace) path)
+      metrics_out;
+    Cdr_obs.Sink.close_all ()
   in
   Term.(const run $ analyze_config_term $ env_term $ jobs $ trace_file $ metrics_file)
 

@@ -58,6 +58,9 @@ let of_convolution cfg ~rho =
   Prob.Pmf.fold pmf ~init:0.0 ~f:(fun acc k p ->
       if abs_float (float_of_int k *. step) > 0.5 then acc +. p else acc)
 
+let of_density cfg ~rho =
+  { ber = of_marginal cfg ~rho; phase_density = rho; eye_density = eye_density cfg ~rho }
+
 let analyze ?(solver = `Multigrid) ?ctx model =
   let solver =
     match solver with
@@ -67,6 +70,4 @@ let analyze ?(solver = `Multigrid) ?ctx model =
   in
   let solution = Model.solve ~solver ?ctx model in
   let rho = Model.phase_marginal model ~pi:solution.Markov.Solution.pi in
-  let cfg = model.Model.config in
-  ( { ber = of_marginal cfg ~rho; phase_density = rho; eye_density = eye_density cfg ~rho },
-    solution )
+  (of_density model.Model.config ~rho, solution)

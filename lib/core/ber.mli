@@ -32,6 +32,10 @@ val eye_density : Config.t -> rho:Linalg.Vec.t -> (float * float) array
 (** The density of [Phi + n_w] the paper plots next to the phase-error
     density (discrete convolution on the [n_w] lattice). *)
 
+val of_density : Config.t -> rho:Linalg.Vec.t -> result
+(** {!of_marginal} and {!eye_density} of one phase-bin marginal, whatever
+    representation of the chain it was read from. *)
+
 val analyze :
   ?solver:[ `Multigrid | `Power | `Gauss_seidel ] ->
   ?ctx:Context.t ->

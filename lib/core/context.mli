@@ -45,8 +45,9 @@ type t = {
           deadline check. Only the multigrid solver polls it — the other
           solvers complete normally. *)
   backend : Cdr_op.kind;
-      (** operator representation, [`Csr]. Read only by
-          [Cdr_env.Report.run], which builds the composed chain on this
+      (** operator representation, [`Csr]. Read only by the two
+          config-taking reports, {!Report.run} (through {!Report.build})
+          and [Cdr_env.Report.run], which build their chain on this
           backend. Every other entry point takes an already built model, so
           the model's own representation decides, and the field is ignored. *)
 }

@@ -132,6 +132,6 @@ let freq_marginal t ~pi =
 let ber t ~pi = Ber.of_marginal t.config ~rho:(phase_marginal t ~pi)
 
 let slip_rate t ~pi =
-  Markov.Passage.flux (Cdr_op.Csr_backend.create (Markov.Chain.tpm t.chain)) ~pi
-    ~crossing:(fun i j ->
-      Phase_error.crosses_boundary t.config ~src:(t.phase_bin i) ~dst:(t.phase_bin j))
+  Cycle_slip.flux t.config ~phase:t.phase_bin
+    (Cdr_op.Csr_backend.create (Markov.Chain.tpm t.chain))
+    ~pi

@@ -209,12 +209,6 @@ let hierarchy t = box_hierarchy ~lead:t.n_data ~n_counter:t.n_counter ~m:t.m
 
 type solver = [ `Multigrid | `Power | `Gauss_seidel | `Jacobi ]
 
-let solver_name = function
-  | `Multigrid -> "multigrid"
-  | `Power -> "power"
-  | `Gauss_seidel -> "gauss-seidel"
-  | `Jacobi -> "jacobi"
-
 let solve_op ~solver ~ctx ~hierarchy ~iad ~set_iad op =
   let { Context.tol; trace; pool; cancel; _ } = ctx in
   let init = Context.init_for ctx (Cdr_op.dim op) in
@@ -243,11 +237,9 @@ let solve_op ~solver ~ctx ~hierarchy ~iad ~set_iad op =
           fst (Markov.Op_multigrid.solve_with ~tol ?init ?trace ?pool ?cancel setup op))
 
 let solve ?(solver = `Power) ?(ctx = Context.default) t =
-  Cdr_obs.Span.with_ ~name:"model.solve"
-    ~attrs:[ ("solver", solver_name solver); ("backend", "kron") ]
-  @@ fun () ->
-  Cdr_obs.Metrics.incr "model.solves"
-    ~labels:[ ("solver", solver_name solver); ("backend", "kron") ];
+  let labels = [ ("solver", Model.solver_name (solver :> Model.solver)); ("backend", "kron") ] in
+  Cdr_obs.Span.with_ ~name:"model.solve" ~attrs:labels @@ fun () ->
+  Cdr_obs.Metrics.incr "model.solves" ~labels;
   solve_op ~solver ~ctx
     ~hierarchy:(fun () -> hierarchy t)
     ~iad:(fun () -> t.iad)
@@ -257,10 +249,6 @@ let solve ?(solver = `Power) ?(ctx = Context.default) t =
 let phase_marginal t ~pi =
   Markov.Stat.marginal ~pi ~label:(fun i -> i mod t.m) ~n_labels:t.m
 
-let slip_rate t ~pi =
-  Markov.Passage.flux t.op ~pi ~crossing:(fun i j ->
-      Phase_error.crosses_boundary t.config ~src:(i mod t.m) ~dst:(j mod t.m))
+let slip_rate t ~pi = Cycle_slip.flux t.config ~phase:(phase_bin t) t.op ~pi
 
-let mean_time_between_slips t ~pi =
-  let r = slip_rate t ~pi in
-  if r <= 0.0 then Float.infinity else 1.0 /. r
+let mean_time_between_slips t ~pi = Cycle_slip.mean_of_rate (slip_rate t ~pi)

@@ -56,8 +56,6 @@ type solver = [ `Multigrid | `Power | `Gauss_seidel | `Jacobi ]
     only so the materialized and matrix-free representations share one
     solver type, and is rejected ({!solve_op}). *)
 
-val solver_name : solver -> string
-
 val solve_op :
   solver:solver ->
   ctx:Context.t ->
@@ -97,8 +95,8 @@ val phase_marginal : t -> pi:Linalg.Vec.t -> Linalg.Vec.t
 (** Stationary marginal over phase bins — feed to {!Ber.of_marginal}. *)
 
 val slip_rate : t -> pi:Linalg.Vec.t -> float
-(** Stationary probability flux through boundary-wrapping transitions
-    ({!Markov.Passage.flux} on the operator) — the {!Cycle_slip.rate}
+(** {!Cycle_slip.flux} on the matrix-free operator — the {!Cycle_slip.rate}
     functional without the CSR. *)
 
 val mean_time_between_slips : t -> pi:Linalg.Vec.t -> float
+(** {!Cycle_slip.mean_of_rate} of {!slip_rate}. *)

@@ -1,3 +1,7 @@
+(* the output of {!build_reachable}; declared before [t] so that [t]'s
+   [chain] field wins unannotated field lookups below *)
+type reachable = { chain : Markov.Chain.t; keys : int array; index : int array }
+
 type t = {
   config : Config.t;
   chain : Markov.Chain.t;
@@ -221,33 +225,26 @@ let build_direct_reference cfg =
   Cdr_obs.Metrics.incr "model.builds" ~labels:[ ("via", "direct-ref") ];
   { model with build_seconds }
 
-(* Direct compositional construction, flat-state edition.
-
-   A global state (data, counter, phase) packs into the int
-   [((data * n_counter) + counter) * m + phase], so the whole construction
-   runs on dense int arrays: [state_of_key] maps packed key -> chain index
-   (-1 when unvisited), [order] is both the BFS worklist and the final
-   index -> key enumeration (FIFO discovery order, identical to the
-   reference path's registration order). The CSR is assembled row-major in
-   two symbolic passes plus a value pass ({!Sparse.Csr.assemble}) — no
-   hashtables, no COO staging, no per-row lists anywhere. Emission order per
-   row equals the reference path's, and duplicates sum in that order, so the
-   resulting chain is bitwise identical to {!build_direct_reference}'s.
-
-   [?pool] parallelizes the value pass over rows (bit-identical for every
-   job count; the enumerator only reads the precomputed tables). *)
-let build_direct ?pool cfg =
-  let cfg = Config.create_exn cfg in
-  let model, build_seconds =
-    Cdr_obs.Span.timed ~name:"model.build" ~attrs:[ ("via", "direct") ] @@ fun () ->
-  let tables = direct_tables cfg in
-  let m = cfg.Config.grid_points in
-  let n_data = Data_source.n_states cfg in
-  let n_counter = Counter.n_states cfg in
-  let key_space = n_data * n_counter * m in
-  let pack ~data ~counter ~phase = (((data * n_counter) + counter) * m) + phase in
-  let state_of_key = Array.make key_space (-1) in
-  let order = Array.make key_space 0 in
+(* The flat-state reachability builder (see the interface for the packing).
+   [state_of_key] maps packed key -> chain index (-1 when unvisited);
+   [order] is both the BFS worklist and the final index -> key enumeration,
+   in FIFO discovery order — the reference path's registration order. The
+   base chain is the one-regime call with [switch = [|[|1.0|]|]]: every
+   emitted value is [1.0 *. p = p] and duplicates sum in the reference
+   path's order, so its chain is bitwise {!build_direct_reference}'s. *)
+let build_reachable ?pool ~switch configs =
+  let r = Array.length configs in
+  let tables = Array.map direct_tables configs in
+  let base = configs.(0) in
+  let m = base.Config.grid_points in
+  let n_data = Data_source.n_states base in
+  let n_counter = Counter.n_states base in
+  let block = n_data * n_counter * m in
+  let pack ~e ~data ~counter ~phase =
+    ((((((e * n_data) + data) * n_counter) + counter) * m) + phase : int)
+  in
+  let state_of_key = Array.make (r * block) (-1) in
+  let order = Array.make (r * block) 0 in
   let count = ref 0 in
   let register key =
     if state_of_key.(key) < 0 then begin
@@ -256,32 +253,47 @@ let build_direct ?pool cfg =
       incr count
     end
   in
-  let d0, c0, p0 = initial_state cfg in
-  register (pack ~data:d0 ~counter:c0 ~phase:p0);
+  (* [f key' (S[e][e'] * p)] for every successor of the state packed as [key] *)
+  let iter_row key f =
+    let e = key / block in
+    let row = switch.(e) in
+    iter_successors configs.(e) tables.(e)
+      ~data:(key / (n_counter * m) mod n_data)
+      ~counter:(key / m mod n_counter) ~phase:(key mod m)
+      (fun (d', c', phase') p ->
+        for e' = 0 to r - 1 do
+          let s = row.(e') in
+          if s > 0.0 then f (pack ~e:e' ~data:d' ~counter:c' ~phase:phase') (s *. p)
+        done)
+  in
+  let d0, c0, p0 = initial_state base in
+  register (pack ~e:0 ~data:d0 ~counter:c0 ~phase:p0);
   let processed = ref 0 in
   while !processed < !count do
     let key = order.(!processed) in
     incr processed;
-    iter_successors cfg tables ~data:(key / (n_counter * m)) ~counter:(key / m mod n_counter)
-      ~phase:(key mod m)
-      (fun (d', c', phase') _p -> register (pack ~data:d' ~counter:c' ~phase:phase'))
+    iter_row key (fun key' _p -> register key')
   done;
   let n = !count in
-  let emit_row i emit =
-    let key = order.(i) in
-    iter_successors cfg tables ~data:(key / (n_counter * m)) ~counter:(key / m mod n_counter)
-      ~phase:(key mod m)
-      (fun (d', c', phase') p -> emit state_of_key.(pack ~data:d' ~counter:c' ~phase:phase') p)
-  in
+  let emit_row i emit = iter_row order.(i) (fun key' p -> emit state_of_key.(key') p) in
   let csr = Sparse.Csr.assemble ?pool ~rows:n ~cols:n emit_row in
-  let chain = Markov.Chain.of_csr ~tol:1e-9 csr in
+  { chain = Markov.Chain.of_csr ~tol:1e-9 csr; keys = Array.sub order 0 n; index = state_of_key }
+
+let build_direct ?pool cfg =
+  let cfg = Config.create_exn cfg in
+  let model, build_seconds =
+    Cdr_obs.Span.timed ~name:"model.build" ~attrs:[ ("via", "direct") ] @@ fun () ->
+  let { chain; keys; index } = build_reachable ?pool ~switch:[| [| 1.0 |] |] [| cfg |] in
+  let m = cfg.Config.grid_points in
+  let n_data = Data_source.n_states cfg in
+  let n_counter = Counter.n_states cfg in
   {
     config = cfg;
     chain;
-    n_states = n;
-    data_code = (fun i -> order.(i) / (n_counter * m));
-    counter_code = (fun i -> order.(i) / m mod n_counter);
-    phase_bin = (fun i -> order.(i) mod m);
+    n_states = Array.length keys;
+    data_code = (fun i -> keys.(i) / (n_counter * m));
+    counter_code = (fun i -> keys.(i) / m mod n_counter);
+    phase_bin = (fun i -> keys.(i) mod m);
     index_of =
       (fun ~data ~counter ~phase ->
         if
@@ -289,7 +301,7 @@ let build_direct ?pool cfg =
           || phase >= m
         then None
         else
-          let s = state_of_key.(pack ~data ~counter ~phase) in
+          let s = index.((((data * n_counter) + counter) * m) + phase) in
           if s >= 0 then Some s else None);
     build_seconds = 0.0;
   }

@@ -13,6 +13,14 @@
 
     Property tests assert both paths agree transition-by-transition. *)
 
+type reachable = {
+  chain : Markov.Chain.t;
+  keys : int array; (* chain index -> packed key, in BFS discovery order *)
+  index : int array; (* packed key -> chain index, -1 when unreached *)
+}
+(** The output of {!build_reachable}. Declared before [t] so that [t]'s
+    [chain] field wins an unannotated [Model.chain] lookup. *)
+
 type t = {
   config : Config.t;
   chain : Markov.Chain.t;
@@ -25,8 +33,8 @@ type t = {
 }
 
 val initial_state : Config.t -> int * int * int
-(** Canonical start: data (bit 0, run 1), counter 0, phase bin 0 (phase
-    [-1/2])... actually phase centered at 0; see implementation. *)
+(** Canonical start [(data, counter, phase)]: data (bit 0, run 1), counter 0
+    and phase bin [grid_points / 2], which is zero phase error. *)
 
 type direct_tables = {
   data_outcomes : (float * int * bool) list array;
@@ -61,14 +69,26 @@ val iter_successors :
 
 val build_via_network : Config.t -> t
 
+val build_reachable :
+  ?pool:Cdr_par.Pool.t -> switch:float array array -> Config.t array -> reachable
+(** The one reachability builder, over a Markov-modulated family of CDR
+    chains: regime [e] steps under [configs.(e)] (enumerated by
+    {!iter_successors}) and then switches to regime [e'] with probability
+    [switch.(e).(e')], so a transition weighs [switch.(e).(e') *. p]. Global
+    states pack into dense int keys, regime slowest:
+    [(((e * n_data) + data) * n_counter + counter) * grid_points + phase],
+    with the dimensions of [configs.(0)] (every regime must share its state
+    space). The BFS starts from {!initial_state} in regime 0 and runs on
+    flat int arrays, and the CSR is assembled in two symbolic passes plus a
+    value pass ({!Sparse.Csr.assemble}) — no hashtables, COO staging or
+    per-row lists anywhere on the path. [?pool] parallelizes the value pass
+    over rows; results are bit-identical for every job count. *)
+
 val build_direct : ?pool:Cdr_par.Pool.t -> Config.t -> t
-(** Flat-state direct construction: global states pack into dense int keys
-    ([((data * n_counter) + counter) * grid_points + phase]), the
-    reachability BFS runs on flat int arrays, and the CSR is assembled in
-    two symbolic passes plus a value pass ({!Sparse.Csr.assemble}) — no
-    hashtables, COO staging or per-row lists anywhere on the path. [?pool]
-    parallelizes the value pass over rows; results are bit-identical for
-    every job count, and to {!build_direct_reference}. *)
+(** The base chain: {!build_reachable} with one regime and
+    [switch = [|[|1.0|]|]], whose packed key is the direct path's
+    [((data * n_counter) + counter) * grid_points + phase]. Bit-identical
+    for every job count, and to {!build_direct_reference}. *)
 
 val build_direct_reference : Config.t -> t
 (** The original hashtable-and-COO construction, kept as the reference the

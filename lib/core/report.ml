@@ -10,14 +10,43 @@ type t = {
   trace : Cdr_obs.Trace.t;
 }
 
+type model = Csr of Model.t | Kron of Kron_model.t
+
+let build ctx cfg =
+  match ctx.Context.backend with
+  | `Csr -> Csr (Model.build ?pool:ctx.Context.pool cfg)
+  | `Kron -> Kron (Kron_model.build cfg)
+
+let operator = function Csr m -> Model.operator m | Kron k -> Kron_model.operator k
+
+let mean_time_between_slips model ~pi =
+  match model with
+  | Csr m -> Cycle_slip.mean_time_between m ~pi
+  | Kron k -> Kron_model.mean_time_between_slips k ~pi
+
 let run_model ?(solver = `Multigrid) ?(ctx = Context.default) model =
   Cdr_obs.Span.with_ ~name:"report.run" @@ fun () ->
   let trace = Cdr_obs.Trace.create ~name:(Model.solver_name (solver :> Model.solver)) () in
   (* the report owns the convergence trace it returns, so it overrides any
      trace the caller's context carries *)
   let ctx = Context.override ~trace ctx in
+  let config, size, matrix_form_seconds =
+    match model with
+    | Csr m -> (m.Model.config, m.Model.n_states, m.Model.build_seconds)
+    | Kron k -> (k.Kron_model.config, k.Kron_model.n_states, k.Kron_model.build_seconds)
+  in
   let (result, solution), solve_seconds =
-    Cdr_obs.Span.timed ~name:"report.solve" (fun () -> Ber.analyze ~solver ~ctx model)
+    Cdr_obs.Span.timed ~name:"report.solve" (fun () ->
+        let solution, rho =
+          match model with
+          | Csr m ->
+              let s = Model.solve ~solver:(solver :> Model.solver) ~ctx m in
+              (s, Model.phase_marginal m ~pi:s.Markov.Solution.pi)
+          | Kron k ->
+              let s = Kron_model.solve ~solver:(solver :> Kron_model.solver) ~ctx k in
+              (s, Kron_model.phase_marginal k ~pi:s.Markov.Solution.pi)
+        in
+        (Ber.of_density config ~rho, solution))
   in
   (* every solver records its outer-iteration count in the trace; the
      Solution count is the fallback for an instantly-converged (empty) trace *)
@@ -28,11 +57,11 @@ let run_model ?(solver = `Multigrid) ?(ctx = Context.default) model =
   in
   Cdr_obs.Metrics.observe "report.solve_seconds" solve_seconds;
   ( {
-      config = model.Model.config;
+      config;
       ber = result.Ber.ber;
-      size = model.Model.n_states;
+      size;
       iterations;
-      matrix_form_seconds = model.Model.build_seconds;
+      matrix_form_seconds;
       solve_seconds;
       phase_density = result.Ber.phase_density;
       eye_density = result.Ber.eye_density;
@@ -40,7 +69,7 @@ let run_model ?(solver = `Multigrid) ?(ctx = Context.default) model =
     },
     solution )
 
-let run ?solver ?ctx cfg = fst (run_model ?solver ?ctx (Model.build cfg))
+let run ?solver ?(ctx = Context.default) cfg = fst (run_model ?solver ~ctx (build ctx cfg))
 
 let header_line t =
   Printf.sprintf "COUNTER: %d  STDnw: %.1e  MAXnr: %.1e  BER: %.1e" t.config.Config.counter_length

@@ -20,27 +20,45 @@ type t = {
   trace : Cdr_obs.Trace.t; (* per-iteration residual trace of the solve *)
 }
 
+type model = Csr of Model.t | Kron of Kron_model.t
+(** A built chain in either representation: the materialized CSR chain
+    over the reachable set, or the matrix-free Kronecker operator over the
+    full product space. *)
+
+val build : Context.t -> Config.t -> model
+(** Builds on [ctx.backend]: {!Model.build} (with [ctx.pool]) for [`Csr],
+    {!Kron_model.build} for [`Kron]. *)
+
+val operator : model -> Cdr_op.t
+
+val mean_time_between_slips : model -> pi:Linalg.Vec.t -> float
+(** {!Cycle_slip.mean_time_between} or {!Kron_model.mean_time_between_slips}:
+    the one slip flux ({!Cycle_slip.flux}) on the model's operator,
+    inverted. *)
+
 val run :
   ?solver:[ `Multigrid | `Power | `Gauss_seidel ] -> ?ctx:Context.t -> Config.t -> t
 (** Build, solve, analyze, and time everything: {!run_model} on a fresh
-    {!Model.build}. *)
+    {!build} on the context's backend ([`Csr] by default). *)
 
 val run_model :
   ?solver:[ `Multigrid | `Power | `Gauss_seidel ] ->
   ?ctx:Context.t ->
-  Model.t ->
+  model ->
   t * Markov.Solution.t
-(** Solve an already built model under [ctx] ({!Model.solve}), analyze it,
-    and also return the full stationary solution — the entry point for
-    callers that need more functionals of it (cycle slips) and for warm
-    sweeps, whose context threads the previous point's stationary vector
-    ([ctx.init]) and a setup cache ([ctx.cache]). The solve runs with a
-    fresh {!Cdr_obs.Trace.t} (returned in [trace]) that replaces
-    [ctx.trace]; [iterations] is populated from that trace uniformly for
-    all three solver choices, so V-cycles, power steps and Gauss-Seidel
-    sweeps are counted the same way. [matrix_form_seconds] reports the
-    model's own build time, as recorded by {!Model.build} or
-    {!Model.rebuild}. *)
+(** Solve an already built model of either representation under [ctx]
+    ({!Model.solve} or {!Kron_model.solve}, both defaulting here to
+    [`Multigrid]; [`Gauss_seidel] on a [Kron] model raises
+    [Invalid_argument]), analyze it ({!Ber.of_density}), and also return
+    the full stationary solution — the entry point for callers that need
+    more functionals of it (cycle slips) and for warm sweeps, whose context
+    threads the previous point's stationary vector ([ctx.init]) and a setup
+    cache ([ctx.cache]). The solve runs with a fresh {!Cdr_obs.Trace.t}
+    (returned in [trace]) that replaces [ctx.trace]; [iterations] is
+    populated from that trace uniformly for every solver and backend, so
+    V-cycles, IAD cycles, power steps and Gauss-Seidel sweeps are counted
+    the same way. [matrix_form_seconds] reports the model's own build time,
+    as recorded by its builder. *)
 
 val header_line : t -> string
 

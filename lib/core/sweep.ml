@@ -89,7 +89,7 @@ let map_points_continuation ?solver ~ctx ~attr_name ~attr_of ~param_of ~config_o
            (a cache shared across chunks would race — setups own mutable
            workspaces) *)
         let pctx = { (point_ctx ctx) with Context.init; cache } in
-        let report, solution = Report.run_model ?solver ~ctx:pctx model in
+        let report, solution = Report.run_model ?solver ~ctx:pctx (Report.Csr model) in
         (match !prev with Some (_, pi1, v1) -> prev2 := Some (pi1, v1) | None -> ());
         prev := Some (model, solution.Markov.Solution.pi, param_of v);
         (idx, { config; report }))

@@ -10,12 +10,11 @@
    interval the CDR evolves under the dwell regime's parameters. Two
    representations, mirroring {!Cdr.Model} / {!Cdr.Kron_model}:
 
-   - [`Csr]: a reachability BFS over the composite space reusing
-     {!Cdr.Model.iter_successors} per regime, assembled row-major exactly
-     like [build_direct]. With the identity environment the packing, the
-     discovery order and every emitted probability ([1.0 *. p = p])
-     coincide with the base build's, so the composed chain is bitwise equal
-     to it — the test suite pins this.
+   - [`Csr]: {!Cdr.Model.build_reachable}, the base chain's own builder,
+     over the per-regime configurations and the switching rows. The base
+     chain is its one-regime call, so with the identity environment the
+     composed chain is bitwise equal to [build_direct] — the test suite
+     pins this.
    - [`Kron]: each regime's matrix-free factorization
      (sum of D (x) C (x) G terms from {!Cdr.Kron_model}) lifted by a
      leading R x R row-selector factor Row_e(S) (row e of the switching
@@ -62,66 +61,12 @@ let n_states t = t.n_states
 
 let operator t = t.op
 
-let build_csr env base configs =
-  let r = Array.length configs in
-  let tables = Array.map Cdr.Model.direct_tables configs in
-  let m = base.Cdr.Config.grid_points in
-  let n_data = Cdr.Data_source.n_states base in
-  let n_counter = Cdr.Counter.n_states base in
-  let key_space = r * n_data * n_counter * m in
-  let pack ~e ~data ~counter ~phase =
-    ((((((e * n_data) + data) * n_counter) + counter) * m) + phase : int)
-  in
-  let state_of_key = Array.make key_space (-1) in
-  let order = Array.make key_space 0 in
-  let count = ref 0 in
-  let register key =
-    if state_of_key.(key) < 0 then begin
-      state_of_key.(key) <- !count;
-      order.(!count) <- key;
-      incr count
-    end
-  in
-  let d0, c0, p0 = Cdr.Model.initial_state base in
-  register (pack ~e:0 ~data:d0 ~counter:c0 ~phase:p0);
-  let processed = ref 0 in
-  while !processed < !count do
-    let key = order.(!processed) in
-    incr processed;
-    let e = key / (n_data * n_counter * m) in
-    let row = env.Env.switch.(e) in
-    Cdr.Model.iter_successors configs.(e) tables.(e)
-      ~data:(key / (n_counter * m) mod n_data)
-      ~counter:(key / m mod n_counter) ~phase:(key mod m)
-      (fun (d', c', phase') _p ->
-        for e' = 0 to r - 1 do
-          if row.(e') > 0.0 then register (pack ~e:e' ~data:d' ~counter:c' ~phase:phase')
-        done)
-  done;
-  let n = !count in
-  let emit_row i emit =
-    let key = order.(i) in
-    let e = key / (n_data * n_counter * m) in
-    let row = env.Env.switch.(e) in
-    Cdr.Model.iter_successors configs.(e) tables.(e)
-      ~data:(key / (n_counter * m) mod n_data)
-      ~counter:(key / m mod n_counter) ~phase:(key mod m)
-      (fun (d', c', phase') p ->
-        for e' = 0 to r - 1 do
-          let s = row.(e') in
-          if s > 0.0 then
-            emit state_of_key.(pack ~e:e' ~data:d' ~counter:c' ~phase:phase') (s *. p)
-        done)
-  in
-  let csr = Sparse.Csr.assemble ~rows:n ~cols:n emit_row in
-  let chain = Markov.Chain.of_csr ~tol:1e-9 csr in
-  ( n,
-    Chain chain,
-    Cdr_op.Csr_backend.create (Markov.Chain.tpm chain),
-    (fun i -> order.(i) / (n_data * n_counter * m)),
-    (fun i -> order.(i) / (n_counter * m) mod n_data),
-    (fun i -> order.(i) / m mod n_counter),
-    fun i -> order.(i) mod m )
+(* each representation returns its state count, repr, operator, and the
+   packed key [(((e * n_data) + d) * n_counter + c) * m + p] of a state *)
+let build_csr env configs =
+  let { Cdr.Model.chain; keys; _ } = Cdr.Model.build_reachable ~switch:env.Env.switch configs in
+  let op = Cdr_op.Csr_backend.create (Markov.Chain.tpm chain) in
+  (Array.length keys, Chain chain, op, Array.get keys)
 
 let build_kron env base configs =
   let r = Array.length configs in
@@ -145,14 +90,7 @@ let build_kron env base configs =
   (match Cdr_op.check_stochastic ~tol:1e-9 op with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Cdr_env.Composed: composed operator is not stochastic: " ^ msg));
-  let n = r * n_data * n_counter * m in
-  ( n,
-    Kron kron,
-    op,
-    (fun i -> i / (n_data * n_counter * m)),
-    (fun i -> i / (n_counter * m) mod n_data),
-    (fun i -> i / m mod n_counter),
-    fun i -> i mod m )
+  (r * n_data * n_counter * m, Kron kron, op, Fun.id)
 
 let build ?(backend = `Csr) env base =
   let base = Cdr.Config.create_exn base in
@@ -166,26 +104,28 @@ let build ?(backend = `Csr) env base =
     Cdr_obs.Span.timed ~name:"env.build"
       ~attrs:[ ("via", via); ("regimes", string_of_int r) ]
     @@ fun () ->
-    let n_states, repr, op, regime_code, data_code, counter_code, phase_code =
+    let n_states, repr, op, key =
       match backend with
-      | `Csr -> build_csr env base configs
+      | `Csr -> build_csr env configs
       | `Kron -> build_kron env base configs
     in
+    let n_data = Cdr.Data_source.n_states base and n_counter = Cdr.Counter.n_states base in
+    let m = base.Cdr.Config.grid_points in
     {
       env;
       base;
       configs;
       n_states;
       n_regimes = r;
-      n_data = Cdr.Data_source.n_states base;
-      n_counter = Cdr.Counter.n_states base;
-      m = base.Cdr.Config.grid_points;
+      n_data;
+      n_counter;
+      m;
       op;
       repr;
-      regime_code;
-      data_code;
-      counter_code;
-      phase_code;
+      regime_code = (fun i -> key i / (n_data * n_counter * m));
+      data_code = (fun i -> key i / (n_counter * m) mod n_data);
+      counter_code = (fun i -> key i / m mod n_counter);
+      phase_code = (fun i -> key i mod m);
       build_seconds = 0.0;
       iad = None;
     }
@@ -212,7 +152,10 @@ type solver = Cdr.Kron_model.solver
 
 let solve ?(solver = `Multigrid) ?(ctx = Cdr.Context.default) t =
   let labels =
-    [ ("solver", Cdr.Kron_model.solver_name solver); ("backend", Cdr_op.kind_string (backend t)) ]
+    [
+      ("solver", Cdr.Model.solver_name (solver :> Cdr.Model.solver));
+      ("backend", Cdr_op.kind_string (backend t));
+    ]
   in
   Cdr_obs.Span.with_ ~name:"env.solve" ~attrs:labels @@ fun () ->
   Cdr_obs.Metrics.incr "env.solves" ~labels;
@@ -278,12 +221,9 @@ let ber t ~pi =
 
 let slip_rate t ~pi =
   check_pi t pi ~fn:"slip_rate";
-  Markov.Passage.flux t.op ~pi ~crossing:(fun i j ->
-      Cdr.Phase_error.crosses_boundary t.base ~src:(t.phase_code i) ~dst:(t.phase_code j))
+  Cdr.Cycle_slip.flux t.base ~phase:t.phase_code t.op ~pi
 
-let mean_bits_between_slips t ~pi =
-  let r = slip_rate t ~pi in
-  if r <= 0.0 then Float.infinity else 1.0 /. r
+let mean_bits_between_slips t ~pi = Cdr.Cycle_slip.mean_of_rate (slip_rate t ~pi)
 
 (* The naive approximation the composed model exists to improve on: solve
    each regime's CDR standalone and weight the BERs by the environment's

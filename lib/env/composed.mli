@@ -2,8 +2,8 @@
 
     Global state = (regime, data, counter, phase bin), regime slowest:
     [P((e,s) -> (e',s')) = S[e][e'] * P_e[s -> s']]. Built either as a
-    materialized CSR chain (reachability BFS reusing
-    {!Cdr.Model.iter_successors} per regime) or matrix-free as extra
+    materialized CSR chain ({!Cdr.Model.build_reachable} over the
+    per-regime configurations and the switching rows) or matrix-free as extra
     Kronecker factors: each regime's [D (x) C (x) G] term sum lifted by a
     leading R x R row-selector factor through {!Sparse.Kron_op.lift}, so
     the existing operator solvers run the composed chain unchanged.
@@ -87,8 +87,7 @@ val ber : t -> pi:Linalg.Vec.t -> float
     composed stationary expectation. *)
 
 val slip_rate : t -> pi:Linalg.Vec.t -> float
-(** Stationary probability flux through boundary-wrapping phase
-    transitions of the composed operator ({!Markov.Passage.flux}). *)
+(** {!Cdr.Cycle_slip.flux} on the composed operator. *)
 
 val mean_bits_between_slips : t -> pi:Linalg.Vec.t -> float
 

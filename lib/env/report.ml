@@ -20,19 +20,20 @@ type t = {
   mean_bits_between_slips : float;
   phase_density : Linalg.Vec.t;
   regime_densities : Linalg.Vec.t array;
+  trace : Cdr_obs.Trace.t;
 }
 
-let run ?solver ?(ctx = Cdr.Context.default) env cfg =
-  let backend = ctx.Cdr.Context.backend in
-  let composed = Composed.build ~backend env cfg in
-  let t0 = Cdr_obs.Clock.monotonic () in
-  let solution = Composed.solve ?solver ~ctx composed in
-  let solve_seconds = Cdr_obs.Clock.monotonic () -. t0 in
+let run_model ?(solver = `Multigrid) ?(ctx = Cdr.Context.default) composed =
+  let trace = Cdr_obs.Trace.create ~name:(Cdr.Model.solver_name (solver :> Cdr.Model.solver)) () in
+  (* as in {!Cdr.Report.run_model}, the report owns its convergence trace *)
+  let ctx = Cdr.Context.override ~trace ctx in
+  let solution, solve_seconds =
+    Cdr_obs.Span.timed ~name:"report.solve" (fun () -> Composed.solve ~solver ~ctx composed)
+  in
   let pi = solution.Markov.Solution.pi in
-  ( composed,
-    {
-      env;
-      backend;
+  ( {
+      env = composed.Composed.env;
+      backend = Composed.backend composed;
       n_states = composed.Composed.n_states;
       iterations = solution.Markov.Solution.iterations;
       residual = solution.Markov.Solution.residual;
@@ -46,7 +47,12 @@ let run ?solver ?(ctx = Cdr.Context.default) env cfg =
       mean_bits_between_slips = Composed.mean_bits_between_slips composed ~pi;
       phase_density = Composed.phase_marginal composed ~pi;
       regime_densities = Composed.regime_conditional_densities composed ~pi;
-    } )
+      trace;
+    },
+    solution )
+
+let run ?solver ?(ctx = Cdr.Context.default) env cfg =
+  fst (run_model ?solver ~ctx (Composed.build ~backend:ctx.Cdr.Context.backend env cfg))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%a@," Env.pp t.env;

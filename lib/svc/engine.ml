@@ -222,22 +222,17 @@ let run_env t ~ctx p config =
   in
   let model = get_env_model t p config env in
   let solver = (p.Params.solver :> Cdr_env.Composed.solver) in
-  let (sol, degraded), solve_seconds =
-    Cdr_obs.Span.timed ~name:"report.solve" (fun () ->
-        with_degraded_retry ctx (fun ctx -> ((), Cdr_env.Composed.solve ~solver ~ctx model))
-        |> fun (((), sol), degraded) -> (sol, degraded))
+  let (r, _), degraded =
+    with_degraded_retry ctx (fun ctx -> Cdr_env.Report.run_model ~solver ~ctx model)
   in
-  let pi = sol.Markov.Solution.pi in
-  let probs = Cdr_env.Composed.regime_probs model ~pi in
-  let regime_ber = Cdr_env.Composed.regime_ber model ~pi in
   ( Cdr_obs.Jsonl.Obj
       [
-        ("ber", num (Cdr_env.Composed.ber model ~pi));
-        ("size", int_num model.Cdr_env.Composed.n_states);
-        ("iterations", int_num sol.Markov.Solution.iterations);
-        ("solve_seconds", num solve_seconds);
-        ("slip_rate", num (Cdr_env.Composed.slip_rate model ~pi));
-        ("mean_bits_between_slips", num (Cdr_env.Composed.mean_bits_between_slips model ~pi));
+        ("ber", num r.Cdr_env.Report.ber);
+        ("size", int_num r.Cdr_env.Report.n_states);
+        ("iterations", int_num r.Cdr_env.Report.iterations);
+        ("solve_seconds", num r.Cdr_env.Report.solve_seconds);
+        ("slip_rate", num r.Cdr_env.Report.slip_rate);
+        ("mean_bits_between_slips", num r.Cdr_env.Report.mean_bits_between_slips);
         ( "regimes",
           List
             (Array.to_list
@@ -246,10 +241,10 @@ let run_env t ~ctx p config =
                     Cdr_obs.Jsonl.Obj
                       [
                         ("name", Str g.Cdr_env.Env.name);
-                        ("prob", num probs.(e));
-                        ("ber", num regime_ber.(e));
+                        ("prob", num r.Cdr_env.Report.regime_probs.(e));
+                        ("ber", num r.Cdr_env.Report.regime_ber.(e));
                       ])
-                  model.Cdr_env.Composed.env.Cdr_env.Env.regimes)) );
+                  r.Cdr_env.Report.env.Cdr_env.Env.regimes)) );
       ],
     degraded )
 
@@ -273,31 +268,6 @@ let scenarios_payload () =
              Cdr.Scenario.all) );
     ]
 
-(* Analyze on the matrix-free backend: same response shape as the CSR path,
-   solved through {!Cdr.Kron_model} (full product space, never
-   materialized). *)
-let run_analyze_kron t ~ctx p config =
-  let solver = (p.Params.solver :> Cdr.Kron_model.solver) in
-  let model = get_kron_model t p config in
-  let (sol, degraded), solve_seconds =
-    Cdr_obs.Span.timed ~name:"report.solve" (fun () ->
-        with_degraded_retry ctx (fun ctx -> ((), Cdr.Kron_model.solve ~solver ~ctx model))
-        |> fun (((), sol), degraded) -> (sol, degraded))
-  in
-  let pi = sol.Markov.Solution.pi in
-  let rho = Cdr.Kron_model.phase_marginal model ~pi in
-  let ber = Cdr.Ber.of_marginal config ~rho in
-  let mtbf = Cdr.Kron_model.mean_time_between_slips model ~pi in
-  ( Cdr_obs.Jsonl.Obj
-      [
-        ("ber", num ber);
-        ("size", int_num (Cdr.Kron_model.n_states model));
-        ("iterations", int_num sol.Markov.Solution.iterations);
-        ("solve_seconds", num solve_seconds);
-        ("mean_bits_between_slips", num mtbf);
-      ],
-    degraded )
-
 (* the one rule for kinds the matrix-free backend cannot serve: their
    functionals (first passage, the sweep continuation) run on the
    materialized chain *)
@@ -316,14 +286,20 @@ let run_kind t ~ctx req config =
   check_backend req;
   let p = req.Protocol.params in
   match req.Protocol.kind with
-  | Protocol.Analyze when p.Params.backend = `Kron -> run_analyze_kron t ~ctx p config
   | Protocol.Analyze ->
-      let model = get_model t p config in
+      (* one model slot per backend: requests alternating backends on one
+         structure would otherwise evict each other and defeat
+         [Model.rebuild] *)
+      let model =
+        match p.Params.backend with
+        | `Csr -> Cdr.Report.Csr (get_model t p config)
+        | `Kron -> Cdr.Report.Kron (get_kron_model t p config)
+      in
       let (report, sol), degraded =
         with_degraded_retry ctx (fun ctx ->
             Cdr.Report.run_model ~solver:p.Params.solver ~ctx model)
       in
-      let mtbf = Cdr.Cycle_slip.mean_time_between model ~pi:sol.Markov.Solution.pi in
+      let mtbf = Cdr.Report.mean_time_between_slips model ~pi:sol.Markov.Solution.pi in
       ( Cdr_obs.Jsonl.Obj
           [
             ("ber", num report.Cdr.Report.ber);

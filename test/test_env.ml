@@ -282,7 +282,37 @@ let test_engine_env_kind () =
         | _ -> Alcotest.fail "no regimes in env result"
       in
       check_int "per-regime stats present" 2 (regimes csr);
-      check_int "per-regime stats present (kron)" 2 (regimes kron)
+      check_int "per-regime stats present (kron)" 2 (regimes kron);
+      (* each response is Cdr_env.Report.run on the same env and config,
+         bitwise *)
+      let bitwise what a b =
+        check_bool (what ^ " bitwise") true (Int64.bits_of_float a = Int64.bits_of_float b)
+      in
+      let num = function Cdr_obs.Jsonl.Num v -> v | _ -> Alcotest.fail "not a number" in
+      List.iter
+        (fun (backend, r) ->
+          let lib =
+            Cdr_env.Report.run ~ctx:(Cdr.Context.make ~backend ()) (Env.bursty ()) tiny_cfg
+          in
+          let what = Cdr_op.kind_string backend in
+          bitwise (what ^ " ber") lib.Cdr_env.Report.ber (ber r);
+          (match result_field "slip_rate" r with
+          | Some v -> bitwise (what ^ " slip_rate") lib.Cdr_env.Report.slip_rate (num v)
+          | None -> Alcotest.fail "no slip_rate in env result");
+          match result_field "regimes" r with
+          | Some (Cdr_obs.Jsonl.List l) ->
+              List.iteri
+                (fun e g ->
+                  let get k =
+                    match Cdr_obs.Jsonl.member k g with
+                    | Some v -> num v
+                    | None -> Alcotest.failf "regime lacks %S" k
+                  in
+                  bitwise (what ^ " regime prob") lib.Cdr_env.Report.regime_probs.(e) (get "prob");
+                  bitwise (what ^ " regime ber") lib.Cdr_env.Report.regime_ber.(e) (get "ber"))
+                l
+          | _ -> Alcotest.fail "no regimes in env result")
+        [ (`Csr, csr); (`Kron, kron) ]
   | rs -> Alcotest.failf "expected 2 replies, got %d" (List.length rs)
 
 let test_engine_scenarios_kind () =

@@ -269,7 +269,22 @@ let test_engine_kron_analyze () =
         < 1e-6);
       check_bool "kron solves the full product space" true
         (num "size" kron >= num "size" csr);
-      check_bool "kron reports slips" true (num "mean_bits_between_slips" kron > 0.0)
+      check_bool "kron reports slips" true (num "mean_bits_between_slips" kron > 0.0);
+      (* the service's kron answer is the library's kron analysis of the
+         same config: ber, size and slip time bitwise, and the report's
+         trace-derived iteration count equal to the solver's own *)
+      let cfg = Result.get_ok (Cdr_svc.Params.to_config kron_params) in
+      let km = Cdr.Kron_model.build cfg in
+      let sol = Cdr.Kron_model.solve ~solver:`Multigrid km in
+      let pi = sol.Markov.Solution.pi in
+      let bitwise name expected =
+        check_bool (name ^ " bitwise") true
+          (Int64.bits_of_float (num name kron) = Int64.bits_of_float expected)
+      in
+      bitwise "ber" (Cdr.Ber.of_marginal cfg ~rho:(Cdr.Kron_model.phase_marginal km ~pi));
+      bitwise "size" (float_of_int (Cdr.Kron_model.n_states km));
+      bitwise "mean_bits_between_slips" (Cdr.Kron_model.mean_time_between_slips km ~pi);
+      check_int "iterations" sol.Markov.Solution.iterations (int_of_float (num "iterations" kron))
   | rs -> Alcotest.failf "expected 2 replies, got %d" (List.length rs)
 
 let test_engine_kron_unsupported_kinds () =
