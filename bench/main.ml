@@ -112,7 +112,8 @@ let exp_slip () =
   let base =
     { Cdr.Config.default with Cdr.Config.grid_points = 64; counter_length = 4; sigma_w = 0.12 }
   in
-  Format.printf "%-12s %-14s %-14s %-16s@." "drift mean" "slip rate" "MTBF (bits)" "first-slip (bits)";
+  Format.printf "%-12s %-14s %-14s %-18s %-12s %-10s@." "drift mean" "slip rate" "MTBF (bits)"
+    "first slip (bits)" "first/MTBF" "V-cycles";
   List.iter
     (fun mean_steps ->
       let cfg =
@@ -123,8 +124,10 @@ let exp_slip () =
       let solution = Cdr.Model.solve model in
       let rate = Cdr.Cycle_slip.rate model ~pi:solution.Markov.Solution.pi in
       let mtbf = Cdr.Cycle_slip.mean_time_between model ~pi:solution.Markov.Solution.pi in
-      let first = Cdr.Cycle_slip.mean_first_slip_time model in
-      Format.printf "%-12g %-14.3e %-14.3e %-16.3e@." mean_steps rate mtbf first)
+      (* cold, so the cycle count is the restart chain's own *)
+      let first, restart = Cdr.Cycle_slip.first_slip model in
+      Format.printf "%-12g %-14.3e %-14.3e %-18.3e %-12.4f %-10d@." mean_steps rate mtbf first
+        (first /. mtbf) restart.Markov.Solution.iterations)
     [ 0.2; 0.4; 0.6; 0.8 ]
 
 (* ---------- EXP-MC: the infeasibility of straightforward simulation ---------- *)

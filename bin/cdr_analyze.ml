@@ -346,12 +346,16 @@ let slip_cmd =
     let solution = Cdr.Model.solve ~solver:(solver :> Cdr.Model.solver) model in
     let rate = Cdr.Cycle_slip.rate model ~pi:solution.Markov.Solution.pi in
     let mtbf = Cdr.Cycle_slip.mean_time_between model ~pi:solution.Markov.Solution.pi in
-    let first = Cdr.Cycle_slip.mean_first_slip_time model in
+    let first =
+      Cdr.Cycle_slip.mean_first_slip_time
+        ~ctx:(Cdr.Context.make ~init:solution.Markov.Solution.pi ())
+        model
+    in
     Format.printf "slip rate          : %.4e per bit@." rate;
     Format.printf "mean time between  : %.4e bits@." mtbf;
     Format.printf "mean first slip    : %.4e bits (from lock)@." first
   in
-  let doc = "Cycle-slip rate and mean times (first-passage analysis)." in
+  let doc = "Cycle-slip rate and mean times (stationary flux and the restart chain)." in
   Cmd.v (Cmd.info "slip" ~doc) Term.(const run $ config_term $ solver)
 
 (* ---------- mc ---------- *)

@@ -2,8 +2,10 @@
 
    A cycle slip — the phase error escaping across half a bit interval — is a
    catastrophic event (a whole bit gained or lost); its mean recurrence time
-   is a first-passage computation on the same Markov chain that yields the
-   BER. The experiment sweeps the drift strength and cross-checks the
+   is the inverse of a boundary flux of the same stationary distribution
+   that yields the BER, and the mean time to the first slip from lock is
+   the same flux on the chain restarted at lock after every slip. The
+   experiment sweeps the drift strength and cross-checks the
    analytic slip rate against a Monte-Carlo run where slips are frequent
    enough to count.
 

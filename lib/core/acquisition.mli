@@ -15,6 +15,10 @@ type t = {
 }
 
 val analyze : ?lock_band_ui:float -> ?tol:float -> Model.t -> t
-(** Default [lock_band_ui] is one selector step [G]. *)
+(** Default [lock_band_ui] is one selector step [G]. The hitting times come
+    from {!Markov.Passage.mean_hitting_times} (every start state is needed,
+    and lock events are frequent), so this raises
+    {!Markov.Passage.Not_converged} where that iteration runs out of
+    sweeps. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,3 +1,5 @@
+exception Not_converged of { sweeps : int; delta : float }
+
 let check_nonempty name pred n =
   let found = ref false in
   for i = 0 to n - 1 do
@@ -50,11 +52,13 @@ let mean_hitting_times ?(tol = 1e-6) ?(max_iter = 500_000) chain ~target =
   let agreements = ref 0 in
   let finished = ref false in
   let k = ref 0 in
+  let last_delta = ref Float.infinity in
   while (not !finished) && !k < max_iter do
     Array.blit m 0 prev 0 n;
     sweep ();
     incr k;
     let delta = max_delta () in
+    last_delta := delta;
     if delta <= tol then finished := true (* plain convergence (fast chains) *)
     else if !k mod window = 0 && Float.is_finite delta && delta > 0.0 then begin
       (* ratio from the freshest pair of sweeps: purest dominant mode *)
@@ -104,6 +108,7 @@ let mean_hitting_times ?(tol = 1e-6) ?(max_iter = 500_000) chain ~target =
       end
     end
   done;
+  if not !finished then raise (Not_converged { sweeps = !k; delta = !last_delta });
   m
 
 let absorption_probabilities ?(tol = 1e-12) ?(max_iter = 1_000_000) chain ~a ~b =

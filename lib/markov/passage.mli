@@ -1,6 +1,11 @@
-(** First-passage computations: the machinery behind the paper's "mean time
-    between cycle slips", which is a mean transition time between sets of
-    Markov-chain states (a linear system with the modified TPM). *)
+(** First-passage computations: mean transition times between sets of
+    Markov-chain states (a linear system with the modified TPM), absorption
+    probabilities, and the stationary flux through marked transitions that
+    every slip rate is computed from. *)
+
+exception Not_converged of { sweeps : int; delta : float }
+(** Raised by {!mean_hitting_times} when [max_iter] sweeps pass without
+    meeting its stopping rule; [delta] is the last sweep's largest change. *)
 
 val mean_hitting_times :
   ?tol:float -> ?max_iter:int -> Chain.t -> target:(int -> bool) -> Linalg.Vec.t
@@ -13,9 +18,18 @@ val mean_hitting_times :
     the geometrically decaying iterates and stops when successive
     extrapolation windows agree to [tol] (relative, default [1e-6]; rare-
     event accuracy is limited by the dominance-ratio estimate, so demanding
-    much tighter tolerances mostly costs sweeps). [max_iter = 500_000]
-    sweeps bounds the worst case. Raises [Invalid_argument] when the target
-    is empty. *)
+    much tighter tolerances mostly costs sweeps). Raises {!Not_converged}
+    after [max_iter] sweeps (default [500_000]) rather than return an
+    unconverged iterate, and [Invalid_argument] when the target is empty.
+
+    Scope: use this for events that are not rare and when the hitting time
+    from {e every} start state is wanted — [Cdr.Acquisition], whose lock
+    events take about a hundred bits, is the caller it is kept for, Aitken
+    acceleration included. For a rare event seen from one start state, the
+    renewal identity turns the hitting time into one stationary solve of a
+    restarted chain ([Cdr.Cycle_slip.first_slip]); this iteration needs on
+    the order of the event's mean time in sweeps there, and its
+    extrapolation was seen to stop early and low by orders of magnitude. *)
 
 val absorption_probabilities :
   ?tol:float -> ?max_iter:int -> Chain.t -> a:(int -> bool) -> b:(int -> bool) -> Linalg.Vec.t

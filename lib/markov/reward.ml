@@ -4,101 +4,6 @@ let transition_rate chain ~pi ~reward =
   if Array.length pi <> Chain.n_states chain then invalid_arg "Reward: pi dimension mismatch";
   Sparse.Csr.fold (Chain.tpm chain) ~init:0.0 ~f:(fun acc i j v -> acc +. (pi.(i) *. v *. reward i j))
 
-(* v = r + Q v on the complement of the target: the same fixed point as
-   mean_hitting_times up to the source term, so reuse its accelerated
-   Gauss-Seidel by rescaling? The acceleration logic is the same; here we
-   re-implement the sweep with a general source to keep Passage's hot loop
-   unburdened. *)
-let accumulated_before ?(tol = 1e-6) ?(max_iter = 500_000) chain ~target ~reward =
-  let n = Chain.n_states chain in
-  let found = ref false in
-  for i = 0 to n - 1 do
-    if target i then found := true
-  done;
-  if not !found then invalid_arg "Reward.accumulated_before: empty target set";
-  let p = Chain.tpm chain in
-  let is_target = Array.init n target in
-  let source = Array.init n (fun i -> if is_target.(i) then 0.0 else reward i) in
-  let v = Array.make n 0.0 in
-  let prev = Array.make n 0.0 in
-  let sweep () =
-    for i = 0 to n - 1 do
-      if not is_target.(i) then begin
-        let acc = ref source.(i) and self = ref 0.0 in
-        Sparse.Csr.iter_row p i (fun j w ->
-            if j = i then self := w else if not is_target.(j) then acc := !acc +. (w *. v.(j)));
-        let denom = 1.0 -. !self in
-        v.(i) <- (if denom <= 0.0 then Float.infinity else !acc /. denom)
-      end
-    done
-  in
-  let max_delta () =
-    let d = ref 0.0 in
-    for i = 0 to n - 1 do
-      let di = abs_float (v.(i) -. prev.(i)) in
-      if Float.is_finite di then d := Float.max !d di else d := Float.infinity
-    done;
-    !d
-  in
-  (* same windowed out-of-place Aitken acceleration as Passage *)
-  let window = 50 in
-  let candidate = Array.make n 0.0 in
-  let previous_candidate = Array.make n Float.nan in
-  let have_candidate = ref false in
-  let agreements = ref 0 in
-  let finished = ref false in
-  let k = ref 0 in
-  while (not !finished) && !k < max_iter do
-    Array.blit v 0 prev 0 n;
-    sweep ();
-    incr k;
-    let delta = max_delta () in
-    if delta <= tol then finished := true
-    else if !k mod window = 0 && Float.is_finite delta && delta > 0.0 then begin
-      Array.blit v 0 candidate 0 n;
-      Array.blit v 0 prev 0 n;
-      sweep ();
-      incr k;
-      let delta2 = max_delta () in
-      let r = if delta > 0.0 then delta2 /. delta else 1.0 in
-      if r > 0.0 && r < 1.0 then begin
-        let factor = r /. (1.0 -. r) in
-        let worst = ref 0.0 in
-        for i = 0 to n - 1 do
-          if not is_target.(i) then begin
-            let extrapolated =
-              if Float.is_finite v.(i) then v.(i) +. ((v.(i) -. prev.(i)) *. factor) else v.(i)
-            in
-            if !have_candidate && Float.is_finite extrapolated then
-              worst :=
-                Float.max !worst
-                  (abs_float (extrapolated -. previous_candidate.(i))
-                  /. (1.0 +. abs_float extrapolated));
-            candidate.(i) <- extrapolated
-          end
-          else candidate.(i) <- 0.0
-        done;
-        if !have_candidate && !worst <= tol then begin
-          incr agreements;
-          if !agreements >= 2 then begin
-            Array.blit candidate 0 v 0 n;
-            finished := true
-          end
-          else begin
-            Array.blit candidate 0 previous_candidate 0 n;
-            have_candidate := true
-          end
-        end
-        else begin
-          agreements := 0;
-          Array.blit candidate 0 previous_candidate 0 n;
-          have_candidate := true
-        end
-      end
-    end
-  done;
-  v
-
 let discounted ?(tol = 1e-12) ?(max_iter = 1_000_000) chain ~gamma ~reward =
   if gamma < 0.0 || gamma >= 1.0 then invalid_arg "Reward.discounted: gamma must lie in [0, 1)";
   let n = Chain.n_states chain in

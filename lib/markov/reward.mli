@@ -2,8 +2,9 @@
 
     The general form of "system performance measures" the paper derives from
     the stationary vector: attach a per-step reward to states (or
-    transitions) and compute long-run averages, accumulated expectations to
-    absorption, and discounted sums. BER is the special case
+    transitions) and compute long-run averages and discounted sums (the
+    accumulated reward to a target set with reward [1] is
+    {!Passage.mean_hitting_times}). BER is the special case
     [reward i = P(error | state i)]; power, activity factors, or correction
     counts are others. *)
 
@@ -14,13 +15,6 @@ val transition_rate : Chain.t -> pi:Linalg.Vec.t -> reward:(int -> int -> float)
 (** Long-run average of a per-transition reward:
     [sum_ij pi_i P_ij r_ij] (e.g. counting phase corrections: [r = 1] on
     correction edges). *)
-
-val accumulated_before :
-  ?tol:float -> ?max_iter:int -> Chain.t -> target:(int -> bool) -> reward:(int -> float) -> Linalg.Vec.t
-(** [v.(i)] = expected total reward collected before first reaching the
-    target set, starting from [i] ([0.] on target states). Generalizes
-    {!Passage.mean_hitting_times}, which is the [reward = 1] case; solved by
-    the same accelerated Gauss-Seidel. *)
 
 val discounted :
   ?tol:float -> ?max_iter:int -> Chain.t -> gamma:float -> reward:(int -> float) -> Linalg.Vec.t

@@ -269,8 +269,8 @@ let scenarios_payload () =
     ]
 
 (* the one rule for kinds the matrix-free backend cannot serve: their
-   functionals (first passage, the sweep continuation) run on the
-   materialized chain *)
+   functionals (the first-slip restart chain, the sweep continuation) run
+   on the materialized chain *)
 let check_backend req =
   match (req.Protocol.kind, req.Protocol.params.Params.backend) with
   | (Protocol.Slip | Protocol.Sweep _ | Protocol.Sigma _), `Kron ->
@@ -316,13 +316,20 @@ let run_kind t ~ctx req config =
             ((), Cdr.Model.solve ~solver:(p.Params.solver :> Cdr.Model.solver) ~ctx model))
       in
       let pi = sol.Markov.Solution.pi in
+      (* the restart chain differs from the model's only on its crossing
+         entries, so the stationary vector just computed is a close start;
+         an unconverged restart solve takes the same retry and flag *)
+      let (first, _), first_degraded =
+        with_degraded_retry (Cdr.Context.override ~init:pi ctx) (fun ctx ->
+            Cdr.Cycle_slip.first_slip ~ctx model)
+      in
       ( Cdr_obs.Jsonl.Obj
           [
             ("slip_rate", num (Cdr.Cycle_slip.rate model ~pi));
             ("mean_bits_between_slips", num (Cdr.Cycle_slip.mean_time_between model ~pi));
-            ("mean_bits_to_first_slip", num (Cdr.Cycle_slip.mean_first_slip_time model));
+            ("mean_bits_to_first_slip", num first);
           ],
-        degraded )
+        degraded || first_degraded )
   | Protocol.Sweep lengths ->
       let ctx = Cdr.Context.override ~strategy:Cdr.Context.warm ctx in
       let points = Cdr.Sweep.counter_lengths ~solver:p.Params.solver ~ctx config lengths in

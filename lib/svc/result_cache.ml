@@ -81,10 +81,20 @@ let length t = with_lock t (fun () -> List.length t.entries)
 
 (* ---------- disk persistence ---------- *)
 
-(* One JSONL line per entry, least recently used first, so a sequential
-   reload rebuilds the same recency order (the last line pushed lands in
-   front). Written to a temp file and renamed, so a crash mid-save leaves
-   the previous snapshot intact. *)
+(* A header line tagging the snapshot format, then one JSONL line per
+   entry, least recently used first, so a sequential reload rebuilds the
+   same recency order (the last line pushed lands in front). Written to a
+   temp file and renamed, so a crash mid-save leaves the previous snapshot
+   intact. *)
+
+(* Version 2: responses computed after [mean_bits_to_first_slip] moved to
+   the restart chain. Untagged (version 1) snapshots hold first-passage
+   answers that were low by orders of magnitude on rare slips. *)
+let format_version = 2
+
+let header =
+  Cdr_obs.Jsonl.to_string
+    (Cdr_obs.Jsonl.Obj [ ("result_cache_format", Num (float_of_int format_version)) ])
 
 let save t path =
   let lines =
@@ -97,6 +107,8 @@ let save t path =
   in
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
+  output_string oc header;
+  output_char oc '\n';
   List.iter
     (fun line ->
       output_string oc line;
@@ -110,6 +122,12 @@ let load ?capacity path =
   (if Sys.file_exists path then
      let ic = open_in path in
      (try
+        (* an untagged or differently tagged snapshot is treated as missing *)
+        let rec first_line () =
+          let line = input_line ic in
+          if String.trim line = "" then first_line () else line
+        in
+        if String.trim (first_line ()) <> header then raise End_of_file;
         while true do
           let line = input_line ic in
           if String.trim line <> "" then

@@ -43,12 +43,21 @@ val evictions : t -> int
 
 val length : t -> int
 
+val format_version : int
+(** The snapshot format {!save} writes, as its first line
+    [{"result_cache_format":N}]. Raised whenever the answers a response
+    carries change meaning or value, so a reload never serves a response
+    the current code would not compute: version 2 is the first to hold
+    restart-chain [mean_bits_to_first_slip] values. *)
+
 val save : t -> string -> unit
-(** Write every entry to [path] as JSONL, least recently used first (so
-    {!load} rebuilds the same recency order). Atomic: written to a temp
-    file and renamed. *)
+(** Write the {!format_version} header, then every entry as JSONL, least
+    recently used first (so {!load} rebuilds the same recency order).
+    Atomic: written to a temp file and renamed. *)
 
 val load : ?capacity:int -> string -> t
-(** Rebuild a cache from a {!save} snapshot. A missing file yields an
-    empty cache; malformed lines are skipped (a torn snapshot loses
-    entries, never the server). Counts nothing. *)
+(** Rebuild a cache from a {!save} snapshot. A missing file, and a file
+    whose first line is not the current {!format_version} header (an
+    untagged or older snapshot), yield an empty cache; malformed entry
+    lines are skipped (a torn snapshot loses entries, never the server).
+    Counts nothing. *)

@@ -334,6 +334,32 @@ let test_eye_density_mass () =
 
 (* ---------- cycle slips ---------- *)
 
+(* The first-passage reference: every boundary crossing redirected to a
+   fresh absorbing state, then the accelerated Gauss-Seidel hitting time
+   from lock. Only usable where slips are frequent. *)
+let passage_first_slip model =
+  let chain = model.Cdr.Model.chain in
+  let n = Markov.Chain.n_states chain in
+  let absorbing = n in
+  let acc = Sparse.Coo.create ~rows:(n + 1) ~cols:(n + 1) in
+  Sparse.Csr.iter (Markov.Chain.tpm chain) (fun i j v ->
+      if
+        Cdr.Phase_error.crosses_boundary model.Cdr.Model.config
+          ~src:(model.Cdr.Model.phase_bin i) ~dst:(model.Cdr.Model.phase_bin j)
+      then Sparse.Coo.add acc ~row:i ~col:absorbing v
+      else Sparse.Coo.add acc ~row:i ~col:j v);
+  Sparse.Coo.add acc ~row:absorbing ~col:absorbing 1.0;
+  let absorbed = Markov.Chain.of_csr (Sparse.Coo.to_csr acc) in
+  let times = Markov.Passage.mean_hitting_times absorbed ~target:(fun s -> s = absorbing) in
+  let d0, c0, p0 = Cdr.Model.initial_state model.Cdr.Model.config in
+  times.(Option.get (model.Cdr.Model.index_of ~data:d0 ~counter:c0 ~phase:p0))
+
+let check_rel ~tol msg expected actual =
+  let rel = Float.abs (actual -. expected) /. Float.abs expected in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.6e vs %.6e (rel %.1e)" msg actual expected rel)
+    true (rel <= tol)
+
 let test_cycle_slip_measures () =
   (* crank the drift so slips happen often enough to measure *)
   let cfg =
@@ -360,12 +386,62 @@ let test_cycle_slip_measures () =
     (Int64.bits_of_float rate = Int64.bits_of_float fold);
   let mtbf = Cdr.Cycle_slip.mean_time_between model ~pi:sol.Markov.Solution.pi in
   check_float ~eps:1e-6 "mtbf = 1/rate" (1.0 /. rate) mtbf;
+  (* slips every ~260 bits: the restart chain's first slip is the
+     first-passage answer, and a from-lock quantity distinct from the
+     stationary 1/rate (~276 bits here) *)
   let first = Cdr.Cycle_slip.mean_first_slip_time model in
-  Alcotest.(check bool) "first slip positive" true (first > 0.0);
-  (* the first-passage time from lock and the stationary recurrence time
-     agree within an order of magnitude for this strongly-driven loop *)
-  Alcotest.(check bool) "same scale" true
-    (first /. mtbf > 0.05 && first /. mtbf < 20.0)
+  check_rel ~tol:1e-6 "first slip = passage" (passage_first_slip model) first;
+  Alcotest.(check bool) "from lock, not steady state" true
+    (Float.abs (first -. mtbf) /. mtbf > 1e-2)
+
+(* Config.default narrowed to a small loop: slips every ~6.4e5 bits, still
+   frequent enough for the first-passage iteration to converge *)
+let test_first_slip_matches_passage () =
+  let cfg =
+    {
+      Cdr.Config.default with
+      Cdr.Config.grid_points = 32;
+      n_phases = 8;
+      counter_length = 2;
+      sigma_w = 0.25;
+    }
+  in
+  let model = Cdr.Model.build cfg in
+  let first = Cdr.Cycle_slip.mean_first_slip_time model in
+  check_rel ~tol:1e-6 "restart = passage" (passage_first_slip model) first;
+  check_rel ~tol:1e-4 "known value" 6.4330e5 first
+
+(* rare slips, with the service's default drift (mean 0.1 bins/bit): where
+   the first-passage iteration stopped low by up to 4e7x, the restart chain
+   meets the stationary 1/flux, which a rare slip from lock must approach *)
+let test_first_slip_rare_meets_flux () =
+  List.iter
+    (fun (grid, phases, counter, sigma_w) ->
+      let cfg =
+        {
+          Cdr.Config.default with
+          Cdr.Config.grid_points = grid;
+          n_phases = phases;
+          counter_length = counter;
+          sigma_w;
+          nr = Prob.Jitter.drift ~max_steps:2 ~mean_steps:0.1 ();
+        }
+      in
+      let model = Cdr.Model.build cfg in
+      let sol = Cdr.Model.solve model in
+      let mtbf = Cdr.Cycle_slip.mean_time_between model ~pi:sol.Markov.Solution.pi in
+      let first, restart = Cdr.Cycle_slip.first_slip model in
+      Alcotest.(check bool) "restart solve converged" true restart.Markov.Solution.converged;
+      check_rel ~tol:1e-3
+        (Printf.sprintf "grid %d / %d phases / K %d / sigma_w %g" grid phases counter sigma_w)
+        mtbf first)
+    [ (32, 16, 4, 0.06); (64, 16, 3, 0.06); (32, 8, 3, 0.0707) ]
+
+let test_first_slip_cancel () =
+  let model = Cdr.Model.build small in
+  let ctx = Cdr.Context.make ~cancel:(fun () -> true) () in
+  Alcotest.check_raises "cancel aborts the restart solve" Markov.Multigrid.Cancelled (fun () ->
+      ignore (Cdr.Cycle_slip.first_slip ~ctx model))
 
 let test_slip_rate_increases_with_drift () =
   let rate_for mean_steps =
@@ -793,6 +869,10 @@ let () =
         [
           Alcotest.test_case "measures" `Slow test_cycle_slip_measures;
           Alcotest.test_case "monotone in drift" `Slow test_slip_rate_increases_with_drift;
+          Alcotest.test_case "first slip = passage where slips are frequent" `Quick
+            test_first_slip_matches_passage;
+          Alcotest.test_case "rare first slip meets 1/flux" `Quick test_first_slip_rare_meets_flux;
+          Alcotest.test_case "cancel aborts the first-slip solve" `Quick test_first_slip_cancel;
         ] );
       ( "clock-jitter-acquisition",
         [

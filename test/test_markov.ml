@@ -314,6 +314,17 @@ let test_empty_target_rejected () =
   Alcotest.check_raises "empty target" (Invalid_argument "Passage: empty target set") (fun () ->
       ignore (Markov.Passage.mean_hitting_times (two_state 0.1 0.1) ~target:(fun _ -> false)))
 
+let test_hitting_time_budget_exhausted () =
+  (* reaching the top of a birth-death chain pushed toward 0 takes ~4^11
+     steps; 20 sweeps end before the first extrapolation window, and the
+     unconverged iterate must not come back as an answer *)
+  let c = birth_death ~n:12 ~p:0.2 in
+  Alcotest.(check bool) "raises Not_converged" true
+    (try
+       ignore (Markov.Passage.mean_hitting_times ~max_iter:20 c ~target:(fun i -> i = 11));
+       false
+     with Markov.Passage.Not_converged { sweeps; _ } -> sweeps = 20)
+
 (* ---------- censoring ---------- *)
 
 let test_censor_two_state_identity () =
@@ -366,15 +377,6 @@ let test_reward_transition_rate () =
     Markov.Reward.transition_rate c ~pi ~reward:(fun i j -> if i = j then 1.0 else 0.0)
   in
   check_float ~eps:1e-12 "self loops" ((0.25 *. 0.7) +. (0.75 *. 0.9)) self_mass
-
-let test_reward_accumulated_is_hitting_time () =
-  (* reward = 1 reduces to the mean hitting time *)
-  let c = birth_death ~n:10 ~p:0.45 in
-  let target i = i = 9 in
-  let hit = Markov.Passage.mean_hitting_times ~tol:1e-9 c ~target in
-  let acc = Markov.Reward.accumulated_before ~tol:1e-9 c ~target ~reward:(fun _ -> 1.0) in
-  let rel = abs_float (acc.(0) -. hit.(0)) /. (1.0 +. hit.(0)) in
-  Alcotest.(check bool) (Printf.sprintf "agrees (rel %.2e)" rel) true (rel < 1e-5)
 
 let test_reward_discounted_constant () =
   (* constant reward 1: v = 1 / (1 - gamma) in every state *)
@@ -618,6 +620,7 @@ let () =
           Alcotest.test_case "stationary flux balance" `Quick test_kac_return_time;
           Alcotest.test_case "total flux" `Quick test_flux_total;
           Alcotest.test_case "empty target rejected" `Quick test_empty_target_rejected;
+          Alcotest.test_case "sweep budget exhausted raises" `Quick test_hitting_time_budget_exhausted;
         ] );
       ( "censor",
         [
@@ -630,7 +633,6 @@ let () =
         [
           Alcotest.test_case "long-run average" `Quick test_reward_long_run_average;
           Alcotest.test_case "transition rate" `Quick test_reward_transition_rate;
-          Alcotest.test_case "accumulated = hitting time" `Quick test_reward_accumulated_is_hitting_time;
           Alcotest.test_case "discounted constant" `Quick test_reward_discounted_constant;
           Alcotest.test_case "bellman fixed point" `Quick test_reward_discounted_bellman;
         ] );

@@ -183,6 +183,38 @@ let test_persistence_roundtrip () =
   let rc3 = Cdr_svc.Result_cache.load path in
   check_int "missing file loads empty" 0 (Cdr_svc.Result_cache.length rc3)
 
+(* a snapshot written before the format tag, or under another tag, may hold
+   answers the current code no longer gives: it must reload as empty *)
+let test_persistence_rejects_stale_format () =
+  let path = Filename.temp_file "cdr_result_cache" ".jsonl" in
+  let entry key =
+    Cdr_obs.Jsonl.to_string
+      (Cdr_obs.Jsonl.Obj [ ("key", Cdr_obs.Jsonl.Str key); ("response", resp key) ])
+  in
+  let write lines =
+    let oc = open_out path in
+    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+    close_out oc
+  in
+  let tag v = Printf.sprintf "{\"result_cache_format\":%d}" v in
+  write [ entry "a"; entry "b" ];
+  check_int "untagged snapshot loads empty" 0
+    (Cdr_svc.Result_cache.length (Cdr_svc.Result_cache.load path));
+  write [ tag (Cdr_svc.Result_cache.format_version - 1); entry "a"; entry "b" ];
+  check_int "old-tagged snapshot loads empty" 0
+    (Cdr_svc.Result_cache.length (Cdr_svc.Result_cache.load path));
+  write [ tag Cdr_svc.Result_cache.format_version; entry "a"; entry "b" ];
+  check_int "current tag loads" 2 (Cdr_svc.Result_cache.length (Cdr_svc.Result_cache.load path));
+  (* and save writes the current tag first *)
+  let rc = Cdr_svc.Result_cache.create () in
+  Cdr_svc.Result_cache.store rc "c" (resp "c");
+  Cdr_svc.Result_cache.save rc path;
+  let ic = open_in path in
+  let first = input_line ic in
+  close_in ic;
+  check_string "save writes the tag first" (tag Cdr_svc.Result_cache.format_version) first;
+  Sys.remove path
+
 (* ---------- forwarding re-encoding ---------- *)
 
 let test_request_json_roundtrip () =
@@ -228,6 +260,8 @@ let () =
         [
           Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
           Alcotest.test_case "persistence round-trip" `Quick test_persistence_roundtrip;
+          Alcotest.test_case "stale snapshot format loads empty" `Quick
+            test_persistence_rejects_stale_format;
         ] );
       ( "protocol",
         [ Alcotest.test_case "forwarding re-encodes exactly" `Quick test_request_json_roundtrip ]

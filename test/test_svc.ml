@@ -287,6 +287,51 @@ let test_engine_kron_analyze () =
       check_int "iterations" sol.Markov.Solution.iterations (int_of_float (num "iterations" kron))
   | rs -> Alcotest.failf "expected 2 replies, got %d" (List.length rs)
 
+(* the service's slip answer warm-starts the restart solve from the
+   stationary vector it has just computed; it must agree with the cold
+   library call the traced replay makes *)
+let test_engine_slip_warm_matches_cold () =
+  let engine = Cdr_svc.Engine.create () in
+  let reply, replies = reply_capture () in
+  (* a rare-slip config (first slip ~1e9 bits) and a frequent one *)
+  let configs =
+    [
+      { tiny_params with Cdr_svc.Params.phases = 8; counter = 3; sigma_w = 0.0707 };
+      { tiny_params with Cdr_svc.Params.phases = 8; sigma_w = 0.25 };
+    ]
+  in
+  List.iteri
+    (fun i params ->
+      Cdr_svc.Engine.handle engine
+        {
+          Cdr_svc.Engine.request =
+            {
+              (analyze_req ~id:(Printf.sprintf "s%d" i) ~params ()) with
+              Cdr_svc.Protocol.kind = Cdr_svc.Protocol.Slip;
+            };
+          deadline = None;
+          admitted = Cdr_obs.Clock.monotonic ();
+          reply;
+        })
+    configs;
+  let rs = replies () in
+  check_int "every slip answered" (List.length configs) (List.length rs);
+  List.iter2
+    (fun params r ->
+      check_bool "slip served" true (is_ok r);
+      check_bool "not degraded" true (field "degraded" r = Cdr_obs.Jsonl.Bool false);
+      let warm =
+        match Cdr_obs.Jsonl.member "mean_bits_to_first_slip" (field "result" r) with
+        | Some (Cdr_obs.Jsonl.Num v) -> v
+        | _ -> Alcotest.fail "result lacks mean_bits_to_first_slip"
+      in
+      let model = Cdr.Model.build (Result.get_ok (Cdr_svc.Params.to_config params)) in
+      let cold = Cdr.Cycle_slip.mean_first_slip_time model in
+      let rel = Float.abs (warm -. cold) /. cold in
+      check_bool (Printf.sprintf "warm %.6e = cold %.6e (rel %.1e)" warm cold rel) true
+        (rel <= 1e-9))
+    configs rs
+
 let test_engine_kron_unsupported_kinds () =
   let engine = Cdr_svc.Engine.create () in
   let reply, replies = reply_capture () in
@@ -478,6 +523,8 @@ let () =
             test_engine_batch_cache_hits;
           Alcotest.test_case "invalid config is bad_request" `Quick test_engine_bad_config;
           Alcotest.test_case "kron analyze matches csr" `Quick test_engine_kron_analyze;
+          Alcotest.test_case "warm slip matches cold first slip" `Quick
+            test_engine_slip_warm_matches_cold;
           Alcotest.test_case "kron-unsupported kinds are bad_request" `Quick
             test_engine_kron_unsupported_kinds;
           Alcotest.test_case "kron setup transplant across sigma_w" `Quick
