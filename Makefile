@@ -51,7 +51,9 @@ bench-json:
 	dune exec bench/main.exe -- smoke telemetry parallel scaling warm env kernels
 
 # CI bench smoke: the tiny deterministic section plus the MG-SCALING gate.
-# Counter deltas are exact integers and wall seconds are never asserted —
+# Counter deltas are exact integers, and so is the tiny chain's multigrid
+# setup size (multigrid.setup_bytes: a return to a fatter setup layout moves
+# it and fails here). Wall seconds are never asserted —
 # except the one scaling regression this PR exists to prevent: mg.speedup_j4
 # must clear 1.0 (or 0.9 on a single-core host, where the multi-worker pool
 # can only be asked to cost nothing); the section folds that policy into the
@@ -63,8 +65,9 @@ bench-smoke:
 	grep -q '"model.rebuilds{pattern=reused}":1' /tmp/bench.json
 	grep -q '"solver_cache.hits":2' /tmp/bench.json
 	grep -q '"solver_cache.misses":1' /tmp/bench.json
+	grep -q '"multigrid.setup_bytes":517524' /tmp/bench.json
 	grep -q '"mg.speedup_j4_ok":1' /tmp/bench.json
-	@echo "bench smoke: counter deltas and the jobs=4 scaling gate as expected"
+	@echo "bench smoke: counter deltas, setup bytes and the jobs=4 scaling gate as expected"
 
 # CI kron smoke: the matrix-free backend solving a 208,896-state chain that
 # was never materialized, asserted structurally from the JSON (state count,

@@ -432,7 +432,8 @@ let exp_extensions () =
 (* A tiny configuration exercised so that the metric counter deltas of this
    section are exact integers — builds, solves, rebuilds, cache hits/misses —
    never wall seconds. CI runs just this section (make bench-smoke) and
-   asserts the deltas from the BENCH.json it writes. *)
+   asserts the deltas from the BENCH.json it writes, plus the tiny chain's
+   multigrid setup size (an exact byte count, so a layout change shows). *)
 let exp_smoke () =
   section "SMOKE: deterministic telemetry counters on a tiny configuration";
   let cfg =
@@ -458,6 +459,10 @@ let exp_smoke () =
     reused;
   Format.printf "solver cache: %d hits, %d misses@." (Cdr.Solver_cache.hits cache)
     (Cdr.Solver_cache.misses cache);
+  (* one structure, so the cache holds exactly its setup *)
+  let setup_bytes = Cdr.Solver_cache.bytes cache in
+  Cdr_obs.Metrics.set_gauge "multigrid.setup_bytes" (float_of_int setup_bytes);
+  Format.printf "multigrid setup: %d bytes@." setup_bytes;
   Format.printf
     "expected deltas: model.builds{via=direct}=1  model.solves{solver=multigrid}=3@.";
   Format.printf "  model.rebuilds{pattern=reused}=1  solver_cache.hits=2  solver_cache.misses=1@."

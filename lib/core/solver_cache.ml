@@ -7,22 +7,34 @@
    [Multigrid.matches]: O(1) for refilled chains whose structure arrays are
    physically shared, O(nnz) for structurally equal strangers.
 
+   The cache is bounded by bytes, not entries: setups range from a few MB
+   (small grids) to tens of MB (env chains), so a count bound either wastes
+   memory or thrashes. Each entry carries its [Multigrid.setup_bytes],
+   computed once at insertion.
+
    A cache is deliberately not thread-safe: setups own mutable workspaces,
    so each sweep worker threads its own cache through its own chunk of
-   points (see Sweep). The registry metrics are global and domain-safe. *)
+   points (see Sweep). The registry counters are global and domain-safe;
+   the cache writes no gauge, since several caches live in one process
+   (the service publishes its own cache's figures). *)
+
+type entry = { setup : Markov.Multigrid.setup; bytes : int }
 
 type t = {
-  max_entries : int;
-  mutable entries : Markov.Multigrid.setup list; (* most recently used first *)
+  max_bytes : int;
+  mutable entries : entry list; (* most recently used first *)
+  mutable bytes : int; (* sum of the entries' bytes, never above max_bytes *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutable request_key : string option; (* label for the next lookups' metrics *)
 }
 
-let create ?(max_entries = 8) () =
-  if max_entries < 1 then invalid_arg "Solver_cache.create: max_entries must be >= 1";
-  { max_entries; entries = []; hits = 0; misses = 0; evictions = 0; request_key = None }
+let default_max_bytes = 128 * 1024 * 1024
+
+let create ?(max_bytes = default_max_bytes) () =
+  if max_bytes < 1 then invalid_arg "Solver_cache.create: max_bytes must be >= 1";
+  { max_bytes; entries = []; bytes = 0; hits = 0; misses = 0; evictions = 0; request_key = None }
 
 let set_request_key t key = t.request_key <- key
 
@@ -65,39 +77,52 @@ let take_first p l =
   in
   go [] l
 
-let truncate n l = List.filteri (fun i _ -> i < n) l
+(* Drop least recently used entries until the total fits the budget: what
+   stays is the longest most-recent prefix whose bytes fit. *)
+let evict_to_budget t =
+  let rec keep budget = function
+    | (e : entry) :: rest when e.bytes <= budget -> e :: keep (budget - e.bytes) rest
+    | _ -> []
+  in
+  let kept = keep t.max_bytes t.entries in
+  let dropped = List.length t.entries - List.length kept in
+  if dropped > 0 then begin
+    t.entries <- kept;
+    t.bytes <- List.fold_left (fun acc (e : entry) -> acc + e.bytes) 0 kept;
+    t.evictions <- t.evictions + dropped;
+    record t "solver_cache.evictions" dropped
+  end
 
 let setup t ?(smoother = `Lex) ~hierarchy chain =
   (* the smoother is part of the key: a [`Lex] setup carries no colorings,
      so handing it to a colored solve (or vice versa) would silently change
      the algorithm *)
-  let matches s =
-    Markov.Multigrid.smoother s = smoother && Markov.Multigrid.matches s chain
+  let matches e =
+    Markov.Multigrid.smoother e.setup = smoother && Markov.Multigrid.matches e.setup chain
   in
   match take_first matches t.entries with
-  | Some (s, rest) ->
+  | Some (e, rest) ->
       t.hits <- t.hits + 1;
       record t "solver_cache.hits" 1;
-      t.entries <- s :: rest;
-      s
+      t.entries <- e :: rest;
+      e.setup
   | None ->
       t.misses <- t.misses + 1;
       record t "solver_cache.misses" 1;
-      let s = Markov.Multigrid.setup ~smoother ~hierarchy:(hierarchy ()) chain in
-      let entries = s :: t.entries in
-      let dropped = List.length entries - t.max_entries in
-      if dropped > 0 then begin
-        t.evictions <- t.evictions + dropped;
-        record t "solver_cache.evictions" dropped
+      let setup = Markov.Multigrid.setup ~smoother ~hierarchy:(hierarchy ()) chain in
+      let bytes = Markov.Multigrid.setup_bytes setup in
+      (* a setup larger than the whole budget serves its caller once and is
+         not retained: caching it would evict everything for an entry that
+         must itself go at the next insertion *)
+      if bytes <= t.max_bytes then begin
+        t.entries <- { setup; bytes } :: t.entries;
+        t.bytes <- t.bytes + bytes;
+        evict_to_budget t
       end;
-      t.entries <- truncate t.max_entries entries;
-      (* a long-running server watches this gauge for cache pressure: size
-         pinned at max_entries plus a climbing eviction counter means the
-         working set of structures no longer fits *)
-      Cdr_obs.Metrics.set_gauge "solver_cache.size" (float_of_int (List.length t.entries));
-      s
+      setup
 
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
 let length t = List.length t.entries
+let bytes t = t.bytes

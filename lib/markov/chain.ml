@@ -28,8 +28,14 @@ let step ?pool c pi = Sparse.Csr.vec_mul ?pool pi c.tpm
 
 let step_into ?pool c pi out = Sparse.Csr.vec_mul_into ?pool pi c.tpm out
 
-let residual ?pool c pi =
-  let next = step ?pool c pi in
+let residual ?pool ?scratch c pi =
+  let next =
+    match scratch with
+    | Some y ->
+        step_into ?pool c pi y;
+        y
+    | None -> step ?pool c pi
+  in
   Linalg.Vec.dist_l1 next pi
 
 let uniform c =

@@ -27,8 +27,10 @@ val step : ?pool:Cdr_par.Pool.t -> t -> Linalg.Vec.t -> Linalg.Vec.t
 
 val step_into : ?pool:Cdr_par.Pool.t -> t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
 
-val residual : ?pool:Cdr_par.Pool.t -> t -> Linalg.Vec.t -> float
-(** [residual c pi = ||pi P - pi||_1], the stationarity defect. *)
+val residual : ?pool:Cdr_par.Pool.t -> ?scratch:Linalg.Vec.t -> t -> Linalg.Vec.t -> float
+(** [residual c pi = ||pi P - pi||_1], the stationarity defect. [?scratch]
+    (length [n_states]) receives [pi P] instead of a fresh vector, so an
+    iterative solver testing convergence every cycle allocates it once. *)
 
 val uniform : t -> Linalg.Vec.t
 

@@ -31,144 +31,138 @@ let validate_hierarchy ~n hierarchy =
   in
   check n hierarchy
 
-(* Sparse pattern of one level's matrix, stored as raw arrays so cycles touch
-   no hash tables or allocation. *)
-type pattern = {
-  n : int;
-  row_ptr : int array;
-  col_idx : int array;
-  (* transpose of the same pattern, with [trans_perm.(k)] the position in the
-     transposed value array of entry [k] *)
-  trans_row_ptr : int array;
-  trans_col_idx : int array;
-  trans_perm : int array;
-}
+(* ---- compact storage ---------------------------------------------------
+   Every index array a setup keeps between solves is an int32 Bigarray: half
+   the bytes of an OCaml int array, and off the OCaml heap, so the GC never
+   marks or moves it. The build works on ordinary int arrays and drops them
+   once a level is compacted. A setup copies nothing the chain holds: the
+   finest level reads the chain's own values, and [matches] its own
+   structure arrays. *)
 
-let pattern_of_csr (m : Sparse.Csr.t) =
-  let n = Sparse.Csr.rows m in
-  let nnz = Sparse.Csr.nnz m in
-  let row_ptr = Array.copy m.Sparse.Csr.row_ptr in
-  let col_idx = Array.copy m.Sparse.Csr.col_idx in
-  (* transpose mapping by counting sort *)
-  let counts = Array.make n 0 in
-  Array.iter (fun j -> counts.(j) <- counts.(j) + 1) col_idx;
-  let trans_row_ptr = Array.make (n + 1) 0 in
-  for j = 0 to n - 1 do
-    trans_row_ptr.(j + 1) <- trans_row_ptr.(j) + counts.(j)
+type ints = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let ints_of_array a =
+  let b = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout (Array.length a) in
+  Array.iteri
+    (fun i v ->
+      if v > 0x7fff_ffff then invalid_arg "Multigrid.setup: index exceeds the int32 range";
+      Bigarray.Array1.unsafe_set b i (Int32.of_int v))
+    a;
+  b
+
+let[@inline] ( .%() ) (b : ints) i = Int32.to_int (Bigarray.Array1.get b i)
+
+(* Counting sort of [0 .. n-1] by [label]: group [g] is
+   [members.(ptr.(g)) .. members.(ptr.(g+1) - 1)], ascending. *)
+let group_by ~groups label =
+  let ptr = Array.make (groups + 1) 0 in
+  Array.iter (fun g -> ptr.(g + 1) <- ptr.(g + 1) + 1) label;
+  for g = 0 to groups - 1 do
+    ptr.(g + 1) <- ptr.(g + 1) + ptr.(g)
   done;
-  let pos = Array.copy trans_row_ptr in
+  let members = Array.make (Array.length label) 0 in
+  let pos = Array.sub ptr 0 groups in
+  Array.iteri
+    (fun i g ->
+      members.(pos.(g)) <- i;
+      pos.(g) <- pos.(g) + 1)
+    label;
+  (ptr, members)
+
+(* A level's row-major sparsity pattern during the build. *)
+type csr_pattern = { n : int; row_ptr : int array; col_idx : int array }
+
+(* Transpose of the pattern by counting sort, with [trans_perm.(k)] the
+   position in the transposed value array of entry [k]. *)
+let transpose (p : csr_pattern) =
+  let nnz = Array.length p.col_idx in
+  let trans_row_ptr = Array.make (p.n + 1) 0 in
+  Array.iter (fun j -> trans_row_ptr.(j + 1) <- trans_row_ptr.(j + 1) + 1) p.col_idx;
+  for j = 0 to p.n - 1 do
+    trans_row_ptr.(j + 1) <- trans_row_ptr.(j + 1) + trans_row_ptr.(j)
+  done;
+  let pos = Array.sub trans_row_ptr 0 p.n in
   let trans_col_idx = Array.make nnz 0 in
   let trans_perm = Array.make nnz 0 in
-  for i = 0 to n - 1 do
-    for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-      let j = col_idx.(k) in
+  for i = 0 to p.n - 1 do
+    for k = p.row_ptr.(i) to p.row_ptr.(i + 1) - 1 do
+      let j = p.col_idx.(k) in
       trans_col_idx.(pos.(j)) <- i;
       trans_perm.(k) <- pos.(j);
       pos.(j) <- pos.(j) + 1
     done
   done;
-  { n; row_ptr; col_idx; trans_row_ptr; trans_col_idx; trans_perm }
+  (trans_row_ptr, trans_col_idx, trans_perm)
 
-(* One coarsening step's precomputed structure. *)
-type level = {
-  partition : Partition.t;
-  fine : pattern;
-  coarse : pattern;
-  target : int array; (* fine entry k -> index in the coarse value array *)
-  fine_row : int array; (* fine entry k -> its row *)
-  block_sizes : int array;
-  (* fine entries grouped by their coarse row (ascending k within a group):
-     coarse row [i] owns entries [agg_entries.(agg_ptr.(i)) ..
-     agg_entries.(agg_ptr.(i+1) - 1)]. The parallel aggregation kernel walks
-     one group per coarse row, so coarse value slots are write-disjoint
-     across rows and each slot accumulates its contributions in the same
-     ascending-k order as the serial pass over all entries. *)
-  agg_ptr : int array;
-  agg_entries : int array;
-  (* fine states grouped by block (ascending state within a group): the same
-     write-disjoint trick for block-weight and iterate restriction. *)
-  bw_ptr : int array;
-  bw_states : int array;
+(* One coarsening step, as the cycle reads it. Block [b] owns the fine
+   states [bw_states.(bw_ptr.(b)) .. bw_states.(bw_ptr.(b+1) - 1)],
+   ascending. Coarse row [b] is the image of those states' fine rows, so
+   walking them in that order visits the row's fine entries in ascending
+   entry order: every coarse value slot and every block sum accumulates in
+   the order of a serial scan over all entries, and coarse rows (blocks)
+   are write-disjoint, which is what lets the pooled kernels split them over
+   slots with bitwise identical results. *)
+type aggregation = {
+  n_coarse : int;
+  target : ints; (* fine entry k -> index in the coarse value array *)
+  bw_ptr : ints;
+  bw_states : ints;
+  block_weight : Linalg.Vec.t; (* |coarse| scratch: the iterate's block sums *)
 }
 
+(* Sort [a.(lo) .. a.(hi - 1)] ascending in place. *)
+let sort_range a lo hi =
+  let sub = Array.sub a lo (hi - lo) in
+  Array.sort Int.compare sub;
+  Array.blit sub 0 a lo (hi - lo)
+
 (* Symbolic aggregation: the coarse pattern is the image of the fine pattern
-   under the partition. Computed once; hash tables allowed here. *)
-let make_level fine partition =
+   under the partition, built once, block by block. Coarse row [b] collects
+   the distinct blocks of its fine rows' columns ([owner] marks the ones
+   already seen), sorts them, and then maps each fine entry to its coarse
+   slot. *)
+let make_aggregation (fine : csr_pattern) partition =
   let nc = partition.Partition.n_coarse in
-  let nnz_f = Array.length fine.col_idx in
-  let fine_row = Array.make nnz_f 0 in
-  for i = 0 to fine.n - 1 do
-    for k = fine.row_ptr.(i) to fine.row_ptr.(i + 1) - 1 do
-      fine_row.(k) <- i
-    done
-  done;
-  (* collect coarse (I, J) pairs per coarse row *)
-  let row_tables = Array.init nc (fun _ -> Hashtbl.create 8) in
-  for k = 0 to nnz_f - 1 do
-    let bi = Partition.block partition fine_row.(k) in
-    let bj = Partition.block partition fine.col_idx.(k) in
-    if not (Hashtbl.mem row_tables.(bi) bj) then Hashtbl.add row_tables.(bi) bj ()
-  done;
+  let block = partition.Partition.map in
+  let bw_ptr, bw_states = group_by ~groups:nc block in
   let row_ptr = Array.make (nc + 1) 0 in
-  for i = 0 to nc - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i) + Hashtbl.length row_tables.(i)
-  done;
-  let nnz_c = row_ptr.(nc) in
-  let col_idx = Array.make nnz_c 0 in
-  let index_of = Array.init nc (fun _ -> Hashtbl.create 8) in
-  for i = 0 to nc - 1 do
-    let cols = Hashtbl.fold (fun j () acc -> j :: acc) row_tables.(i) [] in
-    let cols = List.sort compare cols in
-    List.iteri
-      (fun offset j ->
-        col_idx.(row_ptr.(i) + offset) <- j;
-        Hashtbl.add index_of.(i) j (row_ptr.(i) + offset))
-      cols
-  done;
-  let target = Array.make nnz_f 0 in
-  for k = 0 to nnz_f - 1 do
-    let bi = Partition.block partition fine_row.(k) in
-    let bj = Partition.block partition fine.col_idx.(k) in
-    target.(k) <- Hashtbl.find index_of.(bi) bj
-  done;
-  let coarse =
-    pattern_of_csr
-      (Sparse.Csr.unsafe_make ~rows:nc ~cols:nc ~row_ptr ~col_idx
-         ~values:(Array.make nnz_c 0.0))
+  let cols = Array.make (Array.length fine.col_idx) 0 (* coarse nnz <= fine nnz *) in
+  let owner = Array.make nc (-1) and slot = Array.make nc 0 in
+  let target = Array.make (Array.length fine.col_idx) 0 in
+  let iter_entries b f =
+    for idx = bw_ptr.(b) to bw_ptr.(b + 1) - 1 do
+      let i = bw_states.(idx) in
+      for k = fine.row_ptr.(i) to fine.row_ptr.(i + 1) - 1 do
+        f k block.(fine.col_idx.(k))
+      done
+    done
   in
-  (* pattern_of_csr copies row_ptr/col_idx; fine to reuse *)
-  let block_sizes = Array.make nc 0 in
-  Array.iter (fun b -> block_sizes.(b) <- block_sizes.(b) + 1) partition.Partition.map;
-  (* counting sorts grouping fine entries by coarse row and fine states by
-     block, both ascending within a group *)
-  let agg_ptr = Array.make (nc + 1) 0 in
-  for k = 0 to nnz_f - 1 do
-    let bi = Partition.block partition fine_row.(k) in
-    agg_ptr.(bi + 1) <- agg_ptr.(bi + 1) + 1
-  done;
   for b = 0 to nc - 1 do
-    agg_ptr.(b + 1) <- agg_ptr.(b + 1) + agg_ptr.(b)
+    let lo = row_ptr.(b) in
+    let hi = ref lo in
+    iter_entries b (fun _ bj ->
+        if owner.(bj) <> b then begin
+          owner.(bj) <- b;
+          cols.(!hi) <- bj;
+          incr hi
+        end);
+    sort_range cols lo !hi;
+    for p = lo to !hi - 1 do
+      slot.(cols.(p)) <- p
+    done;
+    iter_entries b (fun k bj -> target.(k) <- slot.(bj));
+    row_ptr.(b + 1) <- !hi
   done;
-  let agg_entries = Array.make nnz_f 0 in
-  let pos = Array.sub agg_ptr 0 nc in
-  for k = 0 to nnz_f - 1 do
-    let bi = Partition.block partition fine_row.(k) in
-    agg_entries.(pos.(bi)) <- k;
-    pos.(bi) <- pos.(bi) + 1
-  done;
-  let bw_ptr = Array.make (nc + 1) 0 in
-  Array.iter (fun b -> bw_ptr.(b + 1) <- bw_ptr.(b + 1) + 1) partition.Partition.map;
-  for b = 0 to nc - 1 do
-    bw_ptr.(b + 1) <- bw_ptr.(b + 1) + bw_ptr.(b)
-  done;
-  let bw_states = Array.make partition.Partition.n_fine 0 in
-  let pos = Array.sub bw_ptr 0 nc in
-  for i = 0 to partition.Partition.n_fine - 1 do
-    let b = partition.Partition.map.(i) in
-    bw_states.(pos.(b)) <- i;
-    pos.(b) <- pos.(b) + 1
-  done;
-  { partition; fine; coarse; target; fine_row; block_sizes; agg_ptr; agg_entries; bw_ptr; bw_states }
+  ( {
+      n_coarse = nc;
+      target = ints_of_array target;
+      bw_ptr = ints_of_array bw_ptr;
+      bw_states = ints_of_array bw_states;
+      block_weight = Array.make nc 0.0;
+    },
+    { n = nc; row_ptr; col_idx = Array.sub cols 0 row_ptr.(nc) } )
 
 (* Rows of one level grouped by color: within a color no two rows are
    adjacent in the symmetrized sparsity graph, so a Gauss-Seidel update of
@@ -177,131 +171,183 @@ let make_level fine partition =
    single bit. Computed symbolically once per setup level. *)
 type coloring = {
   n_colors : int;
-  color_ptr : int array; (* length n_colors + 1 *)
-  color_rows : int array; (* rows grouped by color, ascending within one *)
+  color_ptr : ints; (* length n_colors + 1 *)
+  color_rows : ints; (* rows grouped by color, ascending within one *)
 }
 
-let make_coloring pat =
+let make_coloring (pat : csr_pattern) ~trans_row_ptr ~trans_col_idx =
   let neighbors i f =
-    for k = pat.trans_row_ptr.(i) to pat.trans_row_ptr.(i + 1) - 1 do
-      f pat.trans_col_idx.(k)
+    for k = trans_row_ptr.(i) to trans_row_ptr.(i + 1) - 1 do
+      f trans_col_idx.(k)
     done;
     for k = pat.row_ptr.(i) to pat.row_ptr.(i + 1) - 1 do
       f pat.col_idx.(k)
     done
   in
   let p = Partition.color ~n:pat.n neighbors in
-  let n_colors = p.Partition.n_coarse in
-  let color_ptr = Array.make (n_colors + 1) 0 in
-  Array.iter (fun c -> color_ptr.(c + 1) <- color_ptr.(c + 1) + 1) p.Partition.map;
-  for c = 0 to n_colors - 1 do
-    color_ptr.(c + 1) <- color_ptr.(c + 1) + color_ptr.(c)
-  done;
-  let color_rows = Array.make pat.n 0 in
-  let pos = Array.sub color_ptr 0 (max n_colors 1) in
-  for i = 0 to pat.n - 1 do
-    let c = p.Partition.map.(i) in
-    color_rows.(pos.(c)) <- i;
-    pos.(c) <- pos.(c) + 1
-  done;
-  { n_colors; color_ptr; color_rows }
+  let color_ptr, color_rows = group_by ~groups:p.Partition.n_coarse p.Partition.map in
+  {
+    n_colors = p.Partition.n_coarse;
+    color_ptr = ints_of_array color_ptr;
+    color_rows = ints_of_array color_rows;
+  }
 
-(* Numeric aggregation into preallocated arrays: coarse values from fine
-   values and the current iterate weights, rows renormalized to sum 1.
+(* What a level above the coarsest reads: the transposed pattern the
+   smoother sweeps, the transposed values it sweeps over (refilled from the
+   level's values by one scatter per visit), and the aggregation onto the
+   next level. *)
+type down = {
+  trans_row_ptr : ints;
+  trans_col_idx : ints;
+  trans_perm : ints; (* fine entry k -> its position in [trans_values] *)
+  trans_values : floats;
+  coloring : coloring option; (* Some iff the setup smoother is [`Colored] *)
+  color_seconds : float array; (* |colors| scratch for the sweep metric *)
+  agg : aggregation;
+}
 
-   Parallelized over coarse rows via the symbolic by-row groupings: each
-   coarse row owns a disjoint slice of [coarse_values] (its entries) and of
-   [block_weight] (its block), and within a row the by-group walks visit fine
-   contributions in the same ascending order as the serial scan over all
-   entries — so the pooled result is bitwise identical to the serial one for
-   any job count, pool or no pool. *)
-let aggregate ?pool level ~fine_values ~weights ~coarse_values ~block_weight =
-  let partition = level.partition in
-  let nc = partition.Partition.n_coarse in
+(* One level of the setup. *)
+type level = {
+  n : int;
+  row_ptr : ints; (* aggregation walks rows; the coarsest fills GTH by row *)
+  col_idx : ints; (* the coarsest level's only: the dense GTH fill *)
+  values : Linalg.Vec.t; (* empty at the finest, which reads the chain's own *)
+  x : Linalg.Vec.t; (* this level's iterate *)
+  down : down option; (* None at the coarsest, which is solved directly *)
+}
+
+(* Everything a V-cycle needs that depends on the sparsity structure alone.
+   Computed once per structure by [setup]; every [solve_with] against it
+   only touches values. *)
+type setup = {
+  setup_n : int;
+  (* the structure arrays of the CSR the setup was built from, kept so
+     [matches] can accept refilled matrices (physically shared pattern) in
+     O(1) and structurally equal ones in O(nnz) *)
+  ref_row_ptr : int array;
+  ref_col_idx : int array;
+  levels : level array;
+  setup_smoother : smoother;
+}
+
+(* ---- cycle kernels ------------------------------------------------------ *)
+
+(* Per-block sum of [v] over the block's fine states, ascending. *)
+let block_sum agg v b =
+  let acc = ref 0.0 in
+  for idx = agg.bw_ptr.%(b) to agg.bw_ptr.%(b + 1) - 1 do
+    acc := !acc +. v.(agg.bw_states.%(idx))
+  done;
+  !acc
+
+(* Coarse row [i]: block [i]'s fine rows, weighted by the iterate relative
+   to the block weight [bw] (uniformly when the block carries no mass),
+   summed into the coarse value slots and renormalized to sum 1. *)
+let coarse_row ~(fine : level) agg ~fine_values ~(coarse : level) i bw =
+  let k_lo = coarse.row_ptr.%(i) and k_hi = coarse.row_ptr.%(i + 1) - 1 in
+  let coarse_values = coarse.values in
+  for k = k_lo to k_hi do
+    coarse_values.(k) <- 0.0
+  done;
+  let w_uniform = 1.0 /. float_of_int (agg.bw_ptr.%(i + 1) - agg.bw_ptr.%(i)) in
+  for idx = agg.bw_ptr.%(i) to agg.bw_ptr.%(i + 1) - 1 do
+    let fi = agg.bw_states.%(idx) in
+    let w = if bw > 0.0 then fine.x.(fi) /. bw else w_uniform in
+    for k = fine.row_ptr.%(fi) to fine.row_ptr.%(fi + 1) - 1 do
+      let t = agg.target.%(k) in
+      coarse_values.(t) <- coarse_values.(t) +. (w *. fine_values.(k))
+    done
+  done;
+  (* renormalize the row: rounding dust accumulates across levels *)
+  let sum = ref 0.0 in
+  for k = k_lo to k_hi do
+    sum := !sum +. coarse_values.(k)
+  done;
+  if !sum > 0.0 then
+    for k = k_lo to k_hi do
+      coarse_values.(k) <- coarse_values.(k) /. !sum
+    done
+
+(* Numeric aggregation into preallocated arrays: block weights of the
+   current iterate, then the coarse rows. Parallelized over coarse rows,
+   which own disjoint value slots and block weights, so the pooled result is
+   bitwise identical to the serial one for any job count, pool or no pool. *)
+let aggregate ?pool ~fine agg ~fine_values ~coarse =
+  let nc = agg.n_coarse in
   let slots = slot_count nc in
   Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
       for b = s * nc / slots to (((s + 1) * nc / slots) - 1) do
-        let acc = ref 0.0 in
-        for idx = level.bw_ptr.(b) to level.bw_ptr.(b + 1) - 1 do
-          acc := !acc +. weights.(level.bw_states.(idx))
-        done;
-        block_weight.(b) <- !acc
+        agg.block_weight.(b) <- block_sum agg fine.x b
       done);
   Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
       for i = s * nc / slots to (((s + 1) * nc / slots) - 1) do
-        let k_lo = level.coarse.row_ptr.(i) and k_hi = level.coarse.row_ptr.(i + 1) - 1 in
-        for k = k_lo to k_hi do
-          coarse_values.(k) <- 0.0
-        done;
-        let w_uniform = 1.0 /. float_of_int level.block_sizes.(i) in
-        let bw = block_weight.(i) in
-        for idx = level.agg_ptr.(i) to level.agg_ptr.(i + 1) - 1 do
-          let k = level.agg_entries.(idx) in
-          let fi = level.fine_row.(k) in
-          let w = if bw > 0.0 then weights.(fi) /. bw else w_uniform in
-          coarse_values.(level.target.(k)) <- coarse_values.(level.target.(k)) +. (w *. fine_values.(k))
-        done;
-        (* renormalize the row: rounding dust accumulates across levels *)
-        let sum = ref 0.0 in
-        for k = k_lo to k_hi do
-          sum := !sum +. coarse_values.(k)
-        done;
-        if !sum > 0.0 then
-          for k = k_lo to k_hi do
-            coarse_values.(k) <- coarse_values.(k) /. !sum
-          done
+        coarse_row ~fine agg ~fine_values ~coarse i agg.block_weight.(i)
       done)
 
-(* Iterate restriction: per-block sums of the fine iterate, again grouped so
-   blocks are write-disjoint and each block sums ascending fine states —
-   bitwise equal to the serial scatter for any job count. *)
-let restrict_iterate ?pool level ~fine ~coarse =
-  let nc = level.partition.Partition.n_coarse in
+(* Iterate restriction: per-block sums of the fine iterate. *)
+let restrict_iterate ?pool agg ~fine ~coarse =
+  let nc = agg.n_coarse in
   let slots = slot_count nc in
   Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
       for b = s * nc / slots to (((s + 1) * nc / slots) - 1) do
-        let acc = ref 0.0 in
-        for idx = level.bw_ptr.(b) to level.bw_ptr.(b + 1) - 1 do
-          acc := !acc +. fine.(level.bw_states.(idx))
-        done;
-        coarse.(b) <- !acc
+        coarse.(b) <- block_sum agg fine b
       done)
 
-(* Multiplicative prolongation: element-wise over fine states, trivially
-   write-disjoint. *)
-let prolong_iterate ?pool level ~coarse ~block_weight ~x =
-  let n = level.partition.Partition.n_fine in
-  let slots = slot_count n in
+(* Multiplicative prolongation: element-wise over fine states, walked block
+   by block (each state's update is independent, so the walk order moves no
+   bit; blocks are write-disjoint). *)
+let prolong_iterate ?pool agg ~coarse ~x =
+  let nc = agg.n_coarse in
+  let slots = slot_count nc in
   Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
-      for i = s * n / slots to (((s + 1) * n / slots) - 1) do
-        let b = level.partition.Partition.map.(i) in
-        let bw = block_weight.(b) in
-        x.(i) <-
-          (if bw > 0.0 then coarse.(b) *. x.(i) /. bw
-           else coarse.(b) /. float_of_int level.block_sizes.(b))
+      for b = s * nc / slots to (((s + 1) * nc / slots) - 1) do
+        let bw = agg.block_weight.(b) in
+        let size = agg.bw_ptr.%(b + 1) - agg.bw_ptr.%(b) in
+        for idx = agg.bw_ptr.%(b) to agg.bw_ptr.%(b + 1) - 1 do
+          let i = agg.bw_states.%(idx) in
+          x.(i) <- (if bw > 0.0 then coarse.(b) *. x.(i) /. bw else coarse.(b) /. float_of_int size)
+        done
       done)
 
-(* Gauss-Seidel sweeps for pi(I - P) = 0 on raw transposed-pattern arrays. *)
-let gauss_seidel_sweeps pat trans_values x sweeps =
-  let n = pat.n in
+let scatter_transpose ?pool d values =
+  let nnz = Array.length values in
+  let slots = slot_count nnz in
+  Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
+      let tvals = d.trans_values in
+      for k = s * nnz / slots to (((s + 1) * nnz / slots) - 1) do
+        Bigarray.Array1.unsafe_set tvals d.trans_perm.%(k) (Array.unsafe_get values k)
+      done)
+
+(* Gauss-Seidel update of row [i] for pi(I - P) = 0 on the transposed
+   pattern: the off-diagonal inflow over the diagonal's complement. *)
+let[@inline] gauss_seidel_row d x i =
+  let tcol = d.trans_col_idx and tvals = d.trans_values in
+  let acc = ref 0.0 and self = ref 0.0 in
+  for k = d.trans_row_ptr.%(i) to d.trans_row_ptr.%(i + 1) - 1 do
+    let j = Int32.to_int (Bigarray.Array1.unsafe_get tcol k) in
+    let v = Bigarray.Array1.unsafe_get tvals k in
+    if j = i then self := v else acc := !acc +. (v *. Array.unsafe_get x j)
+  done;
+  let denom = 1.0 -. !self in
+  Array.unsafe_set x i (if denom < 1e-300 then Array.unsafe_get x i else !acc /. denom)
+
+let normalize_sweep x =
+  let n = Array.length x in
+  let s = ref 0.0 in
+  for i = 0 to n - 1 do
+    s := !s +. Array.unsafe_get x i
+  done;
+  if !s > 0.0 then
+    for i = 0 to n - 1 do
+      Array.unsafe_set x i (Array.unsafe_get x i /. !s)
+    done
+
+let gauss_seidel_sweeps d x sweeps =
   for _ = 1 to sweeps do
-    for i = 0 to n - 1 do
-      let acc = ref 0.0 and self = ref 0.0 in
-      for k = pat.trans_row_ptr.(i) to pat.trans_row_ptr.(i + 1) - 1 do
-        let j = pat.trans_col_idx.(k) in
-        if j = i then self := trans_values.(k) else acc := !acc +. (trans_values.(k) *. x.(j))
-      done;
-      let denom = 1.0 -. !self in
-      x.(i) <- (if denom < 1e-300 then x.(i) else !acc /. denom)
+    for i = 0 to Array.length x - 1 do
+      gauss_seidel_row d x i
     done;
-    let s = ref 0.0 in
-    for i = 0 to n - 1 do
-      s := !s +. x.(i)
-    done;
-    if !s > 0.0 then
-      for i = 0 to n - 1 do
-        x.(i) <- x.(i) /. !s
-      done
+    normalize_sweep x
   done
 
 (* Multicolor Gauss-Seidel: sweep the rows color class by color class. Rows
@@ -312,55 +358,27 @@ let gauss_seidel_sweeps pat trans_values x sweeps =
    fixed points agree with lex ones to solver tolerance, not bitwise; that
    is why [`Lex] remains the default. [color_seconds.(c)] accumulates wall
    seconds spent in color [c] across the sweeps. *)
-let colored_gauss_seidel_sweeps ?pool pat coloring trans_values x sweeps ~color_seconds =
-  let n = pat.n in
+let colored_gauss_seidel_sweeps ?pool d coloring x sweeps =
   for _ = 1 to sweeps do
     for c = 0 to coloring.n_colors - 1 do
       let t0 = Cdr_obs.Clock.monotonic () in
-      let lo = coloring.color_ptr.(c) in
-      let count = coloring.color_ptr.(c + 1) - lo in
+      let lo = coloring.color_ptr.%(c) in
+      let count = coloring.color_ptr.%(c + 1) - lo in
       let slots = slot_count count in
       Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
           for idx = lo + (s * count / slots) to lo + (((s + 1) * count / slots) - 1) do
-            let i = coloring.color_rows.(idx) in
-            let acc = ref 0.0 and self = ref 0.0 in
-            for k = pat.trans_row_ptr.(i) to pat.trans_row_ptr.(i + 1) - 1 do
-              let j = pat.trans_col_idx.(k) in
-              if j = i then self := trans_values.(k)
-              else acc := !acc +. (trans_values.(k) *. x.(j))
-            done;
-            let denom = 1.0 -. !self in
-            x.(i) <- (if denom < 1e-300 then x.(i) else !acc /. denom)
+            gauss_seidel_row d x coloring.color_rows.%(idx)
           done);
-      color_seconds.(c) <- color_seconds.(c) +. (Cdr_obs.Clock.monotonic () -. t0)
+      d.color_seconds.(c) <- d.color_seconds.(c) +. (Cdr_obs.Clock.monotonic () -. t0)
     done;
-    let s = ref 0.0 in
-    for i = 0 to n - 1 do
-      s := !s +. x.(i)
-    done;
-    if !s > 0.0 then
-      for i = 0 to n - 1 do
-        x.(i) <- x.(i) /. !s
-      done
+    normalize_sweep x
   done
 
-let scatter_transpose ?pool pat values trans_values =
-  let nnz = Array.length values in
-  let slots = slot_count nnz in
-  Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
-      for k = s * nnz / slots to (((s + 1) * nnz / slots) - 1) do
-        trans_values.(pat.trans_perm.(k)) <- values.(k)
-      done)
+(* ---- the fused cycle interior -------------------------------------------
+   The default ([fuse = true]) execution. Two transformations, each
+   bitwise-neutral by construction, with the two-pass functions above kept
+   as the pinned reference:
 
-(* ---- fused/packed cycle kernels ---------------------------------------
-   The default ([fuse = true]) execution of the V-cycle interior. Three
-   transformations, each bitwise-neutral by construction, with the unfused
-   functions above kept as the pinned reference:
-
-   - {e packed storage}: each smoothing level mirrors its transposed pattern
-     into int32 Bigarray columns and float64 Bigarray values. The sweeps
-     read the same entries in the same order (only the load width and the
-     bounds checks change), so every float operation is unchanged.
    - {e aggregate+restrict fusion}: [restrict_iterate] recomputes exactly
      the per-block sums [aggregate] already stored in [block_weight] — both
      walk [bw_states] ascending over the same iterate — so under fusion the
@@ -373,225 +391,72 @@ let scatter_transpose ?pool pat values trans_values =
    would turn each sweep's sequential value reads into gathers repeated
    [pre+post] times per cycle, costing more than the one barrier it saves
    (see DESIGN.md on the dispatch-cost model). *)
-
-type packed_level = {
-  tcol32 : (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t;
-  tvals : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
-}
-
-let pack_trans pat =
-  let nnz = Array.length pat.trans_col_idx in
-  let tcol32 = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout nnz in
-  for k = 0 to nnz - 1 do
-    Bigarray.Array1.unsafe_set tcol32 k (Int32.of_int pat.trans_col_idx.(k))
-  done;
-  { tcol32; tvals = Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout nnz }
-
-let scatter_transpose_packed ?pool pat values pk =
-  let nnz = Array.length values in
-  let slots = slot_count nnz in
-  Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
-      let tvals = pk.tvals in
-      for k = s * nnz / slots to (((s + 1) * nnz / slots) - 1) do
-        Bigarray.Array1.unsafe_set tvals
-          (Array.unsafe_get pat.trans_perm k)
-          (Array.unsafe_get values k)
-      done)
-
-let gauss_seidel_sweeps_packed pat pk x sweeps =
-  let n = pat.n in
-  let tcol32 = pk.tcol32 and tvals = pk.tvals in
-  let trp = pat.trans_row_ptr in
-  for _ = 1 to sweeps do
-    for i = 0 to n - 1 do
-      let acc = ref 0.0 and self = ref 0.0 in
-      for k = trp.(i) to trp.(i + 1) - 1 do
-        let j = Int32.to_int (Bigarray.Array1.unsafe_get tcol32 k) in
-        let v = Bigarray.Array1.unsafe_get tvals k in
-        if j = i then self := v else acc := !acc +. (v *. Array.unsafe_get x j)
-      done;
-      let denom = 1.0 -. !self in
-      Array.unsafe_set x i (if denom < 1e-300 then Array.unsafe_get x i else !acc /. denom)
-    done;
-    let s = ref 0.0 in
-    for i = 0 to n - 1 do
-      s := !s +. Array.unsafe_get x i
-    done;
-    if !s > 0.0 then
-      for i = 0 to n - 1 do
-        Array.unsafe_set x i (Array.unsafe_get x i /. !s)
-      done
-  done
-
-let colored_gauss_seidel_sweeps_packed ?pool pat coloring pk x sweeps ~color_seconds =
-  let n = pat.n in
-  let tcol32 = pk.tcol32 and tvals = pk.tvals in
-  let trp = pat.trans_row_ptr in
-  for _ = 1 to sweeps do
-    for c = 0 to coloring.n_colors - 1 do
-      let t0 = Cdr_obs.Clock.monotonic () in
-      let lo = coloring.color_ptr.(c) in
-      let count = coloring.color_ptr.(c + 1) - lo in
-      let slots = slot_count count in
-      Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
-          for idx = lo + (s * count / slots) to lo + (((s + 1) * count / slots) - 1) do
-            let i = Array.unsafe_get coloring.color_rows idx in
-            let acc = ref 0.0 and self = ref 0.0 in
-            for k = trp.(i) to trp.(i + 1) - 1 do
-              let j = Int32.to_int (Bigarray.Array1.unsafe_get tcol32 k) in
-              let v = Bigarray.Array1.unsafe_get tvals k in
-              if j = i then self := v else acc := !acc +. (v *. Array.unsafe_get x j)
-            done;
-            let denom = 1.0 -. !self in
-            Array.unsafe_set x i (if denom < 1e-300 then Array.unsafe_get x i else !acc /. denom)
-          done);
-      color_seconds.(c) <- color_seconds.(c) +. (Cdr_obs.Clock.monotonic () -. t0)
-    done;
-    let s = ref 0.0 in
-    for i = 0 to n - 1 do
-      s := !s +. Array.unsafe_get x i
-    done;
-    if !s > 0.0 then
-      for i = 0 to n - 1 do
-        Array.unsafe_set x i (Array.unsafe_get x i /. !s)
-      done
-  done
-
-(* [aggregate] with the block-weight pass fused into the per-row pass: one
-   pooled batch instead of two. Row [i]'s weight is computed by the same
-   ascending [bw_states] walk immediately before the row's entries, so the
-   stored bits match the two-pass version exactly. *)
-let aggregate_fused ?pool level ~fine_values ~weights ~coarse_values ~block_weight =
-  let partition = level.partition in
-  let nc = partition.Partition.n_coarse in
+let aggregate_fused ?pool ~fine agg ~fine_values ~coarse =
+  let nc = agg.n_coarse in
   let slots = slot_count nc in
   Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
       for i = s * nc / slots to (((s + 1) * nc / slots) - 1) do
-        let acc = ref 0.0 in
-        for idx = level.bw_ptr.(i) to level.bw_ptr.(i + 1) - 1 do
-          acc := !acc +. weights.(level.bw_states.(idx))
-        done;
-        let bw = !acc in
-        block_weight.(i) <- bw;
-        let k_lo = level.coarse.row_ptr.(i) and k_hi = level.coarse.row_ptr.(i + 1) - 1 in
-        for k = k_lo to k_hi do
-          coarse_values.(k) <- 0.0
-        done;
-        let w_uniform = 1.0 /. float_of_int level.block_sizes.(i) in
-        for idx = level.agg_ptr.(i) to level.agg_ptr.(i + 1) - 1 do
-          let k = level.agg_entries.(idx) in
-          let fi = level.fine_row.(k) in
-          let w = if bw > 0.0 then weights.(fi) /. bw else w_uniform in
-          coarse_values.(level.target.(k)) <- coarse_values.(level.target.(k)) +. (w *. fine_values.(k))
-        done;
-        let sum = ref 0.0 in
-        for k = k_lo to k_hi do
-          sum := !sum +. coarse_values.(k)
-        done;
-        if !sum > 0.0 then
-          for k = k_lo to k_hi do
-            coarse_values.(k) <- coarse_values.(k) /. !sum
-          done
+        let bw = block_sum agg fine.x i in
+        agg.block_weight.(i) <- bw;
+        coarse_row ~fine agg ~fine_values ~coarse i bw
       done)
 
-(* Per-level workspace allocated once. *)
-type workspace = {
-  level : level option; (* None at the coarsest *)
-  values : Linalg.Vec.t; (* this level's matrix values *)
-  trans_values : Linalg.Vec.t;
-  x : Linalg.Vec.t; (* this level's iterate *)
-  block_weight : Linalg.Vec.t; (* |coarse| scratch, when level present *)
-  pat : pattern;
-  coloring : coloring option; (* Some iff the setup smoother is [`Colored] *)
-  color_seconds : float array; (* |colors| scratch for the sweep metric *)
-  packed : packed_level option; (* Some on smoothing levels; fused-path mirror *)
-}
-
-(* Everything a V-cycle needs that depends on the sparsity structure alone:
-   the per-level patterns, transpose maps, aggregation targets and the
-   preallocated workspaces. Computed once per structure by [setup]; every
-   [solve_with] against it only touches values. *)
-type setup = {
-  setup_n : int;
-  (* the structure arrays of the CSR the setup was built from, kept so
-     [matches] can accept refilled matrices (physically shared pattern) in
-     O(1) and structurally equal ones in O(nnz) *)
-  ref_row_ptr : int array;
-  ref_col_idx : int array;
-  workspaces : workspace array;
-  setup_smoother : smoother;
-}
+(* ---- setup ------------------------------------------------------------- *)
 
 let setup ?(smoother = `Lex) ~hierarchy chain =
   let n = Chain.n_states chain in
   validate_hierarchy ~n hierarchy;
   let fine_csr = Chain.tpm chain in
-  let fine_pattern = pattern_of_csr fine_csr in
-  (* build levels until the size drops under the direct-solve bound or the
-     hierarchy ends *)
-  let rec build_levels pat hierarchy_rest acc =
-    match hierarchy_rest with
-    | [] -> List.rev acc
-    | _ when pat.n <= Gth.max_direct_size -> List.rev acc
-    | partition :: rest ->
-        let level = make_level pat partition in
-        build_levels level.coarse rest (level :: acc)
-  in
-  let levels = build_levels fine_pattern hierarchy [] in
-  (* workspaces: one per level plus the coarsest; the finest value array is
-     filled from the chain at the start of each [solve_with] *)
-  let workspaces =
-    (* the coarsest level is solved directly (GTH), so it never smooths and
-       needs no coloring *)
-    let smoothing_coloring pat =
-      match smoother with `Lex -> None | `Colored -> Some (make_coloring pat)
+  (* levels until the size drops under the direct-solve bound or the
+     hierarchy ends; the finest level's values stay in the chain *)
+  let rec build l (pat : csr_pattern) hierarchy_rest acc =
+    let nnz = Array.length pat.col_idx in
+    let level down ~col_idx =
+      {
+        n = pat.n;
+        row_ptr = ints_of_array pat.row_ptr;
+        col_idx = ints_of_array col_idx;
+        values = (if l = 0 then [||] else Array.make nnz 0.0);
+        x = Array.make pat.n 0.0;
+        down;
+      }
     in
-    let rec build pat values = function
-      | [] ->
-          [
-            {
-              level = None;
-              values;
-              trans_values = Array.make (Array.length values) 0.0;
-              x = Array.make pat.n 0.0;
-              block_weight = [||];
-              pat;
-              coloring = None;
-              color_seconds = [||];
-              packed = None; (* the coarsest level never smooths *)
-            };
-          ]
-      | (level : level) :: rest ->
-          let coarse_values = Array.make (Array.length level.coarse.col_idx) 0.0 in
-          let coloring = smoothing_coloring pat in
+    match hierarchy_rest with
+    | partition :: rest when pat.n > Gth.max_direct_size ->
+        let agg, coarse = make_aggregation pat partition in
+        let trans_row_ptr, trans_col_idx, trans_perm = transpose pat in
+        let coloring =
+          match smoother with
+          | `Lex -> None
+          | `Colored -> Some (make_coloring pat ~trans_row_ptr ~trans_col_idx)
+        in
+        let down =
           {
-            level = Some level;
-            values;
-            trans_values = Array.make (Array.length values) 0.0;
-            x = Array.make pat.n 0.0;
-            block_weight = Array.make level.partition.Partition.n_coarse 0.0;
-            pat;
+            trans_row_ptr = ints_of_array trans_row_ptr;
+            trans_col_idx = ints_of_array trans_col_idx;
+            trans_perm = ints_of_array trans_perm;
+            trans_values = Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout nnz;
             coloring;
             color_seconds =
-              (match coloring with
-              | Some c -> Array.make (max c.n_colors 1) 0.0
-              | None -> [||]);
-            packed = Some (pack_trans pat);
+              (match coloring with Some c -> Array.make (max c.n_colors 1) 0.0 | None -> [||]);
+            agg;
           }
-          :: build level.coarse coarse_values rest
-    in
-    Array.of_list
-      (build fine_pattern (Array.make (Sparse.Csr.nnz fine_csr) 0.0) levels)
+        in
+        build (l + 1) coarse rest (level (Some down) ~col_idx:[||] :: acc)
+    | _ -> List.rev (level None ~col_idx:pat.col_idx :: acc)
+  in
+  let fine =
+    { n; row_ptr = fine_csr.Sparse.Csr.row_ptr; col_idx = fine_csr.Sparse.Csr.col_idx }
   in
   {
     setup_n = n;
     ref_row_ptr = fine_csr.Sparse.Csr.row_ptr;
     ref_col_idx = fine_csr.Sparse.Csr.col_idx;
-    workspaces;
+    levels = Array.of_list (build 0 fine hierarchy []);
     setup_smoother = smoother;
   }
 
-let levels s = Array.length s.workspaces
+let levels s = Array.length s.levels
 
 let smoother s = s.setup_smoother
 
@@ -601,18 +466,66 @@ let matches s chain =
   && (m.Sparse.Csr.row_ptr == s.ref_row_ptr || m.Sparse.Csr.row_ptr = s.ref_row_ptr)
   && (m.Sparse.Csr.col_idx == s.ref_col_idx || m.Sparse.Csr.col_idx = s.ref_col_idx)
 
+(* ---- byte accounting ----------------------------------------------------
+   A heap block of [w] fields takes [w] words plus a header word; a 1-D
+   Bigarray is a 6-field custom block on the heap plus its payload off it.
+   The sums below follow the record definitions above field for field. *)
+
+let block_bytes words = 8 * (1 + words)
+
+let ints_bytes (b : ints) = block_bytes 6 + (4 * Bigarray.Array1.dim b)
+
+let floats_bytes (b : floats) = block_bytes 6 + (8 * Bigarray.Array1.dim b)
+
+let option_bytes f = function None -> 0 | Some v -> block_bytes 1 + f v
+
+let aggregation_bytes a =
+  block_bytes 5 + ints_bytes a.target + ints_bytes a.bw_ptr + ints_bytes a.bw_states
+  + block_bytes (Array.length a.block_weight)
+
+let coloring_bytes c = block_bytes 3 + ints_bytes c.color_ptr + ints_bytes c.color_rows
+
+let down_bytes d =
+  block_bytes 7 + ints_bytes d.trans_row_ptr + ints_bytes d.trans_col_idx + ints_bytes d.trans_perm
+  + floats_bytes d.trans_values
+  + option_bytes coloring_bytes d.coloring
+  + block_bytes (Array.length d.color_seconds)
+  + aggregation_bytes d.agg
+
+let level_bytes (l : level) =
+  block_bytes 6 + ints_bytes l.row_ptr + ints_bytes l.col_idx
+  + block_bytes (Array.length l.values)
+  + block_bytes (Array.length l.x)
+  + option_bytes down_bytes l.down
+
+let setup_bytes s =
+  Array.fold_left
+    (fun acc l -> acc + level_bytes l)
+    (block_bytes 5
+    + block_bytes (Array.length s.ref_row_ptr)
+    + block_bytes (Array.length s.ref_col_idx)
+    + block_bytes (Array.length s.levels))
+    s.levels
+
+(* ---- solve ------------------------------------------------------------- *)
+
 let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smooth = 2)
     ?(cycle = `V) ?(fuse = true) ?init ?trace ?pool ?cancel s chain =
   if not (matches s chain) then
     invalid_arg "Multigrid.solve_with: chain sparsity pattern does not match the setup";
   let gamma = match cycle with `V -> 1 | `W -> 2 in
   let n = s.setup_n in
-  let workspaces = s.workspaces in
-  let fine_csr = Chain.tpm chain in
-  Array.blit fine_csr.Sparse.Csr.values 0 workspaces.(0).values 0
-    (Array.length fine_csr.Sparse.Csr.values);
-  let n_levels = Array.length workspaces in
-  let coarsest = workspaces.(n_levels - 1) in
+  let levels = s.levels in
+  let n_levels = Array.length levels in
+  let coarsest = levels.(n_levels - 1) in
+  (* the finest level reads the chain's values in place *)
+  let fine_values = (Chain.tpm chain).Sparse.Csr.values in
+  let values l = if l = 0 then fine_values else levels.(l).values in
+  (* per-solve scratch, reused by every cycle: the dense coarsest matrix GTH
+     eliminates in place, its exit masses, and x*P for the residual test *)
+  let nc = coarsest.n in
+  let dense = Array.make (nc * nc) 0.0 and exit = Array.make nc 1.0 in
+  let next = Array.make n 0.0 in
   let smoothing_sweeps = ref 0 in
   let note_sweeps level sweeps =
     smoothing_sweeps := !smoothing_sweeps + sweeps;
@@ -622,49 +535,35 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
   in
   (* one smoothing call: lex or colored per the setup, timed per level (and
      per color for the colored smoother) into multigrid.sweep_seconds *)
-  let smooth ws l sweeps =
-    let pk = if fuse then ws.packed else None in
-    (match (ws.coloring, pk) with
-    | None, None ->
+  let smooth l d sweeps =
+    let x = levels.(l).x in
+    (match d.coloring with
+    | None ->
         let t0 = Cdr_obs.Clock.monotonic () in
-        gauss_seidel_sweeps ws.pat ws.trans_values ws.x sweeps;
+        gauss_seidel_sweeps d x sweeps;
         Cdr_obs.Metrics.observe "multigrid.sweep_seconds"
           ~labels:[ ("level", string_of_int l); ("color", "lex") ]
           (Cdr_obs.Clock.monotonic () -. t0)
-    | None, Some pk ->
-        let t0 = Cdr_obs.Clock.monotonic () in
-        gauss_seidel_sweeps_packed ws.pat pk ws.x sweeps;
-        Cdr_obs.Metrics.observe "multigrid.sweep_seconds"
-          ~labels:[ ("level", string_of_int l); ("color", "lex") ]
-          (Cdr_obs.Clock.monotonic () -. t0)
-    | Some coloring, pk ->
-        Array.fill ws.color_seconds 0 (Array.length ws.color_seconds) 0.0;
-        (match pk with
-        | Some pk ->
-            colored_gauss_seidel_sweeps_packed ?pool ws.pat coloring pk ws.x sweeps
-              ~color_seconds:ws.color_seconds
-        | None ->
-            colored_gauss_seidel_sweeps ?pool ws.pat coloring ws.trans_values ws.x sweeps
-              ~color_seconds:ws.color_seconds);
+    | Some coloring ->
+        Array.fill d.color_seconds 0 (Array.length d.color_seconds) 0.0;
+        colored_gauss_seidel_sweeps ?pool d coloring x sweeps;
         for c = 0 to coloring.n_colors - 1 do
           Cdr_obs.Metrics.observe "multigrid.sweep_seconds"
             ~labels:[ ("level", string_of_int l); ("color", string_of_int c) ]
-            ws.color_seconds.(c)
+            d.color_seconds.(c)
         done);
     note_sweeps l sweeps
   in
-  (* dense GTH on the coarsest level *)
+  (* dense GTH on the coarsest level, straight into its iterate *)
   let solve_coarsest () =
-    let ws = coarsest in
-    let nc = ws.pat.n in
-    let dense = Linalg.Mat.create ~rows:nc ~cols:nc in
+    let v = values (n_levels - 1) in
+    Array.fill dense 0 (nc * nc) 0.0;
     for i = 0 to nc - 1 do
-      for k = ws.pat.row_ptr.(i) to ws.pat.row_ptr.(i + 1) - 1 do
-        Linalg.Mat.set dense i ws.pat.col_idx.(k) ws.values.(k)
+      for k = coarsest.row_ptr.%(i) to coarsest.row_ptr.%(i + 1) - 1 do
+        dense.((i * nc) + coarsest.col_idx.%(k)) <- v.(k)
       done
     done;
-    let pi = Gth.solve_dense dense in
-    Array.blit pi 0 ws.x 0 nc
+    Gth.solve_in_place ~n:nc dense ~exit coarsest.x
   in
   (* each leaf stage of the cycle runs under a pool profiling phase labeled
      with its level, so an enabled profiler ([Pool.set_profiling true])
@@ -672,49 +571,41 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
      phases wrap the leaves only, never the recursion, so the per-phase
      walls are disjoint and sum to (almost all of) the cycle wall *)
   let rec cycle l =
-    let ws = workspaces.(l) in
     let phase name f = Cdr_par.Pool.with_phase ~labels:[ ("level", string_of_int l) ] name f in
-    if l = n_levels - 1 then phase "coarsest" solve_coarsest
-    else begin
-      let level = Option.get ws.level in
-      (match (if fuse then ws.packed else None) with
-      | Some pk -> phase "scatter" (fun () -> scatter_transpose_packed ?pool ws.pat ws.values pk)
-      | None -> phase "scatter" (fun () -> scatter_transpose ?pool ws.pat ws.values ws.trans_values));
-      phase "smooth" (fun () -> smooth ws l pre_smooth);
-      let next = workspaces.(l + 1) in
-      if fuse then begin
-        phase "aggregate" (fun () ->
-            aggregate_fused ?pool level ~fine_values:ws.values ~weights:ws.x
-              ~coarse_values:next.values ~block_weight:ws.block_weight);
-        (* restriction = the block weights aggregate just computed (same
-           ascending sums over the same iterate): a copy, not a pooled leg *)
-        phase "restrict" (fun () ->
-            Array.blit ws.block_weight 0 next.x 0 level.partition.Partition.n_coarse)
-      end
-      else begin
-        phase "aggregate" (fun () ->
-            aggregate ?pool level ~fine_values:ws.values ~weights:ws.x ~coarse_values:next.values
-              ~block_weight:ws.block_weight);
-        phase "restrict" (fun () -> restrict_iterate ?pool level ~fine:ws.x ~coarse:next.x)
-      end;
-      cycle (l + 1);
-      (* W-cycles ([gamma = 2]) revisit the coarse hierarchy below the finest
-         level: the second recursion re-aggregates level l+1 with the coarse
-         iterate the first one improved, which is what keeps the cycle count
-         near-constant as pairwise aggregation deepens the hierarchy (plain
-         V-cycles with piecewise-constant transfers degrade with depth). The
-         coarsest level is exact — revisiting it would recompute the same GTH
-         solution — so the extra visit stops one level above it. *)
-      if gamma > 1 && l > 0 && l + 1 < n_levels - 1 then cycle (l + 1);
-      (* multiplicative prolongation using the pre-recursion block weights *)
-      phase "prolong" (fun () ->
-          prolong_iterate ?pool level ~coarse:next.x ~block_weight:ws.block_weight ~x:ws.x;
-          let s = Linalg.Vec.sum ws.x in
-          if s > 0.0 then Linalg.Vec.scale_in_place (1.0 /. s) ws.x);
-      phase "smooth" (fun () -> smooth ws l post_smooth)
-    end
+    match levels.(l).down with
+    | None -> phase "coarsest" solve_coarsest
+    | Some d ->
+        let fine = levels.(l) and coarse = levels.(l + 1) in
+        let agg = d.agg and fine_values = values l in
+        phase "scatter" (fun () -> scatter_transpose ?pool d fine_values);
+        phase "smooth" (fun () -> smooth l d pre_smooth);
+        if fuse then begin
+          phase "aggregate" (fun () -> aggregate_fused ?pool ~fine agg ~fine_values ~coarse);
+          (* restriction = the block weights aggregate just computed (same
+             ascending sums over the same iterate): a copy, not a pooled leg *)
+          phase "restrict" (fun () -> Array.blit agg.block_weight 0 coarse.x 0 agg.n_coarse)
+        end
+        else begin
+          phase "aggregate" (fun () -> aggregate ?pool ~fine agg ~fine_values ~coarse);
+          phase "restrict" (fun () -> restrict_iterate ?pool agg ~fine:fine.x ~coarse:coarse.x)
+        end;
+        cycle (l + 1);
+        (* W-cycles ([gamma = 2]) revisit the coarse hierarchy below the finest
+           level: the second recursion re-aggregates level l+1 with the coarse
+           iterate the first one improved, which is what keeps the cycle count
+           near-constant as pairwise aggregation deepens the hierarchy (plain
+           V-cycles with piecewise-constant transfers degrade with depth). The
+           coarsest level is exact — revisiting it would recompute the same GTH
+           solution — so the extra visit stops one level above it. *)
+        if gamma > 1 && l > 0 && l + 1 < n_levels - 1 then cycle (l + 1);
+        (* multiplicative prolongation using the pre-recursion block weights *)
+        phase "prolong" (fun () ->
+            prolong_iterate ?pool agg ~coarse:coarse.x ~x:fine.x;
+            let s = Linalg.Vec.sum fine.x in
+            if s > 0.0 then Linalg.Vec.scale_in_place (1.0 /. s) fine.x);
+        phase "smooth" (fun () -> smooth l d post_smooth)
   in
-  let x0 = workspaces.(0).x in
+  let x0 = levels.(0).x in
   (match init with
   | Some v ->
       Array.blit v 0 x0 0 n;
@@ -732,7 +623,7 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
       cycle 0;
       incr cycles;
       let residual =
-        Cdr_par.Pool.with_phase "residual" (fun () -> Chain.residual ?pool chain x0)
+        Cdr_par.Pool.with_phase "residual" (fun () -> Chain.residual ?pool ~scratch:next chain x0)
       in
       (match trace with
       | Some t -> Cdr_obs.Trace.record t ~iter:!cycles ~residual
@@ -747,12 +638,8 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
   if fuse then Cdr_par.Pool.run_phases pool run_cycles else run_cycles ();
   let solution = Solution.make ~chain ~pi:(Array.copy x0) ~iterations:!cycles ~tol in
   ( solution,
-    {
-      cycles = !cycles;
-      levels = n_levels;
-      coarsest_size = coarsest.pat.n;
-      smoothing_sweeps = !smoothing_sweeps;
-    } )
+    { cycles = !cycles; levels = n_levels; coarsest_size = nc; smoothing_sweeps = !smoothing_sweeps }
+  )
 
 let solve ?tol ?max_cycles ?pre_smooth ?post_smooth ?cycle ?fuse ?init ?trace ?pool ?cancel
     ?smoother ~hierarchy chain =

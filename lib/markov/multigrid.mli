@@ -48,12 +48,21 @@ val default_hierarchy : n:int -> coarsest:int -> Partition.t list
 
 type setup
 (** The symbolic phase of the solver, separated from the numeric phase:
-    per-level sparsity patterns, transpose maps, aggregation targets and
+    per-level sparsity patterns, transpose maps, aggregation groupings and
     preallocated workspaces — everything that depends on the chain's
     {e structure} but not its {e values}. A sweep whose points share one
     sparsity pattern (e.g. a [sigma_w] continuation, where only transition
     probabilities move) pays this cost once and runs every solve through
     {!solve_with}.
+
+    The layout is compact. Every index array is an int32 Bigarray, off the
+    OCaml heap, and a setup copies nothing the chain already holds: the
+    finest level reads the chain's own values at every solve. A level above
+    the coarsest keeps its row pointers, its transposed pattern and
+    permutation, the transposed values the smoother sweeps, its iterate,
+    and the aggregation onto the next level (entry targets and the
+    block-to-states grouping). The coarsest level keeps its pattern for the
+    dense GTH fill. {!setup_bytes} sums it all.
 
     A setup owns mutable workspaces: at most one [solve_with] may run
     against it at a time (use one setup per worker for parallel sweeps). *)
@@ -76,6 +85,14 @@ val matches : setup -> Chain.t -> bool
 
 val levels : setup -> int
 (** Number of levels including the finest and the coarsest. *)
+
+val setup_bytes : setup -> int
+(** The memory the setup keeps alive, in bytes, computed from its array
+    lengths: every heap block (header included), every Bigarray's custom
+    block and off-heap payload, and the chain's structure arrays the setup
+    references for {!matches}. This is the figure {!Cdr.Solver_cache}
+    budgets against. It leaves out the per-solve scratch of
+    {!solve_with}. *)
 
 val solve_with :
   ?tol:float ->
@@ -114,17 +131,21 @@ val solve_with :
     roughly [levels/2]x the per-cycle cost — the right trade on the very
     large ladder chains (see the MG-LADDER bench section).
 
-    [?fuse] (default [true]) selects the fused/packed execution of the
-    cycle interior: the whole cycle loop runs inside one
+    [?fuse] (default [true]) selects the fused execution of the cycle
+    interior: the whole cycle loop runs inside one
     {!Cdr_par.Pool.run_phases} region (the pool's team is enlisted once per
-    solve instead of one fan-out per sweep/color), smoothing reads
-    int32/Bigarray mirrors of the transposed values, aggregation computes
+    solve instead of one fan-out per sweep/color), aggregation computes
     block weights and coarse rows in a single pooled batch, and iterate
     restriction becomes a copy of those block weights (it is the same
     ascending per-block sum over the same iterate). Every transformation
     preserves the float operations and their order, so [fuse:true] and
     [fuse:false] produce bit-identical results at every job count;
-    [fuse:false] is the pinned reference path. *)
+    [fuse:false] is the pinned reference path.
+
+    Each solve allocates its scratch once: the dense coarsest matrix that
+    GTH eliminates in place ({!Gth.solve_in_place}), the exit masses, and
+    the [x * P] vector of the residual test. The number of major-heap words
+    a solve allocates therefore does not grow with its cycle count. *)
 
 val solve :
   ?tol:float ->

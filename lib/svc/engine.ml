@@ -142,6 +142,7 @@ let stats_payload t =
              ("misses", int_num (Cdr.Solver_cache.misses t.cache));
              ("evictions", int_num (Cdr.Solver_cache.evictions t.cache));
              ("entries", int_num (Cdr.Solver_cache.length t.cache));
+             ("bytes", int_num (Cdr.Solver_cache.bytes t.cache));
            ] );
      ]
     @ (match t.results with
@@ -396,6 +397,12 @@ let handle t job =
       Cdr_obs.Metrics.add ~labels:[ ("kind", kname); ("result", "hit") ] "serve.setup_cache" dh;
     if dm > 0 then
       Cdr_obs.Metrics.add ~labels:[ ("kind", kname); ("result", "miss") ] "serve.setup_cache" dm;
+    (* the engine's own cache, not the last one mutated: warm sweeps build
+       private per-chunk caches that die with the request *)
+    Cdr_obs.Metrics.set_gauge ~labels:t.labels "solver_cache.entries"
+      (float_of_int (Cdr.Solver_cache.length t.cache));
+    Cdr_obs.Metrics.set_gauge ~labels:t.labels "solver_cache.bytes"
+      (float_of_int (Cdr.Solver_cache.bytes t.cache));
     Cdr_obs.Metrics.incr "serve.requests" ~labels
   in
   let fail code message =

@@ -6,7 +6,12 @@
     via a {!Cdr.Context.t}). What {e is} shared across requests:
 
     - one {!Cdr.Solver_cache.t}, so same-structure requests reuse the
-      symbolic multigrid setup;
+      symbolic multigrid setup. Its byte budget bounds the largest share
+      of the server's memory; after every request the engine publishes
+      the cache's entry count and accounted bytes as the
+      ["solver_cache.entries"] and ["solver_cache.bytes"] gauges (with the
+      replica label), and the stats payload's [cache] object carries
+      them as [entries] and [bytes];
     - the most recent model, so a request whose {!Params.model_key} matches
       goes through {!Cdr.Model.rebuild}'s in-place refill instead of a full
       build. The most recent composed environment model

@@ -195,6 +195,66 @@ let test_region_nesting () =
                   Cdr_par.Pool.run_phases None (fun () -> batch_workload (Some pool) out)));
           check_bool "nested regions bitwise" true (bits_equal reference out)))
 
+(* ---------- golden fixture: stationary-vector bits ---------- *)
+
+(* MD5 of the 64-bit patterns of every entry, in order: two vectors share a
+   digest only if they are bitwise equal *)
+let pi_digest pi =
+  let b = Buffer.create (16 * Array.length pi) in
+  Array.iter (fun x -> Buffer.add_string b (Printf.sprintf "%016Lx" (Int64.bits_of_float x))) pi;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let kron_cfg =
+  Cdr.Config.create_exn
+    {
+      Cdr.Config.default with
+      Cdr.Config.grid_points = 32;
+      n_phases = 8;
+      counter_length = 3;
+      max_run = 4;
+      nw_max_atoms = 17;
+      sigma_w = 0.08;
+    }
+
+(* the fixed configurations of fixtures/golden_pi.jsonl: the default grid
+   (7 levels), the colored smoother, W-cycles, and the matrix-free IAD path
+   whose coarse solve runs Multigrid.solve_with; each returns the
+   stationary vector and, through Report, the BER *)
+let golden_runs =
+  let report ctx cfg =
+    let r, sol = Cdr.Report.run_model ~ctx (Cdr.Report.build ctx cfg) in
+    (sol.Markov.Solution.pi, Some r.Cdr.Report.ber)
+  in
+  [
+    ("csr-default", fun () -> report Cdr.Context.default Cdr.Config.default);
+    ("csr-grid64-colored", fun () -> report (Cdr.Context.make ~smoother:`Colored ()) cfg);
+    ( "csr-grid64-w",
+      fun () ->
+        let sol, _ = Markov.Multigrid.solve ~cycle:`W ~hierarchy:(hierarchy ()) (chain ()) in
+        (sol.Markov.Solution.pi, None) );
+    ("kron-grid32", fun () -> report (Cdr.Context.make ~backend:`Kron ()) kron_cfg);
+  ]
+
+let test_golden_pi () =
+  let fixtures =
+    In_channel.with_open_text "fixtures/golden_pi.jsonl" In_channel.input_lines
+    |> List.map Cdr_obs.Jsonl.of_string
+  in
+  Alcotest.(check int) "one fixture per run" (List.length golden_runs) (List.length fixtures);
+  List.iter
+    (fun fx ->
+      let field k = Option.bind (Cdr_obs.Jsonl.member k fx) Cdr_obs.Jsonl.to_str in
+      let name = Option.get (field "name") in
+      let pi, ber = (List.assoc name golden_runs) () in
+      Alcotest.(check string) (name ^ ": pi digest") (Option.get (field "pi_md5")) (pi_digest pi);
+      match (field "ber_bits", ber) with
+      | Some bits, Some b ->
+          Alcotest.(check string) (name ^ ": BER bits") bits
+            (Printf.sprintf "%016Lx" (Int64.bits_of_float b))
+      | None, None -> ()
+      | _ -> Alcotest.failf "%s: fixture and run disagree on carrying a BER" name)
+    fixtures
+
 (* ---------- reusable IAD setups ---------- *)
 
 let test_iad_setup_reuse () =
@@ -254,6 +314,8 @@ let () =
         ] );
       ( "packed csr",
         [ Alcotest.test_case "packed kernels bitwise = float-array" `Quick test_packed_parity ] );
+      ( "golden",
+        [ Alcotest.test_case "stationary bits match the committed digests" `Slow test_golden_pi ] );
       ( "phase regions",
         [
           Alcotest.test_case "batches bitwise through the region" `Quick

@@ -469,21 +469,34 @@ let test_engine_stats_roundtrip () =
       match Cdr_obs.Jsonl.member "cache" result with
       | Some cache ->
           check_bool "cache entry count reported" true
-            (Cdr_obs.Jsonl.member "entries" cache <> None)
+            (Cdr_obs.Jsonl.member "entries" cache <> None);
+          check_bool "cache bytes reported" true
+            (Cdr_obs.Jsonl.member "bytes" cache
+            = Some (Cdr_obs.Jsonl.Num
+                      (float_of_int (Cdr.Solver_cache.bytes (Cdr_svc.Engine.cache engine)))))
       | None -> Alcotest.fail "stats lacks cache")
   | rs -> Alcotest.failf "expected 2 replies, got %d" (List.length rs)
 
-(* ---------- Solver_cache eviction accounting ---------- *)
+(* ---------- Solver_cache byte budget ---------- *)
+
+let model_of params =
+  Cdr.Model.build
+    (match Cdr_svc.Params.to_config params with
+    | Ok cfg -> cfg
+    | Error msg -> Alcotest.failf "config: %s" msg)
+
+let setup_bytes_of m =
+  Markov.Multigrid.setup_bytes
+    (Markov.Multigrid.setup ~hierarchy:(Cdr.Model.hierarchy m) m.Cdr.Model.chain)
 
 let test_cache_evictions () =
-  let cache = Cdr.Solver_cache.create ~max_entries:1 () in
-  let model_of counter =
-    Cdr.Model.build
-      (match Cdr_svc.Params.to_config { tiny_params with Cdr_svc.Params.counter } with
-      | Ok cfg -> cfg
-      | Error msg -> Alcotest.failf "config: %s" msg)
-  in
-  let m2 = model_of 2 and m3 = model_of 3 in
+  let m2 = model_of { tiny_params with Cdr_svc.Params.counter = 2 }
+  and m3 = model_of { tiny_params with Cdr_svc.Params.counter = 3 } in
+  (* room for either structure's setup, not for both *)
+  let max_bytes = max (setup_bytes_of m2) (setup_bytes_of m3) in
+  check_bool "the two setups overflow the budget together" true
+    (setup_bytes_of m2 + setup_bytes_of m3 > max_bytes);
+  let cache = Cdr.Solver_cache.create ~max_bytes () in
   let setup_of m =
     ignore
       (Cdr.Solver_cache.setup cache
@@ -491,12 +504,94 @@ let test_cache_evictions () =
          m.Cdr.Model.chain)
   in
   setup_of m2;
-  check_int "no eviction while capacity lasts" 0 (Cdr.Solver_cache.evictions cache);
+  check_int "no eviction while the budget lasts" 0 (Cdr.Solver_cache.evictions cache);
   setup_of m3;
   check_int "second structure evicts the first" 1 (Cdr.Solver_cache.evictions cache);
-  check_int "size stays at the bound" 1 (Cdr.Solver_cache.length cache);
+  check_int "one setup fits the budget" 1 (Cdr.Solver_cache.length cache);
+  check_int "the cache accounts its one setup" (setup_bytes_of m3) (Cdr.Solver_cache.bytes cache);
   setup_of m2;
   check_int "round trip evicts again" 2 (Cdr.Solver_cache.evictions cache)
+
+(* the result fields that carry answers (the timing field differs per run) *)
+let answer json =
+  match field "result" json with
+  | Cdr_obs.Jsonl.Obj fields ->
+      Cdr_obs.Jsonl.to_string
+        (Cdr_obs.Jsonl.Obj (List.filter (fun (k, _) -> k <> "solve_seconds") fields))
+  | _ -> Alcotest.fail "result is not an object"
+
+let test_engine_budget () =
+  let counters = [ 2; 3; 4 ] in
+  let small = List.map (fun c -> { tiny_params with Cdr_svc.Params.counter = c }) counters in
+  let big = { tiny_params with Cdr_svc.Params.grid = 64; counter = 4 } in
+  let sizes = List.map (fun p -> setup_bytes_of (model_of p)) small in
+  (* two small setups fit, three do not, and the big one never does *)
+  let max_bytes = List.fold_left ( + ) 0 sizes - List.fold_left min max_int sizes in
+  check_bool "the big setup exceeds the whole budget" true
+    (setup_bytes_of (model_of big) > max_bytes);
+  let stream =
+    List.mapi
+      (fun i params ->
+        analyze_req ~id:(Printf.sprintf "q%d" i)
+          ~params:{ params with Cdr_svc.Params.sigma_w = 0.06 +. (1e-4 *. float_of_int i) }
+          ())
+      (small @ [ big; List.nth small 0; big ] @ List.rev small)
+  in
+  let run engine ~after =
+    let reply, replies = reply_capture () in
+    List.iter
+      (fun req ->
+        Cdr_svc.Engine.handle engine
+          { Cdr_svc.Engine.request = req; deadline = None; admitted = Cdr_obs.Clock.monotonic (); reply };
+        after req)
+      stream;
+    List.map answer (replies ())
+  in
+  let bounded = Cdr_svc.Engine.create ~cache:(Cdr.Solver_cache.create ~max_bytes ()) () in
+  let cache = Cdr_svc.Engine.cache bounded in
+  let prev = ref (0, 0) in
+  let bounded_answers =
+    run bounded ~after:(fun req ->
+        let entries = Cdr.Solver_cache.length cache and bytes = Cdr.Solver_cache.bytes cache in
+        check_bool "accounted bytes within the budget" true (bytes <= max_bytes);
+        if req.Cdr_svc.Protocol.params.Cdr_svc.Params.grid = big.Cdr_svc.Params.grid then
+          check_bool "an over-budget setup is not retained" true ((entries, bytes) = !prev);
+        prev := (entries, bytes))
+  in
+  check_bool "the budget evicted" true (Cdr.Solver_cache.evictions cache > 0);
+  let unbounded_answers = run (Cdr_svc.Engine.create ()) ~after:ignore in
+  List.iter2
+    (fun a b -> check_string "bounded answer = unbounded answer" b a)
+    bounded_answers unbounded_answers
+
+let gauge name labels =
+  List.find_map
+    (fun (s : Cdr_obs.Metrics.series) ->
+      match s.Cdr_obs.Metrics.kind with
+      | Cdr_obs.Metrics.Gauge v when s.Cdr_obs.Metrics.name = name && s.labels = labels ->
+          Some (int_of_float v)
+      | _ -> None)
+    (Cdr_obs.Metrics.dump ())
+
+let test_engine_cache_gauges () =
+  let engine = Cdr_svc.Engine.create () in
+  let reply, _ = reply_capture () in
+  let submit req =
+    Cdr_svc.Engine.handle engine
+      { Cdr_svc.Engine.request = req; deadline = None; admitted = Cdr_obs.Clock.monotonic (); reply }
+  in
+  submit (analyze_req ~id:"a2" ());
+  submit (analyze_req ~id:"a3" ~params:{ tiny_params with Cdr_svc.Params.counter = 3 } ());
+  (* a warm sigma sweep solves through private per-chunk caches; the gauges
+     must still describe the engine's own two-structure cache afterwards *)
+  submit
+    { (analyze_req ~id:"s" ()) with Cdr_svc.Protocol.kind = Cdr_svc.Protocol.Sigma [ 0.06; 0.061 ] };
+  let cache = Cdr_svc.Engine.cache engine in
+  check_int "engine cache holds both structures" 2 (Cdr.Solver_cache.length cache);
+  check_bool "entries gauge is the engine cache's" true
+    (gauge "solver_cache.entries" [] = Some (Cdr.Solver_cache.length cache));
+  check_bool "bytes gauge is the engine cache's" true
+    (gauge "solver_cache.bytes" [] = Some (Cdr.Solver_cache.bytes cache))
 
 let () =
   Alcotest.run "svc"
@@ -532,5 +627,9 @@ let () =
           Alcotest.test_case "stats round-trip" `Quick test_engine_stats_roundtrip;
         ] );
       ( "cache",
-        [ Alcotest.test_case "eviction counter" `Quick test_cache_evictions ] );
+        [
+          Alcotest.test_case "eviction counter" `Quick test_cache_evictions;
+          Alcotest.test_case "engine within its byte budget" `Quick test_engine_budget;
+          Alcotest.test_case "gauges track the engine cache" `Quick test_engine_cache_gauges;
+        ] );
     ]

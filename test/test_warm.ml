@@ -229,6 +229,65 @@ let test_warm_under_pool () =
         (abs_float (bc -. bw) /. Float.max bc 1e-300 <= 1e-6))
     cold_k warm_k
 
+(* ---------- setup memory ---------- *)
+
+(* a chain large enough for a three-level hierarchy above the GTH level *)
+let mg_model = lazy (Cdr.Model.build { small with Cdr.Config.grid_points = 64 })
+
+let mg_setup smoother =
+  let m = Lazy.force mg_model in
+  (m, Markov.Multigrid.setup ~smoother ~hierarchy:(Cdr.Model.hierarchy m) m.Cdr.Model.chain)
+
+(* Every Bigarray reachable from [v], each counted once: the off-heap bytes
+   that Obj.reachable_words does not see. *)
+let bigarray_payload v =
+  let seen = ref [] and bytes = ref 0 in
+  let rec walk o =
+    if Obj.is_block o && not (List.memq o !seen) then begin
+      seen := o :: !seen;
+      let tag = Obj.tag o in
+      if tag = Obj.custom_tag then
+        bytes := !bytes + Bigarray.Genarray.size_in_bytes (Obj.obj o : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Genarray.t)
+      else if tag < Obj.no_scan_tag then
+        for i = 0 to Obj.size o - 1 do
+          walk (Obj.field o i)
+        done
+    end
+  in
+  walk (Obj.repr v);
+  !bytes
+
+let test_setup_bytes_accounting () =
+  List.iter
+    (fun smoother ->
+      let _, s = mg_setup smoother in
+      check_bool "a multi-level setup" true (Markov.Multigrid.levels s >= 3);
+      let measured = (8 * Obj.reachable_words (Obj.repr s)) + bigarray_payload s in
+      let accounted = Markov.Multigrid.setup_bytes s in
+      (* the only slack: empty arrays share one static atom, which the
+         accounting charges per array *)
+      if abs (measured - accounted) > 64 then
+        Alcotest.failf "setup_bytes %d, measured %d" accounted measured)
+    [ `Lex; `Colored ]
+
+let test_solve_allocation () =
+  let m, s = mg_setup `Lex in
+  let chain = m.Cdr.Model.chain in
+  let major_words cycles =
+    let before = (Gc.quick_stat ()).Gc.major_words in
+    let _, stats = Markov.Multigrid.solve_with ~tol:0.0 ~max_cycles:cycles s chain in
+    check_int "ran every cycle" cycles stats.Markov.Multigrid.cycles;
+    (Gc.quick_stat ()).Gc.major_words -. before
+  in
+  ignore (major_words 1);
+  let w2 = major_words 2 and w50 = major_words 50 in
+  (* the per-solve scratch (dense coarsest matrix, exit masses, residual
+     vector) and the returned solution, allocated once however many cycles;
+     the slack absorbs the runtime's lazily updated counters, while one
+     dense coarsest matrix per cycle would multiply the count by ~25 *)
+  if w50 > 1.5 *. w2 then
+    Alcotest.failf "major words grow with cycles: %.0f for 2 cycles, %.0f for 50" w2 w50
+
 let () =
   Alcotest.run "cdr_warm"
     [
@@ -240,6 +299,13 @@ let () =
         ] );
       ( "cache",
         [ Alcotest.test_case "solver cache hits and misses" `Quick test_solver_cache ] );
+      ( "memory",
+        [
+          Alcotest.test_case "setup_bytes = reachable words + bigarrays" `Quick
+            test_setup_bytes_accounting;
+          Alcotest.test_case "solve allocation independent of cycles" `Quick
+            test_solve_allocation;
+        ] );
       ( "sweeps",
         [
           Alcotest.test_case "warm matches cold" `Quick test_warm_matches_cold;
