@@ -1,4 +1,4 @@
-.PHONY: all build test test-par fmt loc check perfbench-selfcheck bench-telemetry bench-scaling bench-json bench-smoke kron-smoke bench-kron bench-env bench-ladder serve-smoke bench-load load-smoke replica-smoke clean
+.PHONY: all build test test-par fmt loc unreached check perfbench-selfcheck bench-telemetry bench-scaling bench-json bench-smoke kron-smoke bench-kron bench-env bench-ladder serve-smoke bench-load load-smoke replica-smoke clean
 
 all: build
 
@@ -22,12 +22,18 @@ fmt:
 loc:
 	@find lib bin \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l
 
+# Fails when a module under lib/ has no caller outside tests: its qualified
+# name appears in no lib/, bin/, bench/, perfbench/ or examples/ source
+# other than its own files.
+unreached:
+	bash scripts/unreached.sh
+
 # Everything CI needs: the build, formatting (dune files; the container has
-# no ocamlformat), the full test suite, the parallel suite under a forced
-# multi-domain pool, the kron smoke, the multi-replica serving smoke
-# (routing, worker kill/respawn, result-cache persistence) and the perfbench
-# generator's self-check.
-check: build fmt test test-par kron-smoke replica-smoke perfbench-selfcheck
+# no ocamlformat), the unreached-module check, the full test suite, the
+# parallel suite under a forced multi-domain pool, the kron smoke, the
+# multi-replica serving smoke (routing, worker kill/respawn, result-cache
+# persistence) and the perfbench generator's self-check.
+check: build fmt unreached test test-par kron-smoke replica-smoke perfbench-selfcheck
 
 # The perfbench request-stream generator's own tests (one stream per seed,
 # the fixed per-workload plans, the excluded outlier requests): 11 stdlib

@@ -8,8 +8,6 @@
 
 type command = Hold | Advance | Retard
 
-val command_to_int : command -> int
-
 val command_of_int : int -> command
 
 val n_commands : int

@@ -21,9 +21,6 @@
 
 type params = { max_f : int; adapt_length : int }
 
-val default_params : params
-(** [max_f = 1], [adapt_length = 4]. *)
-
 type t = {
   config : Config.t;
   params : params;
@@ -35,6 +32,7 @@ type t = {
 }
 
 val build : ?params:params -> Config.t -> t
+(** [params] defaults to [max_f = 1], [adapt_length = 4]. *)
 
 val solve : ?tol:float -> t -> Markov.Solution.t
 (** Gauss-Seidel (the composed chain has no phase-only structured hierarchy

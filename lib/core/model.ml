@@ -309,8 +309,7 @@ let build_direct ?pool cfg =
   Cdr_obs.Metrics.incr "model.builds" ~labels:[ ("via", "direct") ];
   { model with build_seconds }
 
-let build ?(via = `Direct) ?pool cfg =
-  match via with `Direct -> build_direct ?pool cfg | `Network -> build_via_network cfg
+let build = build_direct
 
 (* The state space (and with it the reachability BFS) is determined by these
    parameters alone; the noise parameters only move transition values and,
@@ -430,14 +429,13 @@ let hierarchy t =
   keyed_hierarchy ~n:t.n_states ~lead:t.data_code ~counter:t.counter_code ~phase:t.phase_bin
 
 type solver =
-  [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation | `Arnoldi ]
+  [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Aggregation | `Arnoldi ]
 
 let solver_name : solver -> string = function
   | `Multigrid -> "multigrid"
   | `Power -> "power"
   | `Gauss_seidel -> "gauss-seidel"
   | `Jacobi -> "jacobi"
-  | `Sor _ -> "sor"
   | `Arnoldi -> "arnoldi"
   | `Aggregation -> "aggregation"
 
@@ -460,8 +458,6 @@ let solve_chain ?(solver = `Multigrid) ~ctx ~hierarchy chain =
   | `Gauss_seidel ->
       Markov.Splitting.solve ~method_:Markov.Splitting.Gauss_seidel ~tol ?init ?trace ?pool chain
   | `Jacobi -> Markov.Splitting.solve ~method_:Markov.Splitting.Jacobi ~tol ?init ?trace ?pool chain
-  | `Sor omega ->
-      Markov.Splitting.solve ~method_:(Markov.Splitting.Sor omega) ~tol ?init ?trace ?pool chain
   | `Arnoldi -> Markov.Arnoldi.solve ~tol ?trace chain
   | `Aggregation ->
       let partition =

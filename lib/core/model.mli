@@ -9,7 +9,8 @@
     - {!build_direct} produces the same chain by analytically marginalizing
       each noise source where it acts (coins into the data machine, [n_w]
       into phase-detector decision probabilities, [n_r] into phase moves).
-      It is orders of magnitude faster and is the default for large grids.
+      It is orders of magnitude faster and is the one production path
+      ({!build}).
 
     Property tests assert both paths agree transition-by-transition. *)
 
@@ -51,29 +52,13 @@ type direct_tables = {
 
 val direct_tables : Config.t -> direct_tables
 
-val iter_successors :
-  Config.t ->
-  direct_tables ->
-  data:int ->
-  counter:int ->
-  phase:int ->
-  (int * int * int -> float -> unit) ->
-  unit
-(** Enumerates the successors of one global state [(data, counter, phase)]
-    under the marginalized tables: calls [f (data', counter', phase') p] for
-    every outcome atom, in the fixed deterministic order the direct
-    construction uses (data outcome, then detector outcome, then random-walk
-    atom). Duplicate successor triples are emitted separately; consumers sum
-    them. Exposed so composed chains (environment x CDR, {!Cdr_env}) can
-    reuse the per-regime successor enumeration verbatim. *)
-
 val build_via_network : Config.t -> t
 
 val build_reachable :
   ?pool:Cdr_par.Pool.t -> switch:float array array -> Config.t array -> reachable
 (** The one reachability builder, over a Markov-modulated family of CDR
-    chains: regime [e] steps under [configs.(e)] (enumerated by
-    {!iter_successors}) and then switches to regime [e'] with probability
+    chains: regime [e] steps under [configs.(e)] (its successors enumerated
+    from {!direct_tables}) and then switches to regime [e'] with probability
     [switch.(e).(e')], so a transition weighs [switch.(e).(e') *. p]. Global
     states pack into dense int keys, regime slowest:
     [(((e * n_data) + data) * n_counter + counter) * grid_points + phase],
@@ -95,8 +80,10 @@ val build_direct_reference : Config.t -> t
     flat path is pinned against (the test suite asserts both produce
     bitwise-identical chains). Not used on any production path. *)
 
-val build : ?via:[ `Network | `Direct ] -> ?pool:Cdr_par.Pool.t -> Config.t -> t
-(** Default [`Direct]. [?pool] applies to the direct path only. *)
+val build : ?pool:Cdr_par.Pool.t -> Config.t -> t
+(** The production construction, {!build_direct}. {!build_via_network} and
+    {!build_direct_reference} are kept only as references tests compare
+    against. *)
 
 val rebuild : ?pool:Cdr_par.Pool.t -> t -> Config.t -> t * bool
 (** [rebuild t cfg] builds the model for [cfg] reusing [t]'s reachable-state
@@ -143,7 +130,7 @@ val hierarchy : t -> Markov.Partition.t list
 (** {!keyed_hierarchy} over the chain's (data, counter, phase) codes. *)
 
 type solver =
-  [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Sor of float | `Aggregation | `Arnoldi ]
+  [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Aggregation | `Arnoldi ]
 
 val solve_chain :
   ?solver:solver ->

@@ -69,12 +69,6 @@ let create ~sources ~components ~wiring =
 
 let n_global_states t = t.total_states
 
-let sources t = t.sources
-
-let components t = t.components
-
-let wiring t = t.wiring
-
 let encode t states =
   if Array.length states <> Array.length t.components then
     invalid_arg "Network.encode: wrong arity";

@@ -68,10 +68,3 @@ let inverse ~re ~im =
     re.(i) <- re.(i) /. n;
     im.(i) <- im.(i) /. n
   done
-
-let power_spectrum x =
-  let n = Array.length x in
-  if not (is_power_of_two n) then invalid_arg "Fft.power_spectrum: length must be a power of two";
-  let re = Array.copy x and im = Array.make n 0.0 in
-  transform ~re ~im;
-  Array.init ((n / 2) + 1) (fun k -> ((re.(k) *. re.(k)) +. (im.(k) *. im.(k))) /. float_of_int n)

@@ -12,10 +12,6 @@ val transform : re:float array -> im:float array -> unit
 val inverse : re:float array -> im:float array -> unit
 (** In-place inverse DFT (normalized by [1/N]). *)
 
-val power_spectrum : float array -> float array
-(** [power_spectrum x] for a real signal of power-of-two length [N]:
-    [|X_k|^2 / N] for [k = 0 .. N/2] (one-sided). *)
-
 val next_power_of_two : int -> int
 
 val is_power_of_two : int -> bool

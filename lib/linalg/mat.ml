@@ -22,8 +22,6 @@ let cols m = m.cols
 let get m i j = m.data.((i * m.cols) + j)
 let set m i j v = m.data.((i * m.cols) + j) <- v
 
-let to_arrays m = Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
-
 let copy m = { m with data = Array.copy m.data }
 
 let transpose m = init ~rows:m.cols ~cols:m.rows (fun i j -> get m j i)
@@ -66,12 +64,9 @@ let map2 name f a b =
   if a.rows <> b.rows || a.cols <> b.cols then invalid_arg ("Mat." ^ name ^ ": dimension mismatch");
   { a with data = Array.mapi (fun k v -> f v b.data.(k)) a.data }
 
-let add a b = map2 "add" ( +. ) a b
 let sub a b = map2 "sub" ( -. ) a b
 
 let scale s a = { a with data = Array.map (fun v -> s *. v) a.data }
-
-let max_abs m = Array.fold_left (fun acc v -> Float.max acc (abs_float v)) 0.0 m.data
 
 let equal ?(tol = 0.0) a b =
   a.rows = b.rows && a.cols = b.cols

@@ -16,8 +16,6 @@ val identity : int -> t
 val of_arrays : float array array -> t
 (** Copies its input. Raises [Invalid_argument] on ragged rows. *)
 
-val to_arrays : t -> float array array
-
 val rows : t -> int
 
 val cols : t -> int
@@ -41,13 +39,9 @@ val vec_mul : Vec.t -> t -> Vec.t
 val row : t -> int -> Vec.t
 (** Copy of a row. *)
 
-val add : t -> t -> t
-
 val sub : t -> t -> t
 
 val scale : float -> t -> t
-
-val max_abs : t -> float
 
 val equal : ?tol:float -> t -> t -> bool
 

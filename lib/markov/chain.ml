@@ -66,5 +66,3 @@ let reachable_all m start =
 
 let is_irreducible c =
   n_states c > 0 && reachable_all c.tpm 0 && reachable_all (Sparse.Csr.transpose c.tpm) 0
-
-let pp_stats ppf c = Format.fprintf ppf "chain: %a" Sparse.Csr.pp_stats c.tpm

@@ -40,5 +40,3 @@ val is_irreducible : t -> bool
 (** True when the directed graph of positive transitions is strongly
     connected (forward and backward reachability from state 0 cover all
     states). *)
-
-val pp_stats : Format.formatter -> t -> unit

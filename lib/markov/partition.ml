@@ -55,10 +55,6 @@ let color ~n neighbors =
     create colors
   end
 
-let compose fine coarse =
-  if fine.n_coarse <> coarse.n_fine then invalid_arg "Partition.compose: size mismatch";
-  create (Array.map (fun b -> coarse.map.(b)) fine.map)
-
 let restrict t x =
   if Array.length x <> t.n_fine then invalid_arg "Partition.restrict: dimension mismatch";
   let out = Array.make t.n_coarse 0.0 in

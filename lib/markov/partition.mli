@@ -36,10 +36,6 @@ val color : n:int -> (int -> (int -> unit) -> unit) -> t
     sparsity graph this way, once, symbolically. Raises [Invalid_argument]
     on an out-of-range neighbor. *)
 
-val compose : t -> t -> t
-(** [compose fine coarse] first applies [fine] (n -> m) then [coarse]
-    (m -> k), yielding an n -> k partition. *)
-
 val restrict : t -> Linalg.Vec.t -> Linalg.Vec.t
 (** Sum fine entries within each block (the aggregation operator). *)
 

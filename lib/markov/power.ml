@@ -38,15 +38,3 @@ let solve_op ?(tol = 1e-12) ?(max_iter = 100_000) ?init ?trace ?pool op =
 
 let solve ?tol ?max_iter ?init ?trace ?pool chain =
   solve_op ?tol ?max_iter ?init ?trace ?pool (Cdr_op.Csr_backend.create (Chain.tpm chain))
-
-let sweeps chain pi n =
-  let cur = ref (Linalg.Vec.copy pi) in
-  let other = ref (Linalg.Vec.create (Linalg.Vec.dim pi)) in
-  for _ = 1 to n do
-    Chain.step_into chain !cur !other;
-    Linalg.Vec.normalize_l1 !other;
-    let tmp = !cur in
-    cur := !other;
-    other := tmp
-  done;
-  !cur

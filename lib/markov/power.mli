@@ -32,7 +32,3 @@ val solve :
 (** {!solve_op} through a CSR backend on the chain's TPM; every kernel call
     equals the pre-abstraction chain path, so results are bitwise identical
     to earlier releases. *)
-
-val sweeps : Chain.t -> Linalg.Vec.t -> int -> Linalg.Vec.t
-(** [sweeps c pi n] applies [n] normalized power steps (used as multigrid
-    smoothing); returns a fresh vector. *)

@@ -1,4 +1,4 @@
-type method_ = Jacobi | Gauss_seidel | Sor of float
+type method_ = Jacobi | Gauss_seidel
 
 (* diagonal of P extracted from its transpose's rows *)
 let diagonal pt =
@@ -55,16 +55,22 @@ let solve_op ?(tol = 1e-12) ?(max_iter = 100_000) ?init ?trace ?pool op =
   in
   Solution.make_residual ~residual ~pi:x ~iterations:!iterations ~tol
 
+(* One in-place Gauss-Seidel sweep over the transposed TPM: each [x_i] is
+   recomputed from the freshest values of the others. *)
+let gauss_seidel_sweep pt denom x =
+  for i = 0 to Linalg.Vec.dim x - 1 do
+    let acc = ref 0.0 in
+    Sparse.Csr.iter_row pt i (fun j v -> if j <> i then acc := !acc +. (v *. x.(j)));
+    x.(i) <- !acc /. denom.(i)
+  done
+
 let solve ~method_ ?(tol = 1e-12) ?(max_iter = 100_000) ?init ?trace ?pool chain =
   match method_ with
-  | Sor omega when omega <= 0.0 || omega >= 2.0 ->
-      invalid_arg "Splitting.solve: SOR omega must lie in (0, 2)"
   | Jacobi ->
       solve_op ~tol ~max_iter ?init ?trace ?pool (Cdr_op.Csr_backend.create (Chain.tpm chain))
-  | Gauss_seidel | Sor _ ->
+  | Gauss_seidel ->
       let pt = Sparse.Csr.transpose (Chain.tpm chain) in
-      let diag = diagonal pt in
-      let denom = denominators diag in
+      let denom = denominators (diagonal pt) in
       let n = Chain.n_states chain in
       let x = match init with Some v -> Linalg.Vec.copy v | None -> Chain.uniform chain in
       Linalg.Vec.normalize_l1 x;
@@ -73,20 +79,7 @@ let solve ~method_ ?(tol = 1e-12) ?(max_iter = 100_000) ?init ?trace ?pool chain
       let continue_ = ref (n > 0) in
       while !continue_ && !iterations < max_iter do
         Array.blit x 0 prev 0 n;
-        (match method_ with
-        | Jacobi -> assert false
-        | Gauss_seidel ->
-            for i = 0 to n - 1 do
-              let acc = ref 0.0 in
-              Sparse.Csr.iter_row pt i (fun j v -> if j <> i then acc := !acc +. (v *. x.(j)));
-              x.(i) <- !acc /. denom.(i)
-            done
-        | Sor omega ->
-            for i = 0 to n - 1 do
-              let acc = ref 0.0 in
-              Sparse.Csr.iter_row pt i (fun j v -> if j <> i then acc := !acc +. (v *. x.(j)));
-              x.(i) <- ((1.0 -. omega) *. x.(i)) +. (omega *. !acc /. denom.(i))
-            done);
+        gauss_seidel_sweep pt denom x;
         Linalg.Vec.normalize_l1 x;
         incr iterations;
         let diff = Linalg.Vec.dist_l1 x prev in
@@ -98,14 +91,8 @@ let solve ~method_ ?(tol = 1e-12) ?(max_iter = 100_000) ?init ?trace ?pool chain
       Solution.make ~chain ~pi:x ~iterations:!iterations ~tol
 
 let sweeps_gauss_seidel ~transposed x n_sweeps =
-  let n = Linalg.Vec.dim x in
-  let diag = diagonal transposed in
-  let denom = denominators diag in
+  let denom = denominators (diagonal transposed) in
   for _ = 1 to n_sweeps do
-    for i = 0 to n - 1 do
-      let acc = ref 0.0 in
-      Sparse.Csr.iter_row transposed i (fun j v -> if j <> i then acc := !acc +. (v *. x.(j)));
-      x.(i) <- !acc /. denom.(i)
-    done;
+    gauss_seidel_sweep transposed denom x;
     Linalg.Vec.normalize_l1 x
   done

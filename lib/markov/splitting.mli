@@ -1,18 +1,17 @@
 (** Classical matrix splittings for the singular system [pi (I - P) = 0].
 
-    Working on the transposed system [(I - P^T) x = 0], the Jacobi,
-    Gauss-Seidel and SOR sweeps all compute, for each state [i],
+    Working on the transposed system [(I - P^T) x = 0], the Jacobi and
+    Gauss-Seidel sweeps both compute, for each state [i],
 
     [x_i <- ( sum_{j<>i} P_ji x_j ) / (1 - P_ii)]
 
     differing only in which iterate supplies the [x_j] (previous for Jacobi,
-    freshest available for Gauss-Seidel) and in the relaxation blend (SOR).
+    freshest available for Gauss-Seidel).
     See W. J. Stewart, "Introduction to the Numerical Solution of Markov
     Chains" (the paper's reference [4]). *)
 
-type method_ = Jacobi | Gauss_seidel | Sor of float
-(** [Jacobi] is damped by 1/2 (pure Jacobi oscillates on periodic chains);
-    [Sor omega] requires [0 < omega < 2]. *)
+type method_ = Jacobi | Gauss_seidel
+(** [Jacobi] is damped by 1/2 (pure Jacobi oscillates on periodic chains). *)
 
 val solve_op :
   ?tol:float ->
@@ -26,8 +25,8 @@ val solve_op :
     per-row access to the transpose, just the diagonal and the [P^T x]
     product — so it works matrix-free. With a CSR backend this reproduces
     [solve ~method_:Jacobi] bitwise (same lazily-built transpose, same row
-    dots); [solve ~method_:Jacobi] is routed through here. Gauss-Seidel and
-    SOR read individual transpose rows mid-sweep and stay CSR-only. *)
+    dots); [solve ~method_:Jacobi] is routed through here. Gauss-Seidel
+    reads individual transpose rows mid-sweep and stays CSR-only. *)
 
 val solve :
   method_:method_ ->
@@ -38,13 +37,13 @@ val solve :
   ?pool:Cdr_par.Pool.t ->
   Chain.t ->
   Solution.t
-(** Defaults: [tol = 1e-12], [max_iter = 100_000], [init = uniform].
-    Raises [Invalid_argument] for an out-of-range SOR parameter. With
+(** Defaults: [tol = 1e-12], [max_iter = 100_000], [init = uniform]. With
     [?trace], one sample per sweep recording the l1 step difference the
     convergence test uses as the residual. [?pool] parallelizes the Jacobi
-    sweep's [P^T x] product (deterministically); Gauss-Seidel and SOR keep
-    their loop-carried dependency and run serially regardless. *)
+    sweep's [P^T x] product (deterministically); Gauss-Seidel keeps its
+    loop-carried dependency and runs serially regardless. *)
 
 val sweeps_gauss_seidel : transposed:Sparse.Csr.t -> Linalg.Vec.t -> int -> unit
-(** In-place Gauss-Seidel smoothing given the pre-transposed TPM; used by the
-    multigrid cycle where the transpose is computed once per level. *)
+(** [n_sweeps] in-place Gauss-Seidel sweeps given the pre-transposed TPM,
+    each the same sweep {!solve} runs, followed by an l1 normalization; used
+    by the aggregation smoother, which transposes once per level. *)

@@ -158,42 +158,6 @@ let dump () =
         registry [])
   |> List.sort (fun a b -> compare (a.name, a.labels) (b.name, b.labels))
 
-let label_events labels = List.map (fun (k, v) -> (k, Jsonl.Str v)) labels
-
-let to_events () =
-  List.map
-    (fun s ->
-      let base =
-        [ ("type", Jsonl.Str "metric"); ("name", Jsonl.Str s.name) ]
-        @ (if s.labels = [] then [] else [ ("labels", Jsonl.Obj (label_events s.labels)) ])
-      in
-      match s.kind with
-      | Counter n -> Jsonl.Obj (base @ [ ("kind", Jsonl.Str "counter"); ("value", Jsonl.Num (float_of_int n)) ])
-      | Gauge v -> Jsonl.Obj (base @ [ ("kind", Jsonl.Str "gauge"); ("value", Jsonl.Num v) ])
-      | Histogram h ->
-          let buckets =
-            Hashtbl.fold (fun e n acc -> (e, n) :: acc) h.buckets []
-            |> List.sort compare
-            |> List.map (fun (e, n) ->
-                   Jsonl.Obj
-                     [
-                       ("exponent", Jsonl.Num (float_of_int e));
-                       ("count", Jsonl.Num (float_of_int n));
-                     ])
-          in
-          Jsonl.Obj
-            (base
-            @ [
-                ("kind", Jsonl.Str "histogram");
-                ("count", Jsonl.Num (float_of_int h.count));
-                ("sum", Jsonl.Num h.sum);
-                ("min", Jsonl.Num h.min_v);
-                ("max", Jsonl.Num h.max_v);
-                ("base", Jsonl.Num h.base);
-                ("buckets", Jsonl.List buckets);
-              ]))
-    (dump ())
-
 let pp_labels ppf labels =
   if labels <> [] then
     Format.fprintf ppf "{%s}"

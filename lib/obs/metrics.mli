@@ -66,9 +66,6 @@ val dump : unit -> series list
     are deep-copied, so the returned buckets can be read (e.g. by
     {!quantile}) without racing concurrent {!observe}s. *)
 
-val to_events : unit -> Jsonl.t list
-(** One JSONL event per series (type ["metric"]), for the sinks. *)
-
 val pp : Format.formatter -> unit -> unit
 (** Human-readable registry dump. *)
 

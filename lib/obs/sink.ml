@@ -1,6 +1,4 @@
-type t = { id : int; write : Jsonl.t -> unit; flush : unit -> unit; close : unit -> unit }
-
-let next_id = Atomic.make 0
+type t = { write : Jsonl.t -> unit; flush : unit -> unit; close : unit -> unit }
 
 (* The live list is an atomic so [enabled]/[emit] on hot paths never block;
    the mutex serializes writes (JSONL lines from concurrent domains must not
@@ -28,28 +26,14 @@ let install sink =
   sink
 
 let install_jsonl ?(close_channel = false) oc =
-  let id = 1 + Atomic.fetch_and_add next_id 1 in
   install
     {
-      id;
       write = (fun event -> output_string oc (Jsonl.to_string event); output_char oc '\n');
       flush = (fun () -> flush oc);
       close = (fun () -> flush oc; if close_channel then close_out_noerr oc);
     }
 
 let install_file path = install_jsonl ~close_channel:true (open_out path)
-
-let remove sink =
-  let removed =
-    locked (fun () ->
-        let live = Atomic.get sinks in
-        if List.exists (fun s -> s.id = sink.id) live then begin
-          Atomic.set sinks (List.filter (fun s -> s.id <> sink.id) live);
-          true
-        end
-        else false)
-  in
-  if removed then sink.close ()
 
 let flush_all () = locked (fun () -> List.iter (fun s -> s.flush ()) (Atomic.get sinks))
 

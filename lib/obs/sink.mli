@@ -16,7 +16,7 @@
     v} *)
 
 type t
-(** An installed sink handle (used to uninstall/close it). *)
+(** An installed sink; {!close_all} uninstalls it. *)
 
 val install_jsonl : ?close_channel:bool -> out_channel -> t
 (** Route events to a channel, one JSON object per line. The channel is
@@ -32,9 +32,6 @@ val enabled : unit -> bool
 
 val emit : Jsonl.t -> unit
 (** Send an event to every installed sink. No-op when none is installed. *)
-
-val remove : t -> unit
-(** Uninstall one sink (flushing it); closes its channel if owned. *)
 
 val flush_all : unit -> unit
 (** Flush every installed sink's buffered output without uninstalling —

@@ -99,30 +99,3 @@ let timed ?attrs ~name f =
   let t0 = Clock.monotonic () in
   let v = with_ ?attrs ~name f in
   (v, Clock.monotonic () -. t0)
-
-let pp_summary ppf () =
-  let table : (string, int ref * float ref * float ref) Hashtbl.t = Hashtbl.create 32 in
-  let rec visit prefix sp =
-    let path = if prefix = "" then sp.name else prefix ^ "/" ^ sp.name in
-    let count, dur, words =
-      match Hashtbl.find_opt table path with
-      | Some row -> row
-      | None ->
-          let row = (ref 0, ref 0.0, ref 0.0) in
-          Hashtbl.add table path row;
-          row
-    in
-    count := !count + 1;
-    dur := !dur +. sp.dur;
-    words := !words +. sp.minor_words;
-    List.iter (visit path) sp.children
-  in
-  List.iter (visit "") (roots ());
-  if Hashtbl.length table = 0 then Format.fprintf ppf "(no spans recorded)@."
-  else begin
-    Format.fprintf ppf "%-44s %6s %12s %14s@." "span" "calls" "seconds" "minor words";
-    Hashtbl.fold (fun path row acc -> (path, row) :: acc) table []
-    |> List.sort compare
-    |> List.iter (fun (path, (count, dur, words)) ->
-           Format.fprintf ppf "%-44s %6d %12.4f %14.3e@." path !count !dur !words)
-  end

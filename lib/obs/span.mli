@@ -46,7 +46,3 @@ val roots : unit -> t list
 
 val reset : unit -> unit
 (** Drop retained roots (and any unbalanced open spans). *)
-
-val pp_summary : Format.formatter -> unit -> unit
-(** Aggregate retained spans by path: call count, total seconds, total
-    allocation. *)

@@ -53,11 +53,6 @@ let erf x = if abs_float x < 2.0 then erf_series x else 1.0 -. erfc x
 
 let sqrt2 = 1.4142135623730950488
 
-let pdf ~mean ~sigma x =
-  if sigma <= 0.0 then invalid_arg "Gaussian.pdf: sigma must be positive";
-  let z = (x -. mean) /. sigma in
-  exp (-0.5 *. z *. z) /. (sigma *. sqrt2 *. sqrt_pi)
-
 let cdf ~mean ~sigma x =
   if sigma <= 0.0 then invalid_arg "Gaussian.cdf: sigma must be positive";
   0.5 *. erfc (-.(x -. mean) /. (sigma *. sqrt2))

@@ -11,8 +11,6 @@ val erfc : float -> float
     (series near 0, continued fraction in the tails), so that BERs down to
     1e-300 are representable. *)
 
-val pdf : mean:float -> sigma:float -> float -> float
-
 val cdf : mean:float -> sigma:float -> float -> float
 
 val q : float -> float

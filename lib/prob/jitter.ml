@@ -1,10 +1,5 @@
 type white = { sigma : float }
 
-let eye_opening ~sigma =
-  if sigma < 0.0 || not (Float.is_finite sigma) then
-    invalid_arg "Jitter.eye_opening: sigma must be finite and non-negative";
-  { sigma }
-
 (* Find a two-parameter family with the requested mean: mass [1 - a] at 0 and
    a tail of total mass [a] over [1..max] with the given profile; [a] is
    solved from the mean. *)

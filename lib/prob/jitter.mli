@@ -16,9 +16,6 @@
 type white = { sigma : float }
 (** Specification of [n_w]: the standard deviation in unit-interval units. *)
 
-val eye_opening : sigma:float -> white
-(** Raises [Invalid_argument] on negative [sigma]. *)
-
 val drift :
   max_steps:int -> mean_steps:float -> ?shape:[ `Peaked | `Uniform | `Ramp ] -> unit -> Pmf.t
 (** [drift ~max_steps ~mean_steps ()] builds an [n_r] pmf supported on

@@ -257,11 +257,6 @@ let iter_row op i emit =
       go 0 0 t.coeff)
     op.terms
 
-let iter_entries op emit =
-  for i = 0 to op.n - 1 do
-    iter_row op i (fun j v -> emit i j v)
-  done
-
 let to_csr op =
   let materialize_term t =
     let k = Kron.product_list (Array.to_list t.factors) in

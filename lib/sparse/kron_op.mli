@@ -73,9 +73,6 @@ val iter_row : t -> int -> (int -> float -> unit) -> unit
     [Csr.assemble] sum them in emission order). Safe to call concurrently
     from several domains. *)
 
-val iter_entries : t -> (int -> int -> float -> unit) -> unit
-(** {!iter_row} over every row in ascending order. *)
-
 val to_csr : t -> Csr.t
 (** Materialize (for tests and small operators). *)
 

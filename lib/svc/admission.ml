@@ -65,6 +65,4 @@ let close t =
       t.closed <- true;
       Condition.broadcast t.cond)
 
-let kick t = with_lock t (fun () -> Condition.broadcast t.cond)
-
 let length t = with_lock t (fun () -> Queue.length t.q)

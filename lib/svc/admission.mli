@@ -36,8 +36,4 @@ val drain : 'a t -> 'a list
 val close : 'a t -> unit
 (** Refuse further pushes and wake all blocked poppers. Idempotent. *)
 
-val kick : 'a t -> unit
-(** Wake blocked poppers without enqueueing (used by the shutdown ticker so
-    a pending SIGTERM is noticed even while the consumer is parked). *)
-
 val length : 'a t -> int

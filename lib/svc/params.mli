@@ -61,13 +61,6 @@ val of_scenario : Cdr.Scenario.t -> t
 (** The parameter record equivalent to a scenario preset: config-derived
     fields from the scenario, solver machinery at the schema defaults. *)
 
-val solver_of_string : string -> solver option
-val string_of_solver : solver -> string
-
-val smoother_of_string : string -> Markov.Multigrid.smoother option
-val string_of_smoother : Markov.Multigrid.smoother -> string
-
-val backend_of_string : string -> Cdr_op.kind option
 val string_of_backend : Cdr_op.kind -> string
 
 val of_json : ?defaults:t -> Cdr_obs.Jsonl.t -> (t, string) result

@@ -227,5 +227,3 @@ let run_socket_service ~path svc =
   if Sys.file_exists path then try Sys.remove path with Sys_error _ -> ()
 
 let run_stdio cfg = run_stdio_service (local_service cfg)
-
-let run_socket ~path cfg = run_socket_service ~path (local_service cfg)

@@ -4,8 +4,8 @@
 
     - {!run_stdio}: one request per stdin line, one response per stdout
       line — the mode the smoke tests and shell pipelines use;
-    - {!run_socket}: the same protocol over a Unix-domain stream socket,
-      every connection multiplexed onto the single solve loop.
+    - {!run_socket_service}: the same protocol over a Unix-domain stream
+      socket, every connection multiplexed onto the single solve loop.
 
     Threading model: protocol readers are lightweight systhreads (they
     block in [input_line]/[accept], which releases the runtime lock), the
@@ -20,8 +20,7 @@
     entry points return normally — the caller exits 0. Requests arriving
     during the drain are refused with an ["overloaded"] error.
 
-    The transports are also exposed generically ({!run_stdio_service} /
-    {!run_socket_service}) over the {!service} record, so the
+    Both transports run over the {!service} record, so the
     multi-replica {!Router} reuses the exact same connection plumbing,
     shutdown ticker, and drain semantics as the single-process engine. *)
 
@@ -60,12 +59,10 @@ val local_service : config -> service
 val run_stdio_service : service -> unit
 
 val run_socket_service : path:string -> service -> unit
-
-val run_stdio : config -> unit
-(** [run_stdio cfg = run_stdio_service (local_service cfg)] *)
-
-val run_socket : path:string -> config -> unit
 (** Binds (and on exit unlinks) the socket at [path]; an existing file at
     [path] is removed first. Responses for one connection go back on that
     connection; SIGPIPE is ignored so a vanished client only loses its own
     replies. *)
+
+val run_stdio : config -> unit
+(** [run_stdio cfg = run_stdio_service (local_service cfg)] *)

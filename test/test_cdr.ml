@@ -525,47 +525,6 @@ let test_acquisition_band_validation () =
 
 (* ---------- cross-subsystem integration ---------- *)
 
-let test_model_persistence_roundtrip () =
-  (* a built CDR chain survives save/load exactly, and the reloaded chain
-     solves to the same stationary distribution *)
-  let model = Cdr.Model.build_direct small in
-  let path = Filename.temp_file "cdr_model" ".chain" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Markov.Io.save_chain path model.Cdr.Model.chain;
-      match Markov.Io.load_chain path with
-      | Error msg -> Alcotest.fail msg
-      | Ok reloaded ->
-          (* file contents are exact (%h), but Chain.of_csr re-normalizes
-             rows on load, which can move entries by one ulp *)
-          Alcotest.(check bool) "TPM equal to 1 ulp" true
-            (Sparse.Csr.equal ~tol:1e-15 (Markov.Chain.tpm model.Cdr.Model.chain)
-               (Markov.Chain.tpm reloaded));
-          let ctx = Cdr.Context.make ~tol:1e-11 () in
-          let sol = Cdr.Model.solve ~solver:`Gauss_seidel ~ctx model in
-          let sol' =
-            Markov.Splitting.solve ~method_:Markov.Splitting.Gauss_seidel ~tol:1e-11 reloaded
-          in
-          check_float ~eps:1e-9 "same stationary vector" 0.0
-            (Linalg.Vec.dist_l1 sol.Markov.Solution.pi sol'.Markov.Solution.pi))
-
-let test_censor_cdr_on_data_pattern () =
-  (* condition the loop on "the data bit is 0": censoring the chain to those
-     states must reproduce pi( . | bit = 0) exactly *)
-  let model = Cdr.Model.build_direct small in
-  let keep i =
-    (Cdr.Data_source.decode small (model.Cdr.Model.data_code i)).Cdr.Data_source.bit = 0
-  in
-  let sol = Cdr.Model.solve ~ctx:(Cdr.Context.make ~tol:1e-13 ()) model in
-  let pi = sol.Markov.Solution.pi in
-  let censored, kept = Markov.Censor.stochastic_complement model.Cdr.Model.chain ~keep in
-  let censored_pi = Markov.Gth.solve censored in
-  let conditional = Markov.Censor.conditional_stationary model.Cdr.Model.chain ~pi ~keep in
-  Alcotest.(check int) "half the states kept" (model.Cdr.Model.n_states / 2) (Array.length kept);
-  check_float ~eps:1e-8 "conditional stationarity on the CDR chain" 0.0
-    (Linalg.Vec.dist_l1 censored_pi conditional)
-
 let test_multigrid_random_block_chain () =
   (* the generic default hierarchy on an unstructured chain large enough to
      recurse: agreement with Gauss-Seidel to solver tolerance *)
@@ -884,8 +843,6 @@ let () =
         ] );
       ( "integration",
         [
-          Alcotest.test_case "persistence roundtrip" `Quick test_model_persistence_roundtrip;
-          Alcotest.test_case "censor on data pattern" `Slow test_censor_cdr_on_data_pattern;
           Alcotest.test_case "multigrid on unstructured chain" `Quick test_multigrid_random_block_chain;
         ] );
       ( "activity",

@@ -217,17 +217,18 @@ let kron_cfg =
     }
 
 (* the fixed configurations of fixtures/golden_pi.jsonl: the default grid
-   (7 levels), the colored smoother, W-cycles, and the matrix-free IAD path
-   whose coarse solve runs Multigrid.solve_with; each returns the
-   stationary vector and, through Report, the BER *)
+   (7 levels), the colored smoother, plain Gauss-Seidel, W-cycles, and the
+   matrix-free IAD path whose coarse solve runs Multigrid.solve_with; each
+   returns the stationary vector and, through Report, the BER *)
 let golden_runs =
-  let report ctx cfg =
-    let r, sol = Cdr.Report.run_model ~ctx (Cdr.Report.build ctx cfg) in
+  let report ?solver ctx cfg =
+    let r, sol = Cdr.Report.run_model ?solver ~ctx (Cdr.Report.build ctx cfg) in
     (sol.Markov.Solution.pi, Some r.Cdr.Report.ber)
   in
   [
     ("csr-default", fun () -> report Cdr.Context.default Cdr.Config.default);
     ("csr-grid64-colored", fun () -> report (Cdr.Context.make ~smoother:`Colored ()) cfg);
+    ("csr-grid64-gauss-seidel", fun () -> report ~solver:`Gauss_seidel Cdr.Context.default cfg);
     ( "csr-grid64-w",
       fun () ->
         let sol, _ = Markov.Multigrid.solve ~cycle:`W ~hierarchy:(hierarchy ()) (chain ()) in

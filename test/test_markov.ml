@@ -80,9 +80,6 @@ let solver_cases =
     ( "gauss-seidel",
       fun c ->
         (Markov.Splitting.solve ~method_:Markov.Splitting.Gauss_seidel ~tol:1e-14 c).Markov.Solution.pi );
-    ( "sor(1.2)",
-      fun c ->
-        (Markov.Splitting.solve ~method_:(Markov.Splitting.Sor 1.2) ~tol:1e-14 c).Markov.Solution.pi );
     ("gth", fun c -> Markov.Gth.solve c);
   ]
 
@@ -105,11 +102,6 @@ let test_solvers_birth_death () =
       let pi = solve c in
       check_float ~eps:1e-8 (name ^ " l1 error") 0.0 (Linalg.Vec.dist_l1 pi expected))
     solver_cases
-
-let test_sor_omega_validation () =
-  Alcotest.check_raises "omega" (Invalid_argument "Splitting.solve: SOR omega must lie in (0, 2)")
-    (fun () ->
-      ignore (Markov.Splitting.solve ~method_:(Markov.Splitting.Sor 2.5) (two_state 0.1 0.1)))
 
 let test_gth_reducible_detected () =
   let reducible =
@@ -222,38 +214,6 @@ let test_arnoldi_small_chain () =
   let sol = Markov.Arnoldi.solve ~subspace:50 c in
   check_float ~eps:1e-10 "pi" 0.0 (Linalg.Vec.dist_l1 sol.Markov.Solution.pi (two_state_pi 0.2 0.4))
 
-(* ---------- lumpability ---------- *)
-
-let test_exact_lumping () =
-  (* block-symmetric chain: states {0,1} and {2,3} interchangeable *)
-  let c =
-    chain_of_rows
-      [|
-        [| 0.1; 0.3; 0.3; 0.3 |];
-        [| 0.3; 0.1; 0.3; 0.3 |];
-        [| 0.25; 0.25; 0.2; 0.3 |];
-        [| 0.25; 0.25; 0.3; 0.2 |];
-      |]
-  in
-  let partition = Markov.Partition.pair_consecutive 4 in
-  Alcotest.(check bool) "lumpable" true (Markov.Lump.is_lumpable c partition);
-  match Markov.Lump.lump c partition with
-  | Error msg -> Alcotest.fail msg
-  | Ok lumped ->
-      check_float "block self" 0.4 (Markov.Chain.transition_prob lumped 0 0);
-      check_float "cross" 0.6 (Markov.Chain.transition_prob lumped 0 1);
-      (* lumped stationary distribution = aggregated fine stationary *)
-      let fine_pi = Markov.Gth.solve c in
-      let coarse_pi = Markov.Gth.solve lumped in
-      let restricted = Markov.Partition.restrict partition fine_pi in
-      check_float ~eps:1e-12 "pi consistent" 0.0 (Linalg.Vec.dist_l1 coarse_pi restricted)
-
-let test_not_lumpable_detected () =
-  let c = birth_death ~n:4 ~p:0.3 in
-  let partition = Markov.Partition.pair_consecutive 4 in
-  Alcotest.(check bool) "birth-death pairing not lumpable" false
-    (Markov.Lump.is_lumpable c partition)
-
 (* ---------- passage ---------- *)
 
 let test_hitting_time_two_state () =
@@ -325,41 +285,6 @@ let test_hitting_time_budget_exhausted () =
        false
      with Markov.Passage.Not_converged { sweeps; _ } -> sweeps = 20)
 
-(* ---------- censoring ---------- *)
-
-let test_censor_two_state_identity () =
-  (* keeping everything returns the same chain *)
-  let c = two_state 0.3 0.1 in
-  let censored, kept = Markov.Censor.stochastic_complement c ~keep:(fun _ -> true) in
-  Alcotest.(check int) "all kept" 2 (Array.length kept);
-  Alcotest.(check bool) "same chain" true
-    (Sparse.Csr.equal (Markov.Chain.tpm censored) (Markov.Chain.tpm c))
-
-let test_censor_conditional_stationary () =
-  (* the censored chain's stationary distribution equals pi conditioned on
-     the kept set — the defining property of stochastic complementation *)
-  let c = birth_death ~n:12 ~p:0.4 in
-  let pi = Markov.Gth.solve c in
-  let keep i = i mod 3 <> 0 in
-  let censored, kept = Markov.Censor.stochastic_complement c ~keep in
-  let censored_pi = Markov.Gth.solve censored in
-  let conditional = Markov.Censor.conditional_stationary c ~pi ~keep in
-  Alcotest.(check int) "kept count" 8 (Array.length kept);
-  check_float ~eps:1e-10 "conditional stationarity" 0.0
-    (Linalg.Vec.dist_l1 censored_pi conditional)
-
-let test_censor_rows_stochastic () =
-  let c = birth_death ~n:9 ~p:0.25 in
-  let censored, _ = Markov.Censor.stochastic_complement c ~keep:(fun i -> i < 4) in
-  Array.iter
-    (fun s -> check_float ~eps:1e-10 "stochastic" 1.0 s)
-    (Sparse.Csr.row_sums (Markov.Chain.tpm censored))
-
-let test_censor_empty_keep_rejected () =
-  Alcotest.(check bool) "rejected" true
-    (try ignore (Markov.Censor.stochastic_complement (two_state 0.1 0.1) ~keep:(fun _ -> false)); false
-     with Invalid_argument _ -> true)
-
 (* ---------- rewards ---------- *)
 
 let test_reward_long_run_average () =
@@ -399,106 +324,62 @@ let test_reward_discounted_bellman () =
     (fun i x -> check_float ~eps:1e-9 "fixed point" x (reward i +. (gamma *. pv.(i))))
     v
 
-(* ---------- io ---------- *)
+(* ---------- transient evolution (repeated Chain.step) ---------- *)
 
-let test_io_chain_roundtrip () =
-  let c = birth_death ~n:17 ~p:0.3 in
-  let path = Filename.temp_file "cdr_markov_test" ".chain" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Markov.Io.save_chain path c;
-      match Markov.Io.load_chain path with
-      | Error msg -> Alcotest.fail msg
-      | Ok c' ->
-          Alcotest.(check int) "size" (Markov.Chain.n_states c) (Markov.Chain.n_states c');
-          Alcotest.(check bool) "exact round-trip" true
-            (Sparse.Csr.equal (Markov.Chain.tpm c) (Markov.Chain.tpm c')))
+let distribution_at c ~initial ~steps =
+  let d = ref (Array.copy initial) in
+  for _ = 1 to steps do
+    d := Markov.Chain.step c !d
+  done;
+  !d
 
-let test_io_vector_roundtrip () =
-  let x = [| 0.125; 1e-300; 0.875; 3.14159265358979 |] in
-  let path = Filename.temp_file "cdr_markov_test" ".vec" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      Markov.Io.write_vector oc x;
-      close_out oc;
-      let ic = open_in path in
-      let back = Markov.Io.read_vector ic in
-      close_in ic;
-      match back with
-      | Error msg -> Alcotest.fail msg
-      | Ok y -> Alcotest.(check bool) "exact" true (x = y))
-
-let test_io_rejects_garbage () =
-  let path = Filename.temp_file "cdr_markov_test" ".chain" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "not a chain\n";
-      close_out oc;
-      Alcotest.(check bool) "rejected" true (Result.is_error (Markov.Io.load_chain path)))
-
-(* ---------- evolution ---------- *)
+(* total-variation distance to [pi] after k = 0 .. steps forward steps *)
+let distance_to_stationarity c ~initial ~pi ~steps =
+  let d = ref (Array.copy initial) in
+  Array.init (steps + 1) (fun k ->
+      if k > 0 then d := Markov.Chain.step c !d;
+      0.5 *. Linalg.Vec.dist_l1 !d pi)
 
 let test_evolution_distribution_at () =
   let c = two_state 0.3 0.1 in
-  let one_step = Markov.Evolution.distribution_at c ~initial:[| 1.0; 0.0 |] ~steps:1 in
+  let one_step = distribution_at c ~initial:[| 1.0; 0.0 |] ~steps:1 in
   check_float "p0" 0.7 one_step.(0);
   check_float "p1" 0.3 one_step.(1);
-  let zero_steps = Markov.Evolution.distribution_at c ~initial:[| 1.0; 0.0 |] ~steps:0 in
+  let zero_steps = distribution_at c ~initial:[| 1.0; 0.0 |] ~steps:0 in
   check_float "identity at 0 steps" 1.0 zero_steps.(0)
 
 let test_evolution_distance_monotone () =
   let c = birth_death ~n:12 ~p:0.4 in
   let pi = Markov.Gth.solve c in
   let initial = Array.init 12 (fun i -> if i = 0 then 1.0 else 0.0) in
-  let d = Markov.Evolution.distance_to_stationarity c ~initial ~pi ~steps:50 in
+  let d = distance_to_stationarity c ~initial ~pi ~steps:50 in
   for k = 0 to 49 do
     Alcotest.(check bool) "non-increasing" true (d.(k + 1) <= d.(k) +. 1e-12)
   done;
   Alcotest.(check bool) "decays" true (d.(50) < d.(0))
 
 let test_evolution_settling_time () =
+  (* first k with TV distance <= epsilon; the two-state TV distance decays
+     exactly as |1 - a - b|^k * d(0) *)
   let c = two_state 0.3 0.2 in
   let pi = two_state_pi 0.3 0.2 in
-  (match Markov.Evolution.settling_time ~epsilon:1e-6 c ~initial:[| 1.0; 0.0 |] ~pi with
+  let settling ~epsilon initial =
+    let d = distance_to_stationarity c ~initial ~pi ~steps:1000 in
+    let rec first k = if k > 1000 then None else if d.(k) <= epsilon then Some k else first (k + 1) in
+    first 0
+  in
+  (match settling ~epsilon:1e-6 [| 1.0; 0.0 |] with
   | Some k ->
-      (* the two-state TV distance decays exactly as |1 - a - b|^k * d(0) *)
       let lambda = 0.5 in
       let d0 = 0.5 *. Linalg.Vec.dist_l1 [| 1.0; 0.0 |] pi in
       let expected = int_of_float (ceil (log (1e-6 /. d0) /. log lambda)) in
       Alcotest.(check bool) "close to analytic" true (abs (k - expected) <= 1)
   | None -> Alcotest.fail "did not settle");
   (* starting at stationarity settles immediately *)
-  match Markov.Evolution.settling_time c ~initial:(Array.copy pi) ~pi with
+  match settling ~epsilon:1e-3 (Array.copy pi) with
   | Some 0 -> ()
   | Some k -> Alcotest.fail (Printf.sprintf "expected 0, got %d" k)
   | None -> Alcotest.fail "did not settle"
-
-(* ---------- spectral ---------- *)
-
-let test_subdominant_two_state () =
-  (* the two-state chain has exactly one other eigenvalue: 1 - a - b *)
-  let a = 0.3 and b = 0.2 in
-  let est = Markov.Spectral.subdominant (two_state a b) in
-  Alcotest.(check bool) "converged" true est.Markov.Spectral.converged;
-  check_float ~eps:1e-6 "lambda2" (1.0 -. a -. b) est.Markov.Spectral.modulus
-
-let test_subdominant_bounds () =
-  let est = Markov.Spectral.subdominant (birth_death ~n:25 ~p:0.45) in
-  Alcotest.(check bool) "in (0,1)" true
-    (est.Markov.Spectral.modulus > 0.0 && est.Markov.Spectral.modulus < 1.0);
-  Alcotest.(check bool) "mixing time positive" true (est.Markov.Spectral.mixing_time > 0.0)
-
-let test_subdominant_stiffer_is_larger () =
-  (* slower-mixing chains have subdominant modulus closer to 1 *)
-  let fast = Markov.Spectral.subdominant (birth_death ~n:10 ~p:0.45) in
-  let slow = Markov.Spectral.subdominant (birth_death ~n:40 ~p:0.45) in
-  Alcotest.(check bool) "ordering" true
-    (slow.Markov.Spectral.modulus > fast.Markov.Spectral.modulus)
 
 (* ---------- stat ---------- *)
 
@@ -590,7 +471,6 @@ let () =
         [
           Alcotest.test_case "two-state analytic" `Quick test_solvers_two_state;
           Alcotest.test_case "birth-death analytic" `Quick test_solvers_birth_death;
-          Alcotest.test_case "sor omega validated" `Quick test_sor_omega_validation;
           Alcotest.test_case "gth reducible detected" `Quick test_gth_reducible_detected;
           Alcotest.test_case "gth nearly uncoupled" `Quick test_gth_nearly_uncoupled;
           Alcotest.test_case "arnoldi beats power on stiff chain" `Slow
@@ -607,11 +487,6 @@ let () =
           Alcotest.test_case "hierarchy validation" `Quick test_multigrid_hierarchy_validation;
           Alcotest.test_case "default hierarchy shrinks" `Quick test_default_hierarchy_shrinks;
         ] );
-      ( "lumpability",
-        [
-          Alcotest.test_case "exact lumping" `Quick test_exact_lumping;
-          Alcotest.test_case "violation detected" `Quick test_not_lumpable_detected;
-        ] );
       ( "passage",
         [
           Alcotest.test_case "two-state hitting time" `Quick test_hitting_time_two_state;
@@ -622,13 +497,6 @@ let () =
           Alcotest.test_case "empty target rejected" `Quick test_empty_target_rejected;
           Alcotest.test_case "sweep budget exhausted raises" `Quick test_hitting_time_budget_exhausted;
         ] );
-      ( "censor",
-        [
-          Alcotest.test_case "identity keep" `Quick test_censor_two_state_identity;
-          Alcotest.test_case "conditional stationarity" `Quick test_censor_conditional_stationary;
-          Alcotest.test_case "rows stochastic" `Quick test_censor_rows_stochastic;
-          Alcotest.test_case "empty keep rejected" `Quick test_censor_empty_keep_rejected;
-        ] );
       ( "reward",
         [
           Alcotest.test_case "long-run average" `Quick test_reward_long_run_average;
@@ -636,23 +504,11 @@ let () =
           Alcotest.test_case "discounted constant" `Quick test_reward_discounted_constant;
           Alcotest.test_case "bellman fixed point" `Quick test_reward_discounted_bellman;
         ] );
-      ( "io",
-        [
-          Alcotest.test_case "chain roundtrip" `Quick test_io_chain_roundtrip;
-          Alcotest.test_case "vector roundtrip" `Quick test_io_vector_roundtrip;
-          Alcotest.test_case "rejects garbage" `Quick test_io_rejects_garbage;
-        ] );
       ( "evolution",
         [
           Alcotest.test_case "distribution_at" `Quick test_evolution_distribution_at;
           Alcotest.test_case "distance monotone" `Quick test_evolution_distance_monotone;
           Alcotest.test_case "settling time" `Quick test_evolution_settling_time;
-        ] );
-      ( "spectral",
-        [
-          Alcotest.test_case "two-state analytic" `Quick test_subdominant_two_state;
-          Alcotest.test_case "bounds" `Quick test_subdominant_bounds;
-          Alcotest.test_case "stiffness ordering" `Quick test_subdominant_stiffer_is_larger;
         ] );
       ( "stat",
         [

@@ -1,8 +1,7 @@
 (* Tests for the operator-abstraction subsystem: the matrix-free Kronecker
    primitive (Sparse.Kron_op) against materialized products, the Cdr_op
-   backends against the exact CSR kernels they wrap (bitwise), the generic
-   network factorization (Fsm.Kron_build) against explicitly built chains,
-   and the CDR factorization (Cdr.Kron_model) against the direct CSR model —
+   backends against the exact CSR kernels they wrap (bitwise), and the CDR
+   factorization (Cdr.Kron_model) against the direct CSR model —
    transition-by-transition and through the stationary functionals. *)
 
 let check_bool = Alcotest.(check bool)
@@ -202,97 +201,6 @@ let test_check_stochastic () =
   | Ok () -> Alcotest.fail "half rows accepted"
   | Error msg -> check_bool "error names a row" true (String.length msg > 0)
 
-(* ---------- Fsm.Kron_build vs explicitly built chains ---------- *)
-
-let mod_counter ~name n =
-  Fsm.Component.create ~name ~n_states:n ~input_cards:[| 2 |] ~n_outputs:n
-    ~step:(fun s inputs ->
-      let s' = if inputs.(0) = 1 then (s + 1) mod n else s in
-      (s', s))
-    ()
-
-let coin p = { Fsm.Network.source_name = "coin"; pmf = Prob.Pmf.bernoulli ~p 1 0 }
-
-let network_gen =
-  (* random two-component feed-forward network: coin -> a, a's output -> b *)
-  let open QCheck2.Gen in
-  let* p = float_range 0.05 0.95 in
-  let* na = int_range 2 5 in
-  let* nb = int_range 2 5 in
-  let a = mod_counter ~name:"a" na in
-  let b =
-    Fsm.Component.create ~name:"b" ~n_states:nb ~input_cards:[| na |] ~n_outputs:1
-      ~step:(fun s inputs -> ((if inputs.(0) = 0 then (s + 1) mod nb else s), 0))
-      ()
-  in
-  return
-    (Fsm.Network.create ~sources:[| coin p |] ~components:[| a; b |]
-       ~wiring:[| [| Fsm.Network.From_source 0 |]; [| Fsm.Network.From_component 0 |] |])
-
-let prop_kron_build_stochastic =
-  QCheck2.Test.make ~name:"factorized operator is row-stochastic on the full space" ~count:50
-    network_gen (fun net ->
-      let op = Fsm.Kron_build.of_network net in
-      Sparse.Kron_op.dim op = Fsm.Network.n_global_states net
-      && Array.for_all (fun s -> Float.abs (s -. 1.0) < 1e-9) (Sparse.Kron_op.row_sums op))
-
-let prop_kron_build_matches_chain =
-  QCheck2.Test.make ~name:"factorized operator matches the built chain" ~count:50 network_gen
-    (fun net ->
-      (match Fsm.Kron_build.supports net with
-      | Ok () -> ()
-      | Error msg -> QCheck2.Test.fail_reportf "generated net unsupported: %s" msg);
-      let full = Sparse.Kron_op.to_csr (Fsm.Kron_build.of_network net) in
-      let built = Fsm.Network.build_chain net ~initial:[| 0; 0 |] in
-      let tpm = Markov.Chain.tpm built.Fsm.Network.chain in
-      let ok = ref true in
-      Array.iteri
-        (fun r states ->
-          let fi = Fsm.Network.encode net states in
-          (* every factorized entry out of a reachable state lands on a
-             reachable state with the chain's probability... *)
-          Sparse.Csr.iter_row full fi (fun fj v ->
-              match built.Fsm.Network.index_of (Fsm.Network.decode net fj) with
-              | None -> if Float.abs v > 1e-15 then ok := false
-              | Some r' ->
-                  if Float.abs (v -. Sparse.Csr.get tpm r r') > 1e-12 then ok := false);
-          (* ... and every chain entry appears in the factorization *)
-          Sparse.Csr.iter_row tpm r (fun r' v ->
-              let fj = Fsm.Network.encode net built.Fsm.Network.states.(r') in
-              if Float.abs (v -. Sparse.Csr.get full fi fj) > 1e-12 then ok := false))
-        built.Fsm.Network.states;
-      !ok)
-
-let test_kron_build_rejections () =
-  (* registered state feedback does not factorize *)
-  let a2 =
-    Fsm.Component.create ~name:"a2" ~n_states:2 ~input_cards:[| 2 |] ~n_outputs:2
-      ~step:(fun _ inputs -> (inputs.(0), inputs.(0)))
-      ()
-  in
-  let feedback =
-    Fsm.Network.create ~sources:[||]
-      ~components:[| a2; mod_counter ~name:"b2" 2 |]
-      ~wiring:[| [| Fsm.Network.From_state 1 |]; [| Fsm.Network.From_component 0 |] |]
-  in
-  (match Fsm.Kron_build.supports feedback with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "state feedback accepted");
-  check_bool "of_network raises on feedback" true
-    (try
-       ignore (Fsm.Kron_build.of_network feedback);
-       false
-     with Invalid_argument _ -> true);
-  (* a source read by two components couples them *)
-  let shared =
-    Fsm.Network.create ~sources:[| coin 0.5 |]
-      ~components:[| mod_counter ~name:"a" 2; mod_counter ~name:"b" 3 |]
-      ~wiring:[| [| Fsm.Network.From_source 0 |]; [| Fsm.Network.From_source 0 |] |]
-  in
-  match Fsm.Kron_build.supports shared with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "shared source accepted"
-
 (* ---------- Cdr.Kron_model vs the direct CSR model ---------- *)
 
 (* sigma_w well above the default so the slip rate is far from the solver
@@ -435,10 +343,6 @@ let () =
           Alcotest.test_case "jacobi delegates bitwise" `Quick test_jacobi_solve_delegates_bitwise;
           Alcotest.test_case "check_stochastic" `Quick test_check_stochastic;
         ] );
-      ( "kron-build",
-        Alcotest.test_case "unsupported shapes rejected" `Quick test_kron_build_rejections
-        :: List.map QCheck_alcotest.to_alcotest
-             [ prop_kron_build_stochastic; prop_kron_build_matches_chain ] );
       ( "kron-model",
         [
           Alcotest.test_case "structure" `Quick test_kron_model_structure;
