@@ -59,7 +59,9 @@ bench-json:
 # CI bench smoke: the tiny deterministic section plus the MG-SCALING gate.
 # Counter deltas are exact integers, and so is the tiny chain's multigrid
 # setup size (multigrid.setup_bytes: a return to a fatter setup layout moves
-# it and fails here). Wall seconds are never asserted —
+# it and fails here). bench.iad_one_coarse_cycle_ok is 1 when the kron IAD
+# solve ran exactly one coarse V-cycle per outer cycle, so a return to nested
+# coarse solves fails here too. Wall seconds are never asserted —
 # except the one scaling regression this PR exists to prevent: mg.speedup_j4
 # must clear 1.0 (or 0.9 on a single-core host, where the multi-worker pool
 # can only be asked to cost nothing); the section folds that policy into the
@@ -72,8 +74,9 @@ bench-smoke:
 	grep -q '"solver_cache.hits":2' /tmp/bench.json
 	grep -q '"solver_cache.misses":1' /tmp/bench.json
 	grep -q '"multigrid.setup_bytes":517524' /tmp/bench.json
+	grep -q '"bench.iad_one_coarse_cycle_ok":1' /tmp/bench.json
 	grep -q '"mg.speedup_j4_ok":1' /tmp/bench.json
-	@echo "bench smoke: counter deltas, setup bytes and the jobs=4 scaling gate as expected"
+	@echo "bench smoke: counter deltas, setup bytes, one coarse cycle per IAD cycle and the jobs=4 scaling gate as expected"
 
 # CI kron smoke: the matrix-free backend solving a 208,896-state chain that
 # was never materialized, asserted structurally from the JSON (state count,

@@ -518,11 +518,15 @@ let solvers_cmd =
     List.iter
       (fun (name, s) ->
         let t0 = Unix.gettimeofday () in
-        let sol = Cdr.Model.solve ~solver:s ~ctx:(Cdr.Context.make ~tol:1e-10 ()) model in
-        Format.printf "%-14s %6d iterations  residual %.2e  %6.2fs %s@." name
-          sol.Markov.Solution.iterations sol.Markov.Solution.residual
-          (Unix.gettimeofday () -. t0)
-          (if sol.Markov.Solution.converged then "" else "(NOT converged)"))
+        match Cdr.Model.solve ~solver:s ~ctx:(Cdr.Context.make ~tol:1e-10 ()) model with
+        | sol ->
+            Format.printf "%-14s %6d iterations  residual %.2e  %6.2fs %s@." name
+              sol.Markov.Solution.iterations sol.Markov.Solution.residual
+              (Unix.gettimeofday () -. t0)
+              (if sol.Markov.Solution.converged then "" else "(NOT converged)")
+        (* a solver that refuses the chain's size (aggregation's dense
+           coarse solve) gets a row saying so *)
+        | exception Invalid_argument msg -> Format.printf "%-14s refused: %s@." name msg)
       cases
   in
   let doc = "Compare the stationary solvers on the composed chain." in

@@ -22,4 +22,9 @@ val solve :
 (** Two-level A/D cycle: [smooth] Gauss-Seidel sweeps (default 2), coarsen
     with the smoothed iterate, solve the coarse chain exactly (GTH),
     disaggregate multiplicatively, repeat. [max_iter] counts cycles
-    (default 1000), [tol] is the l1 stationarity residual (default 1e-12). *)
+    (default 1000), [tol] is the l1 stationarity residual (default 1e-12).
+
+    The coarse solve is dense, so it refuses large coarse chains: raises
+    [Invalid_argument], naming the coarse size, when the dense coarse
+    matrix ([8 * n_coarse^2] bytes) would exceed 256 MiB (about 5,790
+    coarse states). *)

@@ -2,21 +2,47 @@ type t = { tpm : Sparse.Csr.t }
 
 exception Not_stochastic of string
 
-let of_csr ?(tol = 1e-9) m =
+(* Checks [m] and rescales every row of [values] (the caller's copy of
+   [m]'s values, or [m]'s own) by the inverse of its compensated row sum. *)
+let normalize ~tol m values =
   if Sparse.Csr.rows m <> Sparse.Csr.cols m then
     raise (Not_stochastic (Printf.sprintf "matrix is %dx%d, not square" (Sparse.Csr.rows m) (Sparse.Csr.cols m)));
-  Sparse.Csr.iter m (fun i j v ->
+  let row_ptr = m.Sparse.Csr.row_ptr and col_idx = m.Sparse.Csr.col_idx in
+  let n = Sparse.Csr.rows m in
+  for i = 0 to n - 1 do
+    for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      let v = values.(k) in
       if v < 0.0 || not (Float.is_finite v) then
-        raise (Not_stochastic (Printf.sprintf "entry (%d,%d) = %g is not a probability" i j v)));
-  let sums = Sparse.Csr.row_sums m in
-  Array.iteri
-    (fun i s ->
-      if abs_float (s -. 1.0) > tol then
-        raise (Not_stochastic (Printf.sprintf "row %d sums to %.12g" i s)))
-    sums;
-  (* exact renormalization: iterative solvers assume row sums of exactly 1 *)
-  let inv = Array.map (fun s -> 1.0 /. s) sums in
-  { tpm = Sparse.Csr.scale_rows m inv }
+        raise (Not_stochastic (Printf.sprintf "entry (%d,%d) = %g is not a probability" i col_idx.(k) v))
+    done
+  done;
+  (* exact renormalization by the compensated row sum [Sparse.Csr.row_sums]
+     computes: iterative solvers assume row sums of exactly 1 *)
+  for i = 0 to n - 1 do
+    let acc = ref 0.0 and c = ref 0.0 in
+    for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      let v = values.(k) -. !c in
+      let t = !acc +. v in
+      c := t -. !acc -. v;
+      acc := t
+    done;
+    let s = !acc in
+    if abs_float (s -. 1.0) > tol then
+      raise (Not_stochastic (Printf.sprintf "row %d sums to %.12g" i s));
+    let inv = 1.0 /. s in
+    for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      values.(k) <- values.(k) *. inv
+    done
+  done
+
+let of_csr ?(tol = 1e-9) m =
+  let values = Array.copy m.Sparse.Csr.values in
+  normalize ~tol m values;
+  { tpm = Sparse.Csr.refill m values }
+
+let of_csr_in_place ?(tol = 1e-9) m =
+  normalize ~tol m m.Sparse.Csr.values;
+  { tpm = m }
 
 let of_dense ?tol m = of_csr ?tol (Sparse.Csr.of_dense m)
 

@@ -14,6 +14,12 @@ val of_csr : ?tol:float -> Sparse.Csr.t -> t
     (default [1e-9]) of one, then re-normalizes each row exactly.
     Raises {!Not_stochastic} otherwise. *)
 
+val of_csr_in_place : ?tol:float -> Sparse.Csr.t -> t
+(** {!of_csr} without the copy: the re-normalization rescales the matrix's
+    own value array, which the chain then shares. For callers that own the
+    matrix and rebuild a chain from refilled values every iteration. When
+    it raises, the values may be partly rescaled. *)
+
 val of_dense : ?tol:float -> Linalg.Mat.t -> t
 
 val n_states : t -> int

@@ -291,16 +291,6 @@ let transpose m =
 
 let map f m = { m with values = Array.map f m.values }
 
-let scale_rows m d =
-  if Array.length d <> m.rows then invalid_arg "Csr.scale_rows: dimension mismatch";
-  let values = Array.copy m.values in
-  for i = 0 to m.rows - 1 do
-    for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-      values.(k) <- values.(k) *. d.(i)
-    done
-  done;
-  { m with values }
-
 let row_sums m =
   Array.init m.rows (fun i ->
       let acc = ref 0.0 and c = ref 0.0 in

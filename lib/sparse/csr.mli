@@ -96,9 +96,6 @@ val transpose : t -> t
 val map : (float -> float) -> t -> t
 (** Structure-preserving map over stored values. *)
 
-val scale_rows : t -> Linalg.Vec.t -> t
-(** [scale_rows a d] multiplies row [i] by [d.(i)]. *)
-
 val row_sums : t -> Linalg.Vec.t
 
 val add : t -> t -> t

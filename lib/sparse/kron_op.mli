@@ -69,9 +69,11 @@ val diag : t -> Linalg.Vec.t
 val iter_row : t -> int -> (int -> float -> unit) -> unit
 (** [iter_row op i emit] enumerates the entries of global row [i]: terms in
     order, and within a term the lexicographic cross product of factor-row
-    entries. Duplicate columns are emitted separately (consumers such as
-    [Csr.assemble] sum them in emission order). Safe to call concurrently
-    from several domains. *)
+    entries, each value the left-to-right product
+    [((coeff * a_1) * a_2) * ...]. Duplicate columns are emitted separately
+    (consumers such as [Csr.assemble] sum them in emission order). Walks
+    the factors' CSR arrays directly: no index array and no closure per row
+    or entry. Safe to call concurrently from several domains. *)
 
 val to_csr : t -> Csr.t
 (** Materialize (for tests and small operators). *)

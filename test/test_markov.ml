@@ -138,6 +138,18 @@ let test_aggregation_two_level () =
   check_float ~eps:1e-9 "matches analytic" 0.0
     (Linalg.Vec.dist_l1 sol.Markov.Solution.pi (birth_death_pi ~n ~p))
 
+(* 6,000 coarse states would need a 275 MiB dense coarse matrix: refused up
+   front, naming the size, before anything is allocated *)
+let test_aggregation_refuses_large_coarse () =
+  let n = 6000 in
+  let c = Markov.Chain.of_csr (Sparse.Csr.identity n) in
+  let partition = Markov.Partition.identity n in
+  match Markov.Aggregation.solve ~partition c with
+  | _ -> Alcotest.fail "a 6000-state dense coarse solve was not refused"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) "message names the coarse size" true
+        (String.starts_with ~prefix:"Aggregation.solve: a 6000-state coarse chain" msg)
+
 let test_partition_validation () =
   Alcotest.(check bool) "non-contiguous rejected" true
     (try ignore (Markov.Partition.create [| 0; 2 |]); false with Invalid_argument _ -> true);
@@ -480,6 +492,8 @@ let () =
       ( "aggregation-multigrid",
         [
           Alcotest.test_case "two-level A/D" `Quick test_aggregation_two_level;
+          Alcotest.test_case "dense coarse solve size limit" `Quick
+            test_aggregation_refuses_large_coarse;
           Alcotest.test_case "partition validation" `Quick test_partition_validation;
           Alcotest.test_case "restrict/prolong" `Quick test_partition_restrict_prolong;
           Alcotest.test_case "zero-weight block" `Quick test_prolong_zero_weight_block;

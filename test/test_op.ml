@@ -78,6 +78,67 @@ let prop_iter_row_sums_duplicates =
       done;
       !ok)
 
+(* Random 1- to 5-factor terms, optionally lifted by a leading factor, kept
+   next to their (coeff, factors) lists so a test-local reference can
+   enumerate rows without the operator's internals. *)
+let kron_terms_gen =
+  let open QCheck2.Gen in
+  let* dims = list_size (int_range 1 5) (int_range 1 3) in
+  let* n_terms = int_range 1 3 in
+  let* terms =
+    list_repeat n_terms
+      (let* coeff = float_range 0.25 2.0 in
+       let* factors = flatten_l (List.map csr_factor_gen dims) in
+       return (coeff, factors))
+  in
+  let* lift = option ~ratio:0.5 (int_range 1 3 >>= csr_factor_gen) in
+  let op =
+    Sparse.Kron_op.sum (List.map (fun (coeff, fs) -> Sparse.Kron_op.term ~coeff fs) terms)
+  in
+  match lift with
+  | None -> return (op, terms)
+  | Some a ->
+      return (Sparse.Kron_op.lift a op, List.map (fun (c, fs) -> (c, a :: fs)) terms)
+
+(* The recursive enumeration [Kron_op.iter_row] replaced: per term, decode
+   the row into factor rows, then walk the factors' row entries
+   lexicographically, multiplying left to right from the coefficient. *)
+let reference_row terms i emit =
+  List.iter
+    (fun (coeff, factors) ->
+      let factors = Array.of_list factors in
+      let dims = Array.map Sparse.Csr.rows factors in
+      let k = Array.length dims in
+      let idx = Array.make k 0 in
+      let rem = ref i in
+      for f = k - 1 downto 0 do
+        idx.(f) <- !rem mod dims.(f);
+        rem := !rem / dims.(f)
+      done;
+      let rec go f col acc =
+        if f = k then emit col acc
+        else
+          Sparse.Csr.iter_row factors.(f) idx.(f) (fun j v ->
+              go (f + 1) ((col * dims.(f)) + j) (acc *. v))
+      in
+      go 0 0 coeff)
+    terms
+
+let prop_iter_row_matches_reference =
+  QCheck2.Test.make ~name:"iter_row emits the reference (column, value bits) sequence"
+    ~count:200 kron_terms_gen (fun (op, terms) ->
+      let entries emit_row =
+        let acc = ref [] in
+        emit_row (fun j v -> acc := (j, Int64.bits_of_float v) :: !acc);
+        List.rev !acc
+      in
+      let ok = ref true in
+      for i = 0 to Sparse.Kron_op.dim op - 1 do
+        if entries (Sparse.Kron_op.iter_row op i) <> entries (reference_row terms i) then
+          ok := false
+      done;
+      !ok)
+
 let test_sum_validation () =
   check_bool "empty sum rejected" true
     (try
@@ -334,7 +395,7 @@ let () =
         :: List.map QCheck_alcotest.to_alcotest
              [
                prop_apply_matches_materialized; prop_row_sums_and_diag;
-               prop_iter_row_sums_duplicates;
+               prop_iter_row_sums_duplicates; prop_iter_row_matches_reference;
              ] );
       ( "backends",
         [

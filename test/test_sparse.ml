@@ -83,11 +83,6 @@ let test_csr_row_sums () =
   let sums = Sparse.Csr.row_sums (sample_csr ()) in
   check_float "row2 sum" 9.0 sums.(2)
 
-let test_csr_scale_rows () =
-  let m = Sparse.Csr.scale_rows (sample_csr ()) [| 2.0; 0.0; 1.0 |] in
-  check_float "scaled" 4.0 (Sparse.Csr.get m 0 2);
-  check_float "zeroed (structure kept)" 0.0 (Sparse.Csr.get m 1 1)
-
 let test_csr_add () =
   let a = sample_csr () in
   let b = Sparse.Csr.identity 3 in
@@ -286,7 +281,6 @@ let () =
           Alcotest.test_case "vec_mul" `Quick test_csr_vec_mul;
           Alcotest.test_case "transpose" `Quick test_csr_transpose;
           Alcotest.test_case "row_sums" `Quick test_csr_row_sums;
-          Alcotest.test_case "scale_rows" `Quick test_csr_scale_rows;
           Alcotest.test_case "add" `Quick test_csr_add;
           Alcotest.test_case "invalid structure rejected" `Quick test_csr_invalid_structure;
         ] );
