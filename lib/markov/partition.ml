@@ -1,8 +1,8 @@
-type t = { map : int array; n_fine : int; n_coarse : int }
+type t = { map : int array; n_fine : int; n_coarse : int; sizes : int array }
 
 let create map =
   let n_fine = Array.length map in
-  if n_fine = 0 then { map; n_fine = 0; n_coarse = 0 }
+  if n_fine = 0 then { map; n_fine = 0; n_coarse = 0; sizes = [||] }
   else begin
     let max_label = Array.fold_left max 0 map in
     Array.iter (fun b -> if b < 0 then invalid_arg "Partition.create: negative block label") map;
@@ -10,7 +10,9 @@ let create map =
     Array.iter (fun b -> seen.(b) <- true) map;
     if not (Array.for_all Fun.id seen) then
       invalid_arg "Partition.create: block labels are not contiguous from 0";
-    { map = Array.copy map; n_fine; n_coarse = max_label + 1 }
+    let sizes = Array.make (max_label + 1) 0 in
+    Array.iter (fun b -> sizes.(b) <- sizes.(b) + 1) map;
+    { map = Array.copy map; n_fine; n_coarse = max_label + 1; sizes }
   end
 
 let identity n = create (Array.init n Fun.id)
@@ -19,10 +21,7 @@ let pair_consecutive n = create (Array.init n (fun i -> i / 2))
 
 let block t i = t.map.(i)
 
-let block_size t b =
-  let count = ref 0 in
-  Array.iter (fun b' -> if b = b' then incr count) t.map;
-  !count
+let block_size t b = t.sizes.(b)
 
 let blocks t =
   let members = Array.make t.n_coarse [] in
@@ -61,13 +60,19 @@ let restrict t x =
   Array.iteri (fun i v -> out.(t.map.(i)) <- out.(t.map.(i)) +. v) x;
   out
 
+let prolong_into t ~coarse ~block_weight x =
+  if Array.length coarse <> t.n_coarse || Array.length block_weight <> t.n_coarse then
+    invalid_arg "Partition.prolong_into: coarse dimension";
+  if Array.length x <> t.n_fine then invalid_arg "Partition.prolong_into: fine dimension";
+  for i = 0 to t.n_fine - 1 do
+    let b = t.map.(i) in
+    let bw = block_weight.(b) in
+    x.(i) <- (if bw > 0.0 then coarse.(b) *. x.(i) /. bw else coarse.(b) /. float_of_int t.sizes.(b))
+  done
+
 let prolong t ~coarse ~weights =
   if Array.length coarse <> t.n_coarse then invalid_arg "Partition.prolong: coarse dimension";
   if Array.length weights <> t.n_fine then invalid_arg "Partition.prolong: weights dimension";
-  let block_weight = restrict t weights in
-  let sizes = Array.make t.n_coarse 0 in
-  Array.iter (fun b -> sizes.(b) <- sizes.(b) + 1) t.map;
-  Array.init t.n_fine (fun i ->
-      let b = t.map.(i) in
-      if block_weight.(b) > 0.0 then coarse.(b) *. weights.(i) /. block_weight.(b)
-      else coarse.(b) /. float_of_int sizes.(b))
+  let x = Array.copy weights in
+  prolong_into t ~coarse ~block_weight:(restrict t weights) x;
+  x

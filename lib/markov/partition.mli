@@ -1,9 +1,9 @@
 (** State-space partitions (lumping maps) for aggregation and multigrid.
 
     A partition of [n] fine states into [m] blocks is stored as a surjective
-    map [fine -> block]. *)
+    map [fine -> block], with the size of every block. *)
 
-type t = private { map : int array; n_fine : int; n_coarse : int }
+type t = private { map : int array; n_fine : int; n_coarse : int; sizes : int array }
 
 val create : int array -> t
 (** [create map] validates that block labels are exactly [0 .. max]
@@ -43,3 +43,11 @@ val prolong : t -> coarse:Linalg.Vec.t -> weights:Linalg.Vec.t -> Linalg.Vec.t
 (** Disaggregation: distribute each block's coarse mass over its members
     proportionally to [weights] (uniformly within a block whose weight
     vanishes). *)
+
+val prolong_into : t -> coarse:Linalg.Vec.t -> block_weight:Linalg.Vec.t -> Linalg.Vec.t -> unit
+(** [prolong_into t ~coarse ~block_weight x] is {!prolong} in place: [x]
+    holds the weights on entry and [block_weight] their per-block sums
+    ({!restrict} of [x]); each [x.(i)] becomes
+    [coarse.(b) * x.(i) / block_weight.(b)] for its block [b], or
+    [coarse.(b) / size b] when [block_weight.(b)] is not positive. Allocates
+    nothing. *)
