@@ -1,4 +1,4 @@
-.PHONY: all build test test-par fmt loc unreached check perfbench-selfcheck bench-telemetry bench-scaling bench-json bench-smoke kron-smoke bench-kron bench-env bench-ladder serve-smoke bench-load load-smoke replica-smoke clean
+.PHONY: all build test test-par fmt loc unreached check solvers-smoke perfbench-selfcheck bench-telemetry bench-scaling bench-json bench-smoke kron-smoke bench-kron bench-env bench-ladder serve-smoke bench-load load-smoke replica-smoke clean
 
 all: build
 
@@ -30,10 +30,19 @@ unreached:
 
 # Everything CI needs: the build, formatting (dune files; the container has
 # no ocamlformat), the unreached-module check, the full test suite, the
-# parallel suite under a forced multi-domain pool, the kron smoke, the
-# multi-replica serving smoke (routing, worker kill/respawn, result-cache
-# persistence) and the perfbench generator's self-check.
-check: build fmt unreached test test-par kron-smoke replica-smoke perfbench-selfcheck
+# parallel suite under a forced multi-domain pool, the solvers listing, the
+# kron smoke, the multi-replica serving smoke (routing, worker kill/respawn,
+# result-cache persistence) and the perfbench generator's self-check.
+check: build fmt unreached test test-par solvers-smoke kron-smoke replica-smoke perfbench-selfcheck
+
+# The solver comparison at grid 16 (3,840 states, under a second): it must
+# list exactly the three stationary solvers, multigrid, gauss-seidel and
+# power, in that order, and each of them must converge.
+solvers-smoke: build
+	dune exec bin/cdr_analyze.exe -- solvers --grid 16 > /tmp/cdr_solvers.txt
+	test "$$(awk 'NR > 2 { print $$1 }' /tmp/cdr_solvers.txt | paste -sd ' ')" = "multigrid gauss-seidel power"
+	! grep -q 'NOT converged' /tmp/cdr_solvers.txt
+	@echo "solvers smoke: multigrid, gauss-seidel and power rows, all converged"
 
 # The perfbench request-stream generator's own tests (one stream per seed,
 # the fixed per-workload plans, the excluded outlier requests): 11 stdlib

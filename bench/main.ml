@@ -214,9 +214,7 @@ let exp_scale () =
   Format.printf "BER on the 1024-bin grid: %.3e@." (Cdr.Ber.of_marginal cfg ~rho);
   (* how far a capped one-level method gets in comparable time *)
   let gs, gs_t =
-    time (fun () ->
-        Markov.Splitting.solve ~method_:Markov.Splitting.Gauss_seidel ~tol:1e-9 ~max_iter:400
-          model.Cdr.Model.chain)
+    time (fun () -> Markov.Splitting.solve ~tol:1e-9 ~max_iter:400 model.Cdr.Model.chain)
   in
   Format.printf "gauss-seidel capped at 400 sweeps: residual %.1e after %.0fs (still > tol)@."
     gs.Markov.Solution.residual gs_t
@@ -1130,7 +1128,6 @@ let kernels () =
   let n = Markov.Chain.n_states chain in
   let x = Array.make n (1.0 /. float_of_int n) in
   let y = Array.make n 0.0 in
-  let hierarchy = Cdr.Model.hierarchy model in
   let tests =
     [
       Test.make ~name:"spmv" (Staged.stage (fun () -> Sparse.Csr.vec_mul_into x tpm y));
@@ -1138,11 +1135,6 @@ let kernels () =
         (Staged.stage (fun () ->
              let z = Array.copy x in
              Markov.Splitting.sweeps_gauss_seidel ~transposed z 1));
-      Test.make ~name:"coarsen"
-        (Staged.stage (fun () ->
-             match hierarchy with
-             | p :: _ -> ignore (Markov.Aggregation.coarsen chain p ~weights:x)
-             | [] -> ()));
       Test.make ~name:"build-direct"
         (Staged.stage (fun () -> ignore (Cdr.Model.build_direct cfg_small)));
       Test.make ~name:"build-direct-ref"

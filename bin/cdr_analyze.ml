@@ -272,7 +272,7 @@ let analyze_term =
     let trace =
       match env with
       | Some e ->
-          let report = Cdr_env.Report.run ~solver:(solver :> Cdr_env.Composed.solver) ~ctx e cfg in
+          let report = Cdr_env.Report.run ~solver ~ctx e cfg in
           Format.printf "%a@." Cdr_env.Report.pp report;
           report.Cdr_env.Report.trace
       | None ->
@@ -343,7 +343,7 @@ let sigma_cmd =
 let slip_cmd =
   let run cfg solver =
     let model = Cdr.Model.build cfg in
-    let solution = Cdr.Model.solve ~solver:(solver :> Cdr.Model.solver) model in
+    let solution = Cdr.Model.solve ~solver model in
     let rate = Cdr.Cycle_slip.rate model ~pi:solution.Markov.Solution.pi in
     let mtbf = Cdr.Cycle_slip.mean_time_between model ~pi:solution.Markov.Solution.pi in
     let first =
@@ -511,23 +511,16 @@ let solvers_cmd =
   let run cfg =
     let model = Cdr.Model.build cfg in
     Format.printf "chain: %d states@.@." model.Cdr.Model.n_states;
-    let cases =
-      [ ("multigrid", `Multigrid); ("gauss-seidel", `Gauss_seidel); ("jacobi", `Jacobi);
-        ("power", `Power); ("aggregation", `Aggregation); ("arnoldi", `Arnoldi) ]
-    in
     List.iter
-      (fun (name, s) ->
+      (fun solver ->
         let t0 = Unix.gettimeofday () in
-        match Cdr.Model.solve ~solver:s ~ctx:(Cdr.Context.make ~tol:1e-10 ()) model with
-        | sol ->
-            Format.printf "%-14s %6d iterations  residual %.2e  %6.2fs %s@." name
-              sol.Markov.Solution.iterations sol.Markov.Solution.residual
-              (Unix.gettimeofday () -. t0)
-              (if sol.Markov.Solution.converged then "" else "(NOT converged)")
-        (* a solver that refuses the chain's size (aggregation's dense
-           coarse solve) gets a row saying so *)
-        | exception Invalid_argument msg -> Format.printf "%-14s refused: %s@." name msg)
-      cases
+        let sol = Cdr.Model.solve ~solver ~ctx:(Cdr.Context.make ~tol:1e-10 ()) model in
+        Format.printf "%-14s %6d iterations  residual %.2e  %6.2fs %s@."
+          (Cdr.Model.solver_name solver) sol.Markov.Solution.iterations
+          sol.Markov.Solution.residual
+          (Unix.gettimeofday () -. t0)
+          (if sol.Markov.Solution.converged then "" else "(NOT converged)"))
+      [ `Multigrid; `Gauss_seidel; `Power ]
   in
   let doc = "Compare the stationary solvers on the composed chain." in
   Cmd.v (Cmd.info "solvers" ~doc) Term.(const run $ config_term)

@@ -61,13 +61,7 @@ let of_convolution cfg ~rho =
 let of_density cfg ~rho =
   { ber = of_marginal cfg ~rho; phase_density = rho; eye_density = eye_density cfg ~rho }
 
-let analyze ?(solver = `Multigrid) ?ctx model =
-  let solver =
-    match solver with
-    | `Multigrid -> `Multigrid
-    | `Power -> `Power
-    | `Gauss_seidel -> `Gauss_seidel
-  in
-  let solution = Model.solve ~solver ?ctx model in
+let analyze ?solver ?ctx model =
+  let solution = Model.solve ?solver ?ctx model in
   let rho = Model.phase_marginal model ~pi:solution.Markov.Solution.pi in
   (of_density model.Model.config ~rho, solution)

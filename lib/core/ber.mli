@@ -37,7 +37,7 @@ val of_density : Config.t -> rho:Linalg.Vec.t -> result
     representation of the chain it was read from. *)
 
 val analyze :
-  ?solver:[ `Multigrid | `Power | `Gauss_seidel ] ->
+  ?solver:Model.solver ->
   ?ctx:Context.t ->
   Model.t ->
   result * Markov.Solution.t

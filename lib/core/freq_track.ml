@@ -119,7 +119,7 @@ let build ?(params = default_params) cfg =
   }
 
 let solve ?(tol = 1e-11) t =
-  Markov.Splitting.solve ~method_:Markov.Splitting.Gauss_seidel ~tol t.chain
+  Markov.Splitting.solve ~tol t.chain
 
 let phase_marginal t ~pi =
   Markov.Stat.marginal ~pi ~label:t.phase_bin ~n_labels:t.config.Config.grid_points

@@ -207,14 +207,13 @@ let box_hierarchy ~lead ~n_counter ~m =
 
 let hierarchy t = box_hierarchy ~lead:t.n_data ~n_counter:t.n_counter ~m:t.m
 
-type solver = [ `Multigrid | `Power | `Gauss_seidel | `Jacobi ]
+type solver = Model.solver
 
 let solve_op ~solver ~ctx ~hierarchy ~iad ~set_iad op =
   let { Context.tol; trace; pool; cancel; _ } = ctx in
   let init = Context.init_for ctx (Cdr_op.dim op) in
   match solver with
   | `Power -> Markov.Power.solve_op ~tol ?init ?trace ?pool op
-  | `Jacobi -> Markov.Splitting.solve_op ~tol ?init ?trace ?pool op
   | `Gauss_seidel -> invalid_arg "Kron_model.solve_op: no matrix-free Gauss-Seidel sweep"
   | `Multigrid -> (
       match hierarchy () with
@@ -236,8 +235,8 @@ let solve_op ~solver ~ctx ~hierarchy ~iad ~set_iad op =
           in
           fst (Markov.Op_multigrid.solve_with ~tol ?init ?trace ?pool ?cancel setup op))
 
-let solve ?(solver = `Power) ?(ctx = Context.default) t =
-  let labels = [ ("solver", Model.solver_name (solver :> Model.solver)); ("backend", "kron") ] in
+let solve ?(solver = `Multigrid) ?(ctx = Context.default) t =
+  let labels = [ ("solver", Model.solver_name solver); ("backend", "kron") ] in
   Cdr_obs.Span.with_ ~name:"model.solve" ~attrs:labels @@ fun () ->
   Cdr_obs.Metrics.incr "model.solves" ~labels;
   solve_op ~solver ~ctx

@@ -51,10 +51,9 @@ val phase_bin : t -> int -> int
 val index_of : t -> data:int -> counter:int -> phase:int -> int option
 (** Always [Some] for in-range codes — the full space has every triple. *)
 
-type solver = [ `Multigrid | `Power | `Gauss_seidel | `Jacobi ]
-(** The solvers a matrix-free operator can run; [`Gauss_seidel] is listed
-    only so the materialized and matrix-free representations share one
-    solver type, and is rejected ({!solve_op}). *)
+type solver = Model.solver
+(** The one solver type; a matrix-free operator runs [`Multigrid] and
+    [`Power], and rejects [`Gauss_seidel] ({!solve_op}). *)
 
 val solve_op :
   solver:solver ->
@@ -66,7 +65,7 @@ val solve_op :
   Markov.Solution.t
 (** The stationary solve of a matrix-free operator — the one path behind
     {!solve} and the composed chain's Kronecker representation. [`Power]
-    and [`Jacobi] run the operator solvers directly; [`Multigrid] runs
+    runs the operator power iteration directly; [`Multigrid] runs
     {!Markov.Op_multigrid} with the first [hierarchy ()] level as the
     aggregation partition and the rest solving the coarse chain (falling
     back to power when the hierarchy is empty, i.e. the operator fits a
@@ -79,8 +78,8 @@ val solve_op :
 
 val solve : ?solver:solver -> ?ctx:Context.t -> t -> Markov.Solution.t
 (** {!solve_op} on the model's operator with {!hierarchy} and the [iad]
-    memo, inside a ["model.solve"] span. Default [`Power] (the workhorse at
-    scale). *)
+    memo, inside a ["model.solve"] span. Default [`Multigrid], as for
+    {!Model.solve}. *)
 
 val box_hierarchy : lead:int -> n_counter:int -> m:int -> Markov.Partition.t list
 (** {!Model.keyed_hierarchy}'s coarsening (halve phase bins, then the

@@ -428,16 +428,12 @@ let keyed_hierarchy ~n ~lead ~counter ~phase =
 let hierarchy t =
   keyed_hierarchy ~n:t.n_states ~lead:t.data_code ~counter:t.counter_code ~phase:t.phase_bin
 
-type solver =
-  [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Aggregation | `Arnoldi ]
+type solver = [ `Multigrid | `Power | `Gauss_seidel ]
 
 let solver_name : solver -> string = function
   | `Multigrid -> "multigrid"
   | `Power -> "power"
   | `Gauss_seidel -> "gauss-seidel"
-  | `Jacobi -> "jacobi"
-  | `Arnoldi -> "arnoldi"
-  | `Aggregation -> "aggregation"
 
 let solve_chain ?(solver = `Multigrid) ~ctx ~hierarchy chain =
   let { Context.tol; cache; trace; pool; smoother; cancel; _ } = ctx in
@@ -455,17 +451,7 @@ let solve_chain ?(solver = `Multigrid) ~ctx ~hierarchy chain =
       in
       solution
   | `Power -> Markov.Power.solve ~tol ?init ?trace ?pool chain
-  | `Gauss_seidel ->
-      Markov.Splitting.solve ~method_:Markov.Splitting.Gauss_seidel ~tol ?init ?trace ?pool chain
-  | `Jacobi -> Markov.Splitting.solve ~method_:Markov.Splitting.Jacobi ~tol ?init ?trace ?pool chain
-  | `Arnoldi -> Markov.Arnoldi.solve ~tol ?trace chain
-  | `Aggregation ->
-      let partition =
-        match hierarchy () with
-        | first :: _ -> first
-        | [] -> Markov.Partition.identity (Markov.Chain.n_states chain)
-      in
-      Markov.Aggregation.solve ~tol ~partition chain
+  | `Gauss_seidel -> Markov.Splitting.solve ~tol ?init ?trace chain
 
 let solve ?(solver = `Multigrid) ?(ctx = Context.default) t =
   Cdr_obs.Span.with_ ~name:"model.solve" ~attrs:[ ("solver", solver_name solver) ] @@ fun () ->

@@ -129,8 +129,10 @@ val keyed_hierarchy :
 val hierarchy : t -> Markov.Partition.t list
 (** {!keyed_hierarchy} over the chain's (data, counter, phase) codes. *)
 
-type solver =
-  [ `Multigrid | `Power | `Gauss_seidel | `Jacobi | `Aggregation | `Arnoldi ]
+type solver = [ `Multigrid | `Power | `Gauss_seidel ]
+(** The stationary solvers, one type for every representation and entry
+    point: the multilevel method and the two basic iterations the paper
+    measures it against. *)
 
 val solve_chain :
   ?solver:solver ->
@@ -142,15 +144,13 @@ val solve_chain :
     path behind {!solve} and the composed chain's CSR representation.
     Default [`Multigrid] over [hierarchy ()], whose setup comes from
     [ctx.cache] when the context carries one (see {!Solver_cache}).
-    [ctx.init] warm-starts the iterative solvers (multigrid, power, the
-    splittings) and is ignored when its length is not the chain's.
-    [ctx.trace] is forwarded to every solver's convergence recorder except
-    [`Aggregation]'s; [ctx.pool] to the solvers with deterministic parallel
-    kernels (not [`Aggregation] or [`Arnoldi]); [ctx.smoother] selects the
-    multigrid Gauss-Seidel variant and is part of the cache key. A firing
-    [ctx.cancel] aborts a multigrid solve with {!Markov.Multigrid.Cancelled};
-    the other solvers do not poll it. [`Aggregation] aggregates over the
-    first hierarchy level. *)
+    [ctx.init] warm-starts every solver and is ignored when its length is
+    not the chain's. [ctx.trace] is forwarded to every solver's convergence
+    recorder; [ctx.pool] to multigrid and power, whose parallel kernels are
+    deterministic (the Gauss-Seidel sweep runs serially); [ctx.smoother]
+    selects the multigrid Gauss-Seidel variant and is part of the cache
+    key. A firing [ctx.cancel] aborts a multigrid solve with
+    {!Markov.Multigrid.Cancelled}; the other solvers do not poll it. *)
 
 val solve : ?solver:solver -> ?ctx:Context.t -> t -> Markov.Solution.t
 (** {!solve_chain} on the model's chain with the structured {!hierarchy},

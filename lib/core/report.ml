@@ -26,7 +26,7 @@ let mean_time_between_slips model ~pi =
 
 let run_model ?(solver = `Multigrid) ?(ctx = Context.default) model =
   Cdr_obs.Span.with_ ~name:"report.run" @@ fun () ->
-  let trace = Cdr_obs.Trace.create ~name:(Model.solver_name (solver :> Model.solver)) () in
+  let trace = Cdr_obs.Trace.create ~name:(Model.solver_name solver) () in
   (* the report owns the convergence trace it returns, so it overrides any
      trace the caller's context carries *)
   let ctx = Context.override ~trace ctx in
@@ -40,10 +40,10 @@ let run_model ?(solver = `Multigrid) ?(ctx = Context.default) model =
         let solution, rho =
           match model with
           | Csr m ->
-              let s = Model.solve ~solver:(solver :> Model.solver) ~ctx m in
+              let s = Model.solve ~solver ~ctx m in
               (s, Model.phase_marginal m ~pi:s.Markov.Solution.pi)
           | Kron k ->
-              let s = Kron_model.solve ~solver:(solver :> Kron_model.solver) ~ctx k in
+              let s = Kron_model.solve ~solver ~ctx k in
               (s, Kron_model.phase_marginal k ~pi:s.Markov.Solution.pi)
         in
         (Ber.of_density config ~rho, solution))

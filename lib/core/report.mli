@@ -36,18 +36,17 @@ val mean_time_between_slips : model -> pi:Linalg.Vec.t -> float
     the one slip flux ({!Cycle_slip.flux}) on the model's operator,
     inverted. *)
 
-val run :
-  ?solver:[ `Multigrid | `Power | `Gauss_seidel ] -> ?ctx:Context.t -> Config.t -> t
+val run : ?solver:Model.solver -> ?ctx:Context.t -> Config.t -> t
 (** Build, solve, analyze, and time everything: {!run_model} on a fresh
     {!build} on the context's backend ([`Csr] by default). *)
 
 val run_model :
-  ?solver:[ `Multigrid | `Power | `Gauss_seidel ] ->
+  ?solver:Model.solver ->
   ?ctx:Context.t ->
   model ->
   t * Markov.Solution.t
 (** Solve an already built model of either representation under [ctx]
-    ({!Model.solve} or {!Kron_model.solve}, both defaulting here to
+    ({!Model.solve} or {!Kron_model.solve}, both defaulting to
     [`Multigrid]; [`Gauss_seidel] on a [Kron] model raises
     [Invalid_argument]), analyze it ({!Ber.of_density}), and also return
     the full stationary solution — the entry point for callers that need

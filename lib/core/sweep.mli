@@ -26,7 +26,7 @@
 type point = { config : Config.t; report : Report.t }
 
 val counter_lengths :
-  ?solver:[ `Multigrid | `Power | `Gauss_seidel ] ->
+  ?solver:Model.solver ->
   ?ctx:Context.t ->
   Config.t ->
   int list ->
@@ -40,7 +40,7 @@ val counter_lengths :
     convergence trace. *)
 
 val sigma_w_values :
-  ?solver:[ `Multigrid | `Power | `Gauss_seidel ] ->
+  ?solver:Model.solver ->
   ?ctx:Context.t ->
   Config.t ->
   float list ->
@@ -57,7 +57,7 @@ val optimal_of_points : point list -> int * float
     instead of re-running every solve. Raises [Invalid_argument] on []. *)
 
 val optimal_counter :
-  ?solver:[ `Multigrid | `Power | `Gauss_seidel ] ->
+  ?solver:Model.solver ->
   ?ctx:Context.t ->
   Config.t ->
   int list ->

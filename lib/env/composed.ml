@@ -148,12 +148,12 @@ let hierarchy t =
         ~lead:(fun i -> (t.regime_code i * t.n_data) + t.data_code i)
         ~counter:t.counter_code ~phase:t.phase_code
 
-type solver = Cdr.Kron_model.solver
+type solver = Cdr.Model.solver
 
 let solve ?(solver = `Multigrid) ?(ctx = Cdr.Context.default) t =
   let labels =
     [
-      ("solver", Cdr.Model.solver_name (solver :> Cdr.Model.solver));
+      ("solver", Cdr.Model.solver_name solver);
       ("backend", Cdr_op.kind_string (backend t));
     ]
   in
@@ -161,7 +161,7 @@ let solve ?(solver = `Multigrid) ?(ctx = Cdr.Context.default) t =
   Cdr_obs.Metrics.incr "env.solves" ~labels;
   let hierarchy () = hierarchy t in
   match t.repr with
-  | Chain chain -> Cdr.Model.solve_chain ~solver:(solver :> Cdr.Model.solver) ~ctx ~hierarchy chain
+  | Chain chain -> Cdr.Model.solve_chain ~solver ~ctx ~hierarchy chain
   | Kron _ ->
       Cdr.Kron_model.solve_op ~solver ~ctx ~hierarchy
         ~iad:(fun () -> t.iad)

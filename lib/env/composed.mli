@@ -59,7 +59,7 @@ val hierarchy : t -> Markov.Partition.t list
     to avoid. {!Cdr.Model.keyed_hierarchy} on the [`Csr] repr,
     {!Cdr.Kron_model.box_hierarchy} on the [`Kron] repr. *)
 
-type solver = Cdr.Kron_model.solver
+type solver = Cdr.Model.solver
 
 val solve : ?solver:solver -> ?ctx:Cdr.Context.t -> t -> Markov.Solution.t
 (** Stationary distribution of the composed chain (default [`Multigrid]),
@@ -92,7 +92,7 @@ val slip_rate : t -> pi:Linalg.Vec.t -> float
 val mean_bits_between_slips : t -> pi:Linalg.Vec.t -> float
 
 val mixture_ber :
-  ?solver:[ `Multigrid | `Power | `Gauss_seidel ] ->
+  ?solver:solver ->
   ?ctx:Cdr.Context.t ->
   t ->
   float array * float

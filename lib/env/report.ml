@@ -24,7 +24,7 @@ type t = {
 }
 
 let run_model ?(solver = `Multigrid) ?(ctx = Cdr.Context.default) composed =
-  let trace = Cdr_obs.Trace.create ~name:(Cdr.Model.solver_name (solver :> Cdr.Model.solver)) () in
+  let trace = Cdr_obs.Trace.create ~name:(Cdr.Model.solver_name solver) () in
   (* as in {!Cdr.Report.run_model}, the report owns its convergence trace *)
   let ctx = Cdr.Context.override ~trace ctx in
   let solution, solve_seconds =

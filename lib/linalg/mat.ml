@@ -22,8 +22,6 @@ let cols m = m.cols
 let get m i j = m.data.((i * m.cols) + j)
 let set m i j v = m.data.((i * m.cols) + j) <- v
 
-let copy m = { m with data = Array.copy m.data }
-
 let transpose m = init ~rows:m.cols ~cols:m.rows (fun i j -> get m j i)
 
 let mul a b =

@@ -24,8 +24,6 @@ val get : t -> int -> int -> float
 
 val set : t -> int -> int -> float -> unit
 
-val copy : t -> t
-
 val transpose : t -> t
 
 val mul : t -> t -> t

@@ -6,11 +6,7 @@ let init = Array.init
 
 let copy = Array.copy
 
-let fill x v = Array.fill x 0 (Array.length x) v
-
 let dim = Array.length
-
-let scale a x = Array.map (fun v -> a *. v) x
 
 let scale_in_place a x =
   for i = 0 to Array.length x - 1 do
@@ -21,12 +17,6 @@ let check_same_dim name x y =
   if Array.length x <> Array.length y then
     invalid_arg (Printf.sprintf "Vec.%s: dimension mismatch (%d vs %d)" name (Array.length x) (Array.length y))
 
-let axpy ~alpha ~x ~y =
-  check_same_dim "axpy" x y;
-  for i = 0 to Array.length x - 1 do
-    y.(i) <- y.(i) +. (alpha *. x.(i))
-  done
-
 let add x y =
   check_same_dim "add" x y;
   Array.mapi (fun i v -> v +. y.(i)) x
@@ -34,14 +24,6 @@ let add x y =
 let sub x y =
   check_same_dim "sub" x y;
   Array.mapi (fun i v -> v -. y.(i)) x
-
-let dot x y =
-  check_same_dim "dot" x y;
-  let acc = ref 0.0 in
-  for i = 0 to Array.length x - 1 do
-    acc := !acc +. (x.(i) *. y.(i))
-  done;
-  !acc
 
 (* Kahan compensated summation: the correction term [c] recovers the low-order
    bits lost when adding a small term to a large running sum. *)
@@ -58,19 +40,6 @@ let kahan_fold f x =
 let sum x = kahan_fold Fun.id x
 
 let asum x = kahan_fold abs_float x
-
-let nrm2 x =
-  let scale = ref 0.0 and ssq = ref 1.0 in
-  for i = 0 to Array.length x - 1 do
-    let v = abs_float x.(i) in
-    if v > 0.0 then
-      if !scale < v then begin
-        ssq := 1.0 +. (!ssq *. (!scale /. v) *. (!scale /. v));
-        scale := v
-      end
-      else ssq := !ssq +. ((v /. !scale) *. (v /. !scale))
-  done;
-  !scale *. sqrt !ssq
 
 let norm_inf x = Array.fold_left (fun m v -> Float.max m (abs_float v)) 0.0 x
 

@@ -13,32 +13,19 @@ val init : int -> (int -> float) -> t
 
 val copy : t -> t
 
-val fill : t -> float -> unit
-
 val dim : t -> int
 
-val scale : float -> t -> t
-(** [scale a x] is a fresh vector [a * x]. *)
-
 val scale_in_place : float -> t -> unit
-
-val axpy : alpha:float -> x:t -> y:t -> unit
-(** [axpy ~alpha ~x ~y] updates [y <- alpha * x + y]. *)
 
 val add : t -> t -> t
 
 val sub : t -> t -> t
-
-val dot : t -> t -> float
 
 val sum : t -> float
 (** Compensated (Kahan) sum of all entries. *)
 
 val asum : t -> float
 (** Sum of absolute values (l1 norm), compensated. *)
-
-val nrm2 : t -> float
-(** Euclidean norm, with scaling to avoid overflow. *)
 
 val norm_inf : t -> float
 

@@ -15,11 +15,7 @@ let create map =
     { map = Array.copy map; n_fine; n_coarse = max_label + 1; sizes }
   end
 
-let identity n = create (Array.init n Fun.id)
-
 let pair_consecutive n = create (Array.init n (fun i -> i / 2))
-
-let block t i = t.map.(i)
 
 let block_size t b = t.sizes.(b)
 
@@ -54,12 +50,6 @@ let color ~n neighbors =
     create colors
   end
 
-let restrict t x =
-  if Array.length x <> t.n_fine then invalid_arg "Partition.restrict: dimension mismatch";
-  let out = Array.make t.n_coarse 0.0 in
-  Array.iteri (fun i v -> out.(t.map.(i)) <- out.(t.map.(i)) +. v) x;
-  out
-
 let prolong_into t ~coarse ~block_weight x =
   if Array.length coarse <> t.n_coarse || Array.length block_weight <> t.n_coarse then
     invalid_arg "Partition.prolong_into: coarse dimension";
@@ -69,10 +59,3 @@ let prolong_into t ~coarse ~block_weight x =
     let bw = block_weight.(b) in
     x.(i) <- (if bw > 0.0 then coarse.(b) *. x.(i) /. bw else coarse.(b) /. float_of_int t.sizes.(b))
   done
-
-let prolong t ~coarse ~weights =
-  if Array.length coarse <> t.n_coarse then invalid_arg "Partition.prolong: coarse dimension";
-  if Array.length weights <> t.n_fine then invalid_arg "Partition.prolong: weights dimension";
-  let x = Array.copy weights in
-  prolong_into t ~coarse ~block_weight:(restrict t weights) x;
-  x

@@ -111,36 +111,6 @@ let mean_hitting_times ?(tol = 1e-6) ?(max_iter = 500_000) chain ~target =
   if not !finished then raise (Not_converged { sweeps = !k; delta = !last_delta });
   m
 
-let absorption_probabilities ?(tol = 1e-12) ?(max_iter = 1_000_000) chain ~a ~b =
-  let n = Chain.n_states chain in
-  check_nonempty "a" a n;
-  check_nonempty "b" b n;
-  for i = 0 to n - 1 do
-    if a i && b i then invalid_arg "Passage.absorption_probabilities: sets not disjoint"
-  done;
-  let p = Chain.tpm chain in
-  let h = Array.init n (fun i -> if a i then 1.0 else 0.0) in
-  let in_a = Array.init n a and in_b = Array.init n b in
-  let rec loop k =
-    if k >= max_iter then ()
-    else begin
-      let delta = ref 0.0 in
-      for i = 0 to n - 1 do
-        if not (in_a.(i) || in_b.(i)) then begin
-          let acc = ref 0.0 and self = ref 0.0 in
-          Sparse.Csr.iter_row p i (fun j v -> if j = i then self := v else acc := !acc +. (v *. h.(j)));
-          let denom = 1.0 -. !self in
-          let v = if denom <= 0.0 then h.(i) else !acc /. denom in
-          delta := Float.max !delta (abs_float (v -. h.(i)));
-          h.(i) <- v
-        end
-      done;
-      if !delta > tol then loop (k + 1)
-    end
-  in
-  loop 0;
-  h
-
 let flux op ~pi ~crossing =
   if Array.length pi <> Cdr_op.dim op then invalid_arg "Passage.flux: dimension mismatch";
   let acc = ref 0.0 in

@@ -1,7 +1,7 @@
 (** First-passage computations: mean transition times between sets of
-    Markov-chain states (a linear system with the modified TPM), absorption
-    probabilities, and the stationary flux through marked transitions that
-    every slip rate is computed from. *)
+    Markov-chain states (a linear system with the modified TPM) and the
+    stationary flux through marked transitions that every slip rate is
+    computed from. *)
 
 exception Not_converged of { sweeps : int; delta : float }
 (** Raised by {!mean_hitting_times} when [max_iter] sweeps pass without
@@ -30,11 +30,6 @@ val mean_hitting_times :
     restarted chain ([Cdr.Cycle_slip.first_slip]); this iteration needs on
     the order of the event's mean time in sweeps there, and its
     extrapolation was seen to stop early and low by orders of magnitude. *)
-
-val absorption_probabilities :
-  ?tol:float -> ?max_iter:int -> Chain.t -> a:(int -> bool) -> b:(int -> bool) -> Linalg.Vec.t
-(** Probability of hitting set [a] before set [b], per start state. The two
-    sets must be disjoint and non-empty. *)
 
 val flux : Cdr_op.t -> pi:Linalg.Vec.t -> crossing:(int -> int -> bool) -> float
 (** Stationary probability flux through the marked transitions:

@@ -4,10 +4,9 @@
 
     An operator is a row-stochastic matrix [M] exposed only through its
     action: [x -> x * M] (the power-iteration and smoothing kernel, via
-    {!vec_mul_into}), [x -> M^T x] (the splitting solvers' kernel, via
-    {!mul_vec}), row sums, the main diagonal, and per-row entry enumeration
-    (for aggregation and flux computations). Backends own their private
-    apply state — the {!Csr_backend} a lazily materialized transpose, the
+    {!vec_mul_into}), row sums, and per-row entry enumeration (for
+    aggregation and flux computations). Backends own their private apply
+    state — the {!Csr_backend} a packed mirror of a large matrix, the
     {!Kron_backend} a reusable two-buffer shuffle workspace — so callers
     never allocate per iteration and never see representation details.
 
@@ -56,14 +55,6 @@ val vec_mul_into : ?pool:Cdr_par.Pool.t -> t -> Linalg.Vec.t -> Linalg.Vec.t -> 
     the operator's first apply. With [?pool], parallel over a fixed slot
     grid: bit-identical across job counts for a given backend. [x] and [y]
     must not alias. *)
-
-val mul_vec : ?pool:Cdr_par.Pool.t -> t -> Linalg.Vec.t -> Linalg.Vec.t
-(** [mul_vec op x = M^T x] — numerically the same vector as [x * M], routed
-    so the CSR backend reproduces the splitting solvers' historical
-    transpose-row-dot path bitwise. *)
-
-val diag : t -> Linalg.Vec.t
-(** The main diagonal of [M]; materialized lazily, at most once. *)
 
 val row_sums : t -> Linalg.Vec.t
 (** Exact row sums, computed without applying the operator; lazy. *)

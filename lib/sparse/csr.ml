@@ -115,7 +115,7 @@ let fold m ~init ~f =
   iter m (fun i j v -> acc := f !acc i j v);
   !acc
 
-(* Fixed slot grid for the parallel kernels. The slot count (and with it
+(* Fixed slot grid for the parallel kernel. The slot count (and with it
    every chunk boundary and partial-merge grouping) depends only on the
    matrix, never on the pool's job count, so pooled results are bit-identical
    at jobs=1 and jobs=N. Small matrices collapse to one slot: the overhead of
@@ -130,21 +130,9 @@ let dot_row m x i =
   done;
   !acc
 
-let mul_vec ?pool m x =
+let mul_vec m x =
   if Array.length x <> m.cols then invalid_arg "Csr.mul_vec: dimension mismatch";
-  let slots = match pool with None -> 1 | Some _ -> par_slot_count m in
-  if slots <= 1 then Array.init m.rows (dot_row m x)
-  else begin
-    (* row partition: every output element is an independent dot product, so
-       any schedule reproduces the serial result bit-for-bit *)
-    let y = Array.make m.rows 0.0 in
-    Cdr_par.Pool.run_slots (Option.get pool) ~slots (fun s ->
-        let lo = s * m.rows / slots and hi = ((s + 1) * m.rows / slots) - 1 in
-        for i = lo to hi do
-          y.(i) <- dot_row m x i
-        done);
-    y
-  end
+  Array.init m.rows (dot_row m x)
 
 let scatter_rows m x y ~lo ~hi =
   for i = lo to hi do
@@ -349,8 +337,8 @@ let equal ?(tol = 0.0) a b =
 (* ---- packed mirrors ---------------------------------------------------
    A cache-friendly copy of the numeric payload: int32 column indices (half
    the index memory traffic of boxed-width OCaml ints) and float64 values in
-   Bigarray storage accessed unsafely. The kernels mirror the float-array
-   ones loop for loop — same slot grids, same accumulation order — so a
+   Bigarray storage accessed unsafely. The kernel mirrors the float-array
+   one loop for loop — same slot grid, same accumulation order — so a
    packed product is bitwise interchangeable with the reference product; the
    float-array path above stays as the pinned reference. *)
 
@@ -391,31 +379,9 @@ module Packed = struct
     fill p m.values;
     p
 
-  (* the same numbers as [par_slot_count]: the packed kernels must run the
-     same slot grids as the reference kernels to stay bitwise interchangeable *)
+  (* the same numbers as [par_slot_count]: the packed kernel must run the
+     same slot grid as the reference kernel to stay bitwise interchangeable *)
   let slot_count p = if nnz p < 1 lsl 14 then 1 else min 16 (max 1 (p.rows / 64))
-
-  let dot_row p (x : float array) i =
-    let acc = ref 0.0 in
-    for k = p.row_ptr.(i) to p.row_ptr.(i + 1) - 1 do
-      let j = Int32.to_int (Array1.unsafe_get p.col32 k) in
-      acc := !acc +. (Array1.unsafe_get p.vals k *. Array.unsafe_get x j)
-    done;
-    !acc
-
-  let mul_vec ?pool p x =
-    if Array.length x <> p.cols then invalid_arg "Csr.Packed.mul_vec: dimension mismatch";
-    let slots = match pool with None -> 1 | Some _ -> slot_count p in
-    if slots <= 1 then Array.init p.rows (dot_row p x)
-    else begin
-      let y = Array.make p.rows 0.0 in
-      Cdr_par.Pool.run_slots (Option.get pool) ~slots (fun s ->
-          let lo = s * p.rows / slots and hi = ((s + 1) * p.rows / slots) - 1 in
-          for i = lo to hi do
-            y.(i) <- dot_row p x i
-          done);
-      y
-    end
 
   let scatter_rows p (x : float array) (y : float array) ~lo ~hi =
     for i = lo to hi do

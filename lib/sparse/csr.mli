@@ -44,10 +44,8 @@ val iter : t -> (int -> int -> float -> unit) -> unit
 
 val fold : t -> init:'a -> f:('a -> int -> int -> float -> 'a) -> 'a
 
-val mul_vec : ?pool:Cdr_par.Pool.t -> t -> Linalg.Vec.t -> Linalg.Vec.t
-(** [mul_vec a x = a * x]. With [?pool], rows are computed in parallel over a
-    fixed row partition; every output element is an independent dot product,
-    so the result is bit-identical to the serial one for any job count. *)
+val mul_vec : t -> Linalg.Vec.t -> Linalg.Vec.t
+(** [mul_vec a x = a * x]. *)
 
 val vec_mul : ?pool:Cdr_par.Pool.t -> Linalg.Vec.t -> t -> Linalg.Vec.t
 (** [vec_mul x a = x * a] (row vector times matrix); the kernel of power
@@ -107,10 +105,10 @@ val pp_stats : Format.formatter -> t -> unit
 
 (** A cache-friendly mirror of a matrix's numeric payload: int32 column
     indices and float64 values in Bigarray storage, with [row_ptr] shared
-    physically with the source. The kernels mirror {!mul_vec} /
-    {!vec_mul_into} loop for loop — same fixed slot grids, same accumulation
-    order — so packed products are {e bitwise interchangeable} with the
-    float-array reference path (which stays pinned above). The win is memory
+    physically with the source. The kernel mirrors {!vec_mul_into} loop for
+    loop — same fixed slot grid, same accumulation order — so packed
+    products are {e bitwise interchangeable} with the float-array reference
+    path (which stays pinned above). The win is memory
     traffic (4-byte instead of 8-byte column indices) and bounds-check-free
     inner loops; long-lived operators pack once and [fill] on refill. *)
 module Packed : sig
@@ -130,8 +128,6 @@ module Packed : sig
   val cols : t -> int
 
   val nnz : t -> int
-
-  val mul_vec : ?pool:Cdr_par.Pool.t -> t -> float array -> float array
 
   val vec_mul_into : ?pool:Cdr_par.Pool.t -> float array -> t -> float array -> unit
 end

@@ -209,31 +209,6 @@ let row_sums op =
     op.terms;
   out
 
-let diag op =
-  let out = Array.make op.n 0.0 in
-  List.iter
-    (fun t ->
-      let k = Array.length t.dims in
-      let idx = Array.make k 0 in
-      for i = 0 to op.n - 1 do
-        let rem = ref i in
-        for f = k - 1 downto 0 do
-          idx.(f) <- !rem mod t.dims.(f);
-          rem := !rem / t.dims.(f)
-        done;
-        let p = ref t.coeff in
-        (try
-           for f = 0 to k - 1 do
-             let v = Csr.get t.factors.(f) idx.(f) idx.(f) in
-             if v = 0.0 then raise_notrace Exit;
-             p := !p *. v
-           done;
-           out.(i) <- out.(i) +. !p
-         with Exit -> ())
-      done)
-    op.terms;
-  out
-
 (* Entries of one global row, term by term; within a term, the lexicographic
    cross product of the factor-row entries, each value the left-to-right
    product ((coeff * a_1) * a_2) * ... and each column the mixed-radix

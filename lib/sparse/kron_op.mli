@@ -63,9 +63,6 @@ val row_sums : t -> Linalg.Vec.t
 (** Exact row sums without applying the operator: the Kronecker row sum
     factorizes as the tensor product of per-factor row-sum vectors. *)
 
-val diag : t -> Linalg.Vec.t
-(** The main diagonal, [sum over terms of coeff * prod_f A_f.(i_f).(i_f)]. *)
-
 val iter_row : t -> int -> (int -> float -> unit) -> unit
 (** [iter_row op i emit] enumerates the entries of global row [i]: terms in
     order, and within a term the lexicographic cross product of factor-row

@@ -222,9 +222,9 @@ let run_env t ~ctx p config =
     | None -> raise (Unsupported "\"env\" requests require a params field \"env\"")
   in
   let model = get_env_model t p config env in
-  let solver = (p.Params.solver :> Cdr_env.Composed.solver) in
   let (r, _), degraded =
-    with_degraded_retry ctx (fun ctx -> Cdr_env.Report.run_model ~solver ~ctx model)
+    with_degraded_retry ctx (fun ctx ->
+        Cdr_env.Report.run_model ~solver:p.Params.solver ~ctx model)
   in
   ( Cdr_obs.Jsonl.Obj
       [
@@ -314,7 +314,7 @@ let run_kind t ~ctx req config =
       let model = get_model t p config in
       let ((_, sol), degraded) =
         with_degraded_retry ctx (fun ctx ->
-            ((), Cdr.Model.solve ~solver:(p.Params.solver :> Cdr.Model.solver) ~ctx model))
+            ((), Cdr.Model.solve ~solver:p.Params.solver ~ctx model))
       in
       let pi = sol.Markov.Solution.pi in
       (* the restart chain differs from the model's only on its crossing

@@ -1,4 +1,4 @@
-type solver = [ `Multigrid | `Power | `Gauss_seidel ]
+type solver = Cdr.Model.solver
 
 type t = {
   grid : int;

@@ -20,7 +20,7 @@
     {!Cdr.Scenario} preset that seeds the defaults before explicit fields
     apply. *)
 
-type solver = [ `Multigrid | `Power | `Gauss_seidel ]
+type solver = Cdr.Model.solver
 
 type t = {
   grid : int;  (** phase-error grid bins over [[-1/2, 1/2)] *)

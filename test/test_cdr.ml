@@ -541,7 +541,7 @@ let test_multigrid_random_block_chain () =
   let chain = Markov.Chain.of_csr (Sparse.Coo.to_csr acc) in
   let hierarchy = Markov.Multigrid.default_hierarchy ~n ~coarsest:Markov.Gth.max_direct_size in
   let mg, stats = Markov.Multigrid.solve ~tol:1e-11 ~hierarchy chain in
-  let gs = Markov.Splitting.solve ~method_:Markov.Splitting.Gauss_seidel ~tol:1e-12 chain in
+  let gs = Markov.Splitting.solve ~tol:1e-12 chain in
   Alcotest.(check bool) "recursed" true (stats.Markov.Multigrid.levels >= 2);
   Alcotest.(check bool) "converged" true mg.Markov.Solution.converged;
   check_float ~eps:1e-8 "matches gauss-seidel" 0.0

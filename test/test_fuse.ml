@@ -103,18 +103,14 @@ let test_packed_parity () =
   Sparse.Csr.vec_mul_into x tpm y_ref;
   Sparse.Csr.Packed.vec_mul_into x pk y_pk;
   check_bool "vec_mul_into bitwise" true (bits_equal y_ref y_pk);
-  check_bool "mul_vec bitwise" true
-    (bits_equal (Sparse.Csr.mul_vec tpm x) (Sparse.Csr.Packed.mul_vec pk x));
-  (* pooled packed kernels ride the same slot grids and merge tree as the
+  (* the pooled packed kernel rides the same slot grid and merge tree as the
      pooled reference (the pooled path's partial-merge order differs from
      the no-pool scatter by design, so compare pooled to pooled) *)
   Cdr_par.Pool.with_pool ~jobs:4 (fun pool ->
       let r4 = Array.make n 0.0 and y4 = Array.make n 0.0 in
       Sparse.Csr.vec_mul_into ~pool x tpm r4;
       Sparse.Csr.Packed.vec_mul_into ~pool x pk y4;
-      check_bool "pooled vec_mul_into bitwise" true (bits_equal r4 y4);
-      check_bool "pooled mul_vec bitwise" true
-        (bits_equal (Sparse.Csr.mul_vec ~pool tpm x) (Sparse.Csr.Packed.mul_vec ~pool pk x)));
+      check_bool "pooled vec_mul_into bitwise" true (bits_equal r4 y4));
   (* fill is the refill counterpart: new values, same structure *)
   let scaled = Array.map (fun v -> 0.5 *. v) tpm.Sparse.Csr.values in
   let refilled = Sparse.Csr.refill tpm scaled in

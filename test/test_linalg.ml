@@ -10,22 +10,6 @@ let test_vec_create_dim () =
   Alcotest.(check int) "dim" 5 (Linalg.Vec.dim v);
   Alcotest.(check bool) "zeros" true (Array.for_all (fun x -> x = 0.0) v)
 
-let test_vec_scale_axpy () =
-  let x = [| 1.0; 2.0; 3.0 |] in
-  let y = [| 10.0; 20.0; 30.0 |] in
-  let s = Linalg.Vec.scale 2.0 x in
-  check_float "scale" 6.0 s.(2);
-  Linalg.Vec.axpy ~alpha:(-1.0) ~x ~y;
-  check_float "axpy" 9.0 y.(0);
-  check_float "axpy keeps x" 1.0 x.(0)
-
-let test_vec_dot () =
-  check_float "dot" 32.0 (Linalg.Vec.dot [| 1.0; 2.0; 3.0 |] [| 4.0; 5.0; 6.0 |])
-
-let test_vec_dot_mismatch () =
-  Alcotest.check_raises "dimension mismatch" (Invalid_argument "Vec.dot: dimension mismatch (2 vs 3)")
-    (fun () -> ignore (Linalg.Vec.dot [| 1.0; 2.0 |] [| 1.0; 2.0; 3.0 |]))
-
 let test_kahan_sum () =
   (* adding 1e-8 a hundred million times to 1.0: naive summation drifts,
      Kahan stays exact to ~1 ulp *)
@@ -34,15 +18,10 @@ let test_kahan_sum () =
   v.(0) <- 1.0;
   check_float ~eps:1e-12 "compensated" (1.0 +. (float_of_int n *. 1e-8)) (Linalg.Vec.sum v)
 
-let test_asum_nrm2 () =
+let test_asum_norm_inf () =
   let v = [| 3.0; -4.0 |] in
   check_float "asum" 7.0 (Linalg.Vec.asum v);
-  check_float "nrm2" 5.0 (Linalg.Vec.nrm2 v);
   check_float "norm_inf" 4.0 (Linalg.Vec.norm_inf v)
-
-let test_nrm2_overflow_safe () =
-  let v = [| 1e200; 1e200 |] in
-  check_float ~eps:1e186 "no overflow" (1e200 *. sqrt 2.0) (Linalg.Vec.nrm2 v)
 
 let test_normalize_l1 () =
   let v = [| 1.0; 3.0 |] in
@@ -93,40 +72,6 @@ let test_mat_vec () =
 let test_mat_ragged () =
   Alcotest.check_raises "ragged" (Invalid_argument "Mat.of_arrays: ragged rows") (fun () ->
       ignore (Linalg.Mat.of_arrays [| [| 1.0 |]; [| 1.0; 2.0 |] |]))
-
-(* ---------- Lu ---------- *)
-
-let test_lu_solve_known () =
-  (* 2x + y = 5; x + 3y = 10 -> x = 1, y = 3 *)
-  let a = Linalg.Mat.of_arrays [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
-  let x = Linalg.Lu.solve_mat a [| 5.0; 10.0 |] in
-  check_float "x" 1.0 x.(0);
-  check_float "y" 3.0 x.(1)
-
-let test_lu_needs_pivoting () =
-  (* zero leading pivot forces a row swap *)
-  let a = Linalg.Mat.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-  let x = Linalg.Lu.solve_mat a [| 2.0; 3.0 |] in
-  check_float "x" 3.0 x.(0);
-  check_float "y" 2.0 x.(1)
-
-let test_lu_singular () =
-  let a = Linalg.Mat.of_arrays [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
-  Alcotest.check_raises "singular" (Linalg.Lu.Singular 1) (fun () ->
-      ignore (Linalg.Lu.factorize a))
-
-let test_lu_determinant () =
-  let a = Linalg.Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  check_float "det" (-2.0) (Linalg.Lu.determinant (Linalg.Lu.factorize a));
-  let swapped = Linalg.Mat.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-  check_float "det with swap" (-1.0) (Linalg.Lu.determinant (Linalg.Lu.factorize swapped))
-
-let test_lu_inverse () =
-  let a = Linalg.Mat.of_arrays [| [| 4.0; 7.0 |]; [| 2.0; 6.0 |] |] in
-  let inv = Linalg.Lu.inverse (Linalg.Lu.factorize a) in
-  let product = Linalg.Mat.mul a inv in
-  Alcotest.(check bool) "A * inv(A) = I" true
-    (Linalg.Mat.equal ~tol:1e-12 product (Linalg.Mat.identity 2))
 
 (* ---------- Fft ---------- *)
 
@@ -211,27 +156,6 @@ let prop_fft_linearity =
       done;
       !ok)
 
-let diag_dominant_gen =
-  (* random strictly diagonally dominant systems are safely solvable *)
-  let open QCheck2.Gen in
-  let* n = int_range 1 12 in
-  let* entries = array_size (return (n * n)) (float_range (-1.0) 1.0) in
-  let* rhs = array_size (return n) (float_range (-10.0) 10.0) in
-  let a =
-    Linalg.Mat.init ~rows:n ~cols:n (fun i j ->
-        let v = entries.((i * n) + j) in
-        if i = j then v +. (if v >= 0.0 then float_of_int n +. 1.0 else -.(float_of_int n +. 1.0))
-        else v)
-  in
-  return (a, rhs)
-
-let prop_lu_residual =
-  QCheck2.Test.make ~name:"lu: ||Ax - b|| small on diagonally dominant systems" ~count:200
-    diag_dominant_gen (fun (a, b) ->
-      let x = Linalg.Lu.solve_mat a b in
-      let r = Linalg.Vec.sub (Linalg.Mat.mul_vec a x) b in
-      Linalg.Vec.norm_inf r < 1e-9)
-
 let prop_transpose_involution =
   let gen =
     let open QCheck2.Gen in
@@ -243,29 +167,14 @@ let prop_transpose_involution =
   QCheck2.Test.make ~name:"mat: transpose involution" ~count:200 gen (fun a ->
       Linalg.Mat.equal a (Linalg.Mat.transpose (Linalg.Mat.transpose a)))
 
-let prop_dot_symmetry =
-  let gen =
-    let open QCheck2.Gen in
-    let* n = int_range 0 16 in
-    let* x = array_size (return n) (float_range (-3.0) 3.0) in
-    let* y = array_size (return n) (float_range (-3.0) 3.0) in
-    return (x, y)
-  in
-  QCheck2.Test.make ~name:"vec: dot symmetric" ~count:200 gen (fun (x, y) ->
-      abs_float (Linalg.Vec.dot x y -. Linalg.Vec.dot y x) < 1e-12)
-
 let () =
   Alcotest.run "linalg"
     [
       ( "vec",
         [
           Alcotest.test_case "create/dim" `Quick test_vec_create_dim;
-          Alcotest.test_case "scale/axpy" `Quick test_vec_scale_axpy;
-          Alcotest.test_case "dot" `Quick test_vec_dot;
-          Alcotest.test_case "dot mismatch" `Quick test_vec_dot_mismatch;
           Alcotest.test_case "kahan sum" `Quick test_kahan_sum;
-          Alcotest.test_case "asum/nrm2/inf" `Quick test_asum_nrm2;
-          Alcotest.test_case "nrm2 overflow safe" `Quick test_nrm2_overflow_safe;
+          Alcotest.test_case "asum/norm_inf" `Quick test_asum_norm_inf;
           Alcotest.test_case "normalize_l1" `Quick test_normalize_l1;
           Alcotest.test_case "dist_l1" `Quick test_dist_l1;
           Alcotest.test_case "max_index" `Quick test_max_index;
@@ -278,14 +187,6 @@ let () =
           Alcotest.test_case "mat-vec products" `Quick test_mat_vec;
           Alcotest.test_case "ragged rejected" `Quick test_mat_ragged;
         ] );
-      ( "lu",
-        [
-          Alcotest.test_case "solve known" `Quick test_lu_solve_known;
-          Alcotest.test_case "pivoting" `Quick test_lu_needs_pivoting;
-          Alcotest.test_case "singular detection" `Quick test_lu_singular;
-          Alcotest.test_case "determinant" `Quick test_lu_determinant;
-          Alcotest.test_case "inverse" `Quick test_lu_inverse;
-        ] );
       ( "fft",
         [
           Alcotest.test_case "impulse" `Quick test_fft_delta;
@@ -295,7 +196,5 @@ let () =
           Alcotest.test_case "validation" `Quick test_fft_validation;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_lu_residual; prop_transpose_involution; prop_dot_symmetry; prop_fft_linearity ]
-      );
+        List.map QCheck_alcotest.to_alcotest [ prop_transpose_involution; prop_fft_linearity ] );
     ]
