@@ -170,68 +170,12 @@ let iter_successors cfg tables ~data:d ~counter:c ~phase f =
         detector_outcomes)
     tables.data_outcomes.(d)
 
-(* The original hashtable-and-COO direct construction, kept verbatim as the
-   reference the flat-state path ({!build_direct}) is pinned against: the
-   test suite asserts both produce bitwise-identical chains. Not used on any
-   production path. *)
-let build_direct_reference cfg =
-  let cfg = Config.create_exn cfg in
-  let model, build_seconds =
-    Cdr_obs.Span.timed ~name:"model.build" ~attrs:[ ("via", "direct-ref") ] @@ fun () ->
-  let tables = direct_tables cfg in
-  (* BFS over reachable (data, counter, phase) states *)
-  let index = Hashtbl.create 4096 in
-  let order = ref [] in
-  let count = ref 0 in
-  let register key =
-    match Hashtbl.find_opt index key with
-    | Some i -> i
-    | None ->
-        let i = !count in
-        Hashtbl.add index key i;
-        order := key :: !order;
-        incr count;
-        i
-  in
-  let d0, c0, p0 = initial_state cfg in
-  let start_key = (d0, c0, p0) in
-  ignore (register start_key);
-  let queue = Queue.create () in
-  Queue.add start_key queue;
-  let rows = ref [] in
-  while not (Queue.is_empty queue) do
-    let ((d, c, phase) as key) = Queue.pop queue in
-    let row = register key in
-    let row_acc = Hashtbl.create 32 in
-    let add key' p =
-      let fresh = not (Hashtbl.mem index key') in
-      let col = register key' in
-      if fresh then Queue.add key' queue;
-      let prev = Option.value ~default:0.0 (Hashtbl.find_opt row_acc col) in
-      Hashtbl.replace row_acc col (prev +. p)
-    in
-    iter_successors cfg tables ~data:d ~counter:c ~phase add;
-    rows := (row, Hashtbl.fold (fun col p acc -> (col, p) :: acc) row_acc []) :: !rows
-  done;
-  let n = !count in
-  let acc = Sparse.Coo.create ~rows:n ~cols:n in
-  List.iter
-    (fun (row, entries) -> List.iter (fun (col, p) -> Sparse.Coo.add acc ~row ~col p) entries)
-    !rows;
-  let chain = Markov.Chain.of_csr ~tol:1e-9 (Sparse.Coo.to_csr acc) in
-  let states = Array.of_list (List.rev !order) in
-  of_indexed ~config:cfg ~chain ~states ~build_seconds:0.0
-  in
-  Cdr_obs.Metrics.incr "model.builds" ~labels:[ ("via", "direct-ref") ];
-  { model with build_seconds }
-
 (* The flat-state reachability builder (see the interface for the packing).
    [state_of_key] maps packed key -> chain index (-1 when unvisited);
    [order] is both the BFS worklist and the final index -> key enumeration,
-   in FIFO discovery order — the reference path's registration order. The
-   base chain is the one-regime call with [switch = [|[|1.0|]|]]: every
-   emitted value is [1.0 *. p = p] and duplicates sum in the reference
-   path's order, so its chain is bitwise {!build_direct_reference}'s. *)
+   in FIFO discovery order. The base chain is the one-regime call with
+   [switch = [|[|1.0|]|]]: every emitted value is [1.0 *. p = p], so its
+   chain is bitwise the committed fixtures/golden_chain.jsonl digests. *)
 let build_reachable ?pool ~switch configs =
   let r = Array.length configs in
   let tables = Array.map direct_tables configs in

@@ -73,17 +73,12 @@ val build_direct : ?pool:Cdr_par.Pool.t -> Config.t -> t
 (** The base chain: {!build_reachable} with one regime and
     [switch = [|[|1.0|]|]], whose packed key is the direct path's
     [((data * n_counter) + counter) * grid_points + phase]. Bit-identical
-    for every job count, and to {!build_direct_reference}. *)
-
-val build_direct_reference : Config.t -> t
-(** The original hashtable-and-COO construction, kept as the reference the
-    flat path is pinned against (the test suite asserts both produce
-    bitwise-identical chains). Not used on any production path. *)
+    for every job count; the test suite pins its matrix and state order
+    against committed digests at fixed configs. *)
 
 val build : ?pool:Cdr_par.Pool.t -> Config.t -> t
-(** The production construction, {!build_direct}. {!build_via_network} and
-    {!build_direct_reference} are kept only as references tests compare
-    against. *)
+(** The production construction, {!build_direct}. {!build_via_network} is
+    kept as the independent derivation tests compare against. *)
 
 val rebuild : ?pool:Cdr_par.Pool.t -> t -> Config.t -> t * bool
 (** [rebuild t cfg] builds the model for [cfg] reusing [t]'s reachable-state

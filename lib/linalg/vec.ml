@@ -27,21 +27,15 @@ let sub x y =
 
 (* Kahan compensated summation: the correction term [c] recovers the low-order
    bits lost when adding a small term to a large running sum. *)
-let kahan_fold f x =
+let sum x =
   let sum = ref 0.0 and c = ref 0.0 in
   for i = 0 to Array.length x - 1 do
-    let v = f x.(i) -. !c in
+    let v = x.(i) -. !c in
     let t = !sum +. v in
     c := t -. !sum -. v;
     sum := t
   done;
   !sum
-
-let sum x = kahan_fold Fun.id x
-
-let asum x = kahan_fold abs_float x
-
-let norm_inf x = Array.fold_left (fun m v -> Float.max m (abs_float v)) 0.0 x
 
 let dist_l1 x y =
   check_same_dim "dist_l1" x y;
@@ -60,13 +54,6 @@ let normalize_l1 x =
     invalid_arg "Vec.normalize_l1: zero or non-finite entry sum";
   scale_in_place (1.0 /. s) x
 
-let max_index x =
-  if Array.length x = 0 then invalid_arg "Vec.max_index: empty vector";
-  let best = ref 0 in
-  for i = 1 to Array.length x - 1 do
-    if x.(i) > x.(!best) then best := i
-  done;
-  !best
 
 let map2 f x y =
   check_same_dim "map2" x y;

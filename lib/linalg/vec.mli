@@ -24,21 +24,13 @@ val sub : t -> t -> t
 val sum : t -> float
 (** Compensated (Kahan) sum of all entries. *)
 
-val asum : t -> float
-(** Sum of absolute values (l1 norm), compensated. *)
-
-val norm_inf : t -> float
-
 val dist_l1 : t -> t -> float
-(** [dist_l1 x y] is [asum (x - y)] without allocating the difference. *)
+(** [dist_l1 x y] is the compensated l1 norm of [x - y], without
+    allocating the difference. *)
 
 val normalize_l1 : t -> unit
 (** Scale in place so entries sum to one. Raises [Invalid_argument] if the
     entry sum is zero or not finite. *)
-
-val max_index : t -> int
-(** Index of the first maximal entry. Raises [Invalid_argument] on the empty
-    vector. *)
 
 val map2 : (float -> float -> float) -> t -> t -> t
 

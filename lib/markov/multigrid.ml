@@ -268,29 +268,21 @@ let coarse_row ~(fine : level) agg ~fine_values ~(coarse : level) i bw =
       coarse_values.(k) <- coarse_values.(k) /. !sum
     done
 
-(* Numeric aggregation into preallocated arrays: block weights of the
-   current iterate, then the coarse rows. Parallelized over coarse rows,
-   which own disjoint value slots and block weights, so the pooled result is
-   bitwise identical to the serial one for any job count, pool or no pool. *)
+(* Numeric aggregation into preallocated arrays, one pooled batch over
+   coarse rows: row [i] first stores block [i]'s weight (the iterate's
+   ascending sum over the block), then builds its coarse row from it. Rows
+   own disjoint value slots and block weights, so the pooled result is
+   bitwise identical to the serial one for any job count, pool or no pool.
+   The block weights are also the restricted iterate: the cycle copies them
+   to the coarse level instead of summing the blocks again. *)
 let aggregate ?pool ~fine agg ~fine_values ~coarse =
   let nc = agg.n_coarse in
   let slots = slot_count nc in
   Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
-      for b = s * nc / slots to (((s + 1) * nc / slots) - 1) do
-        agg.block_weight.(b) <- block_sum agg fine.x b
-      done);
-  Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
       for i = s * nc / slots to (((s + 1) * nc / slots) - 1) do
-        coarse_row ~fine agg ~fine_values ~coarse i agg.block_weight.(i)
-      done)
-
-(* Iterate restriction: per-block sums of the fine iterate. *)
-let restrict_iterate ?pool agg ~fine ~coarse =
-  let nc = agg.n_coarse in
-  let slots = slot_count nc in
-  Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
-      for b = s * nc / slots to (((s + 1) * nc / slots) - 1) do
-        coarse.(b) <- block_sum agg fine b
+        let bw = block_sum agg fine.x i in
+        agg.block_weight.(i) <- bw;
+        coarse_row ~fine agg ~fine_values ~coarse i bw
       done)
 
 (* Multiplicative prolongation: element-wise over fine states, walked block
@@ -309,6 +301,11 @@ let prolong_iterate ?pool agg ~coarse ~x =
         done
       done)
 
+(* Refill the transposed values the smoother sweeps. Kept a separate leg
+   rather than folded into the sweeps: reading through the inverse
+   permutation would turn each sweep's sequential reads into gathers,
+   repeated [pre + post] times per cycle (see DESIGN.md on the dispatch-cost
+   model). *)
 let scatter_transpose ?pool d values =
   let nnz = Array.length values in
   let slots = slot_count nnz in
@@ -373,33 +370,6 @@ let colored_gauss_seidel_sweeps ?pool d coloring x sweeps =
     done;
     normalize_sweep x
   done
-
-(* ---- the fused cycle interior -------------------------------------------
-   The default ([fuse = true]) execution. Two transformations, each
-   bitwise-neutral by construction, with the two-pass functions above kept
-   as the pinned reference:
-
-   - {e aggregate+restrict fusion}: [restrict_iterate] recomputes exactly
-     the per-block sums [aggregate] already stored in [block_weight] — both
-     walk [bw_states] ascending over the same iterate — so under fusion the
-     restriction is a copy of [block_weight] and one pooled leg disappears.
-   - {e block-weight+row fusion}: aggregate's two batches become one. Coarse
-     row [i] reads only [block_weight.(i)], which its own slot computes
-     first, so per-row fusion preserves the serial accumulation order.
-
-   Scatter-into-smooth is deliberately NOT fused: inverting the permutation
-   would turn each sweep's sequential value reads into gathers repeated
-   [pre+post] times per cycle, costing more than the one barrier it saves
-   (see DESIGN.md on the dispatch-cost model). *)
-let aggregate_fused ?pool ~fine agg ~fine_values ~coarse =
-  let nc = agg.n_coarse in
-  let slots = slot_count nc in
-  Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
-      for i = s * nc / slots to (((s + 1) * nc / slots) - 1) do
-        let bw = block_sum agg fine.x i in
-        agg.block_weight.(i) <- bw;
-        coarse_row ~fine agg ~fine_values ~coarse i bw
-      done)
 
 (* ---- setup ------------------------------------------------------------- *)
 
@@ -524,7 +494,7 @@ let scratch_cycles scratch = scratch.cycles_run
 (* One cycle from the finest level's iterate [levels.(0).x], in place,
    counted in [scratch]. [note_sweeps level sweeps] is told about every
    smoothing call. *)
-let run_cycle ~gamma ~pre_smooth ~post_smooth ~fuse ?pool ~note_sweeps scratch s fine_values =
+let run_cycle ~gamma ~pre_smooth ~post_smooth ?pool ~note_sweeps scratch s fine_values =
   let levels = s.levels in
   let n_levels = Array.length levels in
   let coarsest = levels.(n_levels - 1) in
@@ -577,16 +547,9 @@ let run_cycle ~gamma ~pre_smooth ~post_smooth ~fuse ?pool ~note_sweeps scratch s
         let agg = d.agg and fine_values = values l in
         phase "scatter" (fun () -> scatter_transpose ?pool d fine_values);
         phase "smooth" (fun () -> smooth l d pre_smooth);
-        if fuse then begin
-          phase "aggregate" (fun () -> aggregate_fused ?pool ~fine agg ~fine_values ~coarse);
-          (* restriction = the block weights aggregate just computed (same
-             ascending sums over the same iterate): a copy, not a pooled leg *)
-          phase "restrict" (fun () -> Array.blit agg.block_weight 0 coarse.x 0 agg.n_coarse)
-        end
-        else begin
-          phase "aggregate" (fun () -> aggregate ?pool ~fine agg ~fine_values ~coarse);
-          phase "restrict" (fun () -> restrict_iterate ?pool agg ~fine:fine.x ~coarse:coarse.x)
-        end;
+        phase "aggregate" (fun () -> aggregate ?pool ~fine agg ~fine_values ~coarse);
+        (* restriction = the block weights aggregate just computed *)
+        phase "restrict" (fun () -> Array.blit agg.block_weight 0 coarse.x 0 agg.n_coarse);
         cycle (l + 1);
         (* W-cycles ([gamma = 2]) revisit the coarse hierarchy below the finest
            level: the second recursion re-aggregates level l+1 with the coarse
@@ -606,7 +569,7 @@ let run_cycle ~gamma ~pre_smooth ~post_smooth ~fuse ?pool ~note_sweeps scratch s
   cycle 0;
   scratch.cycles_run <- scratch.cycles_run + 1
 
-let cycle ?(pre_smooth = 2) ?(post_smooth = 2) ?(fuse = true) ?pool scratch s chain x =
+let cycle ?(pre_smooth = 2) ?(post_smooth = 2) ?pool scratch s chain x =
   if not (matches s chain) then
     invalid_arg "Multigrid.cycle: chain sparsity pattern does not match the setup";
   let n = s.setup_n in
@@ -618,17 +581,17 @@ let cycle ?(pre_smooth = 2) ?(post_smooth = 2) ?(fuse = true) ?pool scratch s ch
   Array.blit x 0 x0 0 n;
   Linalg.Vec.normalize_l1 x0;
   let run () =
-    run_cycle ~gamma:1 ~pre_smooth ~post_smooth ~fuse ?pool
+    run_cycle ~gamma:1 ~pre_smooth ~post_smooth ?pool
       ~note_sweeps:(fun _ _ -> ())
       scratch s (Chain.tpm chain).Sparse.Csr.values
   in
-  if fuse then Cdr_par.Pool.run_phases pool run else run ();
+  Cdr_par.Pool.run_phases pool run;
   Array.blit x0 0 x 0 n
 
 (* ---- solve ------------------------------------------------------------- *)
 
 let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smooth = 2)
-    ?(cycle = `V) ?(fuse = true) ?init ?trace ?pool ?cancel s chain =
+    ?(cycle = `V) ?init ?trace ?pool ?cancel s chain =
   if not (matches s chain) then
     invalid_arg "Multigrid.solve_with: chain sparsity pattern does not match the setup";
   let gamma = match cycle with `V -> 1 | `W -> 2 in
@@ -662,7 +625,7 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
   let run_cycles () =
     while !continue_ && !cycles < max_cycles do
       if cancelled () then raise Cancelled;
-      run_cycle ~gamma ~pre_smooth ~post_smooth ~fuse ?pool ~note_sweeps scratch s fine_values;
+      run_cycle ~gamma ~pre_smooth ~post_smooth ?pool ~note_sweeps scratch s fine_values;
       incr cycles;
       let residual =
         Cdr_par.Pool.with_phase "residual" (fun () -> Chain.residual ?pool ~scratch:next chain x0)
@@ -673,11 +636,10 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
       if residual <= tol then continue_ := false
     done
   in
-  (* under fusion the whole cycle loop runs inside one phase region: the
-     pool's team is assembled once per solve, and every batch a leg issues
-     (per color, per sweep, per level) is an epoch dispatch instead of a
-     mutex fan-out — the fix for one-fan-out-per-sweep negative scaling *)
-  if fuse then Cdr_par.Pool.run_phases pool run_cycles else run_cycles ();
+  (* the whole cycle loop runs inside one phase region: the pool's team is
+     assembled once per solve, and every batch a leg issues (per color, per
+     sweep, per level) is an epoch dispatch instead of a mutex fan-out *)
+  Cdr_par.Pool.run_phases pool run_cycles;
   let solution = Solution.make ~chain ~pi:(Array.copy x0) ~iterations:!cycles ~tol in
   ( solution,
     {
@@ -687,7 +649,7 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
       smoothing_sweeps = !smoothing_sweeps;
     } )
 
-let solve ?tol ?max_cycles ?pre_smooth ?post_smooth ?cycle ?fuse ?init ?trace ?pool ?cancel
-    ?smoother ~hierarchy chain =
-  solve_with ?tol ?max_cycles ?pre_smooth ?post_smooth ?cycle ?fuse ?init ?trace ?pool ?cancel
+let solve ?tol ?max_cycles ?pre_smooth ?post_smooth ?cycle ?init ?trace ?pool ?cancel ?smoother
+    ~hierarchy chain =
+  solve_with ?tol ?max_cycles ?pre_smooth ?post_smooth ?cycle ?init ?trace ?pool ?cancel
     (setup ?smoother ~hierarchy chain) chain

@@ -100,7 +100,6 @@ val solve_with :
   ?pre_smooth:int ->
   ?post_smooth:int ->
   ?cycle:[ `V | `W ] ->
-  ?fuse:bool ->
   ?init:Linalg.Vec.t ->
   ?trace:Cdr_obs.Trace.t ->
   ?pool:Cdr_par.Pool.t ->
@@ -131,16 +130,11 @@ val solve_with :
     roughly [levels/2]x the per-cycle cost — the right trade on the very
     large ladder chains (see the MG-LADDER bench section).
 
-    [?fuse] (default [true]) selects the fused execution of the cycle
-    interior: the whole cycle loop runs inside one
-    {!Cdr_par.Pool.run_phases} region (the pool's team is enlisted once per
-    solve instead of one fan-out per sweep/color), aggregation computes
-    block weights and coarse rows in a single pooled batch, and iterate
-    restriction becomes a copy of those block weights (it is the same
-    ascending per-block sum over the same iterate). Every transformation
-    preserves the float operations and their order, so [fuse:true] and
-    [fuse:false] produce bit-identical results at every job count;
-    [fuse:false] is the pinned reference path.
+    The whole cycle loop runs inside one {!Cdr_par.Pool.run_phases}
+    region (the pool's team is enlisted once per solve instead of one
+    fan-out per sweep/color). Aggregation computes block weights and
+    coarse rows in a single pooled batch, and iterate restriction is a
+    copy of those block weights.
 
     Each solve allocates its scratch once: the dense coarsest matrix that
     GTH eliminates in place ({!Gth.solve_in_place}), the exit masses, and
@@ -164,7 +158,6 @@ val scratch_cycles : scratch -> int
 val cycle :
   ?pre_smooth:int ->
   ?post_smooth:int ->
-  ?fuse:bool ->
   ?pool:Cdr_par.Pool.t ->
   scratch ->
   setup ->
@@ -176,7 +169,7 @@ val cycle :
     new iterate back into [x]: no residual test, no solution record, and
     no allocation beyond a few closures. The cycle counts in
     [scratch_cycles scratch]. It is the cycle {!solve_with}
-    runs, with the same [?pre_smooth], [?post_smooth], [?fuse] and [?pool]
+    runs, with the same [?pre_smooth], [?post_smooth] and [?pool]
     defaults and the same bits. Raises [Invalid_argument] when
     [matches setup chain] is false, [x] has the wrong length, or [scratch]
     was made for a smaller coarsest level. *)
@@ -187,7 +180,6 @@ val solve :
   ?pre_smooth:int ->
   ?post_smooth:int ->
   ?cycle:[ `V | `W ] ->
-  ?fuse:bool ->
   ?init:Linalg.Vec.t ->
   ?trace:Cdr_obs.Trace.t ->
   ?pool:Cdr_par.Pool.t ->

@@ -100,7 +100,7 @@ let prepare ?coarse_hierarchy ~partition op =
 let matches s op = Cdr_op.dim op = s.s_n
 
 let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smooth = 2)
-    ?(fuse = true) ?init ?trace ?pool ?cancel s op =
+    ?init ?trace ?pool ?cancel s op =
   if not (matches s op) then
     invalid_arg "Op_multigrid.solve_with: operator dimension does not match the setup";
   let n = s.s_n in
@@ -205,7 +205,7 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
     in
     Array.blit block_mass 0 s.s_coarse_x 0 n_coarse;
     let before = Multigrid.scratch_cycles scratch in
-    Multigrid.cycle ~fuse ?pool scratch cs chain s.s_coarse_x;
+    Multigrid.cycle ?pool scratch cs chain s.s_coarse_x;
     coarse_cycles := !coarse_cycles + Multigrid.scratch_cycles scratch - before;
     coarse_nnz := Sparse.Csr.nnz (Chain.tpm chain)
   in
@@ -241,7 +241,7 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
   in
   (* one phase region for the whole outer loop: fine applies, aggregation
      refills and the coarse V-cycles all dispatch into one team *)
-  if fuse then Cdr_par.Pool.run_phases pool run_cycles else run_cycles ();
+  Cdr_par.Pool.run_phases pool run_cycles;
   (* the solution owns its iterate; the setup's workspaces stay reusable,
      and the certificate's x * M lands in the spare iterate buffer *)
   let residual pi =
@@ -258,8 +258,8 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
       smoothing_sweeps = !sweeps;
     } )
 
-let solve ?tol ?max_cycles ?pre_smooth ?post_smooth ?fuse ?init ?trace ?pool ?cancel
-    ?coarse_hierarchy ~partition op =
-  solve_with ?tol ?max_cycles ?pre_smooth ?post_smooth ?fuse ?init ?trace ?pool ?cancel
+let solve ?tol ?max_cycles ?pre_smooth ?post_smooth ?init ?trace ?pool ?cancel ?coarse_hierarchy
+    ~partition op =
+  solve_with ?tol ?max_cycles ?pre_smooth ?post_smooth ?init ?trace ?pool ?cancel
     (prepare ?coarse_hierarchy ~partition op)
     op

@@ -63,7 +63,6 @@ val solve_with :
   ?max_cycles:int ->
   ?pre_smooth:int ->
   ?post_smooth:int ->
-  ?fuse:bool ->
   ?init:Linalg.Vec.t ->
   ?trace:Cdr_obs.Trace.t ->
   ?pool:Cdr_par.Pool.t ->
@@ -75,18 +74,15 @@ val solve_with :
     buffer, scratch or coarse-setup allocation beyond the lazily-built
     first-cycle structures; per solve, only the returned solution's
     iterate. Numerically identical to {!solve} with the same arguments.
-    [?fuse] (default [true]) runs the whole outer loop inside one
-    {!Cdr_par.Pool.run_phases} region — fine applies, aggregation refills
-    and the coarse V-cycles all dispatch into one persistent team — and
-    selects the fused coarse-cycle kernels ({!Multigrid.cycle}'s [?fuse]);
-    both settings produce bit-identical results. *)
+    The whole outer loop runs inside one {!Cdr_par.Pool.run_phases}
+    region: fine applies, aggregation refills and the coarse V-cycles all
+    dispatch into one persistent team. *)
 
 val solve :
   ?tol:float ->
   ?max_cycles:int ->
   ?pre_smooth:int ->
   ?post_smooth:int ->
-  ?fuse:bool ->
   ?init:Linalg.Vec.t ->
   ?trace:Cdr_obs.Trace.t ->
   ?pool:Cdr_par.Pool.t ->

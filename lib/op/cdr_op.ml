@@ -12,7 +12,7 @@ let kind_of_string = function
 (* The operator record every backend fills in. A record of closures rather
    than a first-class module: call sites only ever consume the operations,
    and closures let each backend capture exactly the private state it needs
-   (a packed mirror, a reusable Kronecker workspace) without leaking it into
+   (a reusable Kronecker workspace) without leaking it into
    the interface. *)
 type t = {
   dim : int;
@@ -30,25 +30,17 @@ type t = {
 module Csr_backend = struct
   (* Wraps an existing CSR transition matrix. [vec_mul_into] is the exact
      [Csr.vec_mul_into] kernel the solvers called before the abstraction
-     existed (or its bitwise-interchangeable packed mirror), so results are
-     bitwise identical to the historical paths. *)
+     existed, so results are bitwise identical to the historical paths. *)
   let create m =
     if Csr.rows m <> Csr.cols m then invalid_arg "Cdr_op.Csr_backend.create: matrix must be square";
     let n = Csr.rows m in
     let sums = lazy (Csr.row_sums m) in
-    (* operators are long-lived (one per solve loop), so matrices big enough
-       to be bandwidth-bound amortize a packed int32/Bigarray mirror *)
-    let pack_worthwhile = Csr.nnz m >= 1 lsl 14 in
-    let packed = lazy (Csr.Packed.pack m) in
     {
       dim = n;
       kind = `Csr;
       label = Printf.sprintf "csr[%d states, %d nnz]" n (Csr.nnz m);
       nnz_estimate = Csr.nnz m;
-      vec_mul_into =
-        (fun ?pool x y ->
-          if pack_worthwhile then Csr.Packed.vec_mul_into ?pool x (Lazy.force packed) y
-          else Csr.vec_mul_into ?pool x m y);
+      vec_mul_into = (fun ?pool x y -> Csr.vec_mul_into ?pool x m y);
       row_sums = (fun () -> Lazy.force sums);
       iter_row = (fun i emit -> Csr.iter_row m i emit);
       to_csr = (fun () -> m);

@@ -6,9 +6,9 @@
     action: [x -> x * M] (the power-iteration and smoothing kernel, via
     {!vec_mul_into}), row sums, and per-row entry enumeration (for
     aggregation and flux computations). Backends own their private apply
-    state — the {!Csr_backend} a packed mirror of a large matrix, the
-    {!Kron_backend} a reusable two-buffer shuffle workspace — so callers
-    never allocate per iteration and never see representation details.
+    state — the {!Kron_backend} a reusable two-buffer shuffle workspace —
+    so callers never allocate per iteration and never see representation
+    details.
 
     Backend contract: for the same model, the two backends agree within
     solver tolerance but {e not} bitwise — the Kronecker shuffle sums float

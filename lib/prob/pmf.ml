@@ -66,8 +66,6 @@ let convolve a b =
 
 let cdf_le t x = fold t ~init:0.0 ~f:(fun acc label w -> if label <= x then acc +. w else acc)
 
-let prob_gt t x = fold t ~init:0.0 ~f:(fun acc label w -> if label > x then acc +. w else acc)
-
 let total_variation a b =
   let labels = Hashtbl.create 16 in
   iter a (fun label _ -> Hashtbl.replace labels label ());

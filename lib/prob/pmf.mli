@@ -47,8 +47,6 @@ val convolve : t -> t -> t
 val cdf_le : t -> int -> float
 (** [cdf_le p x] is [P(X <= x)]. *)
 
-val prob_gt : t -> int -> float
-
 val total_variation : t -> t -> float
 
 val equal : ?tol:float -> t -> t -> bool

@@ -334,87 +334,6 @@ let equal ?(tol = 0.0) a b =
   iter b (fun i j v -> if abs_float (v -. get a i j) > tol then ok := false);
   !ok
 
-(* ---- packed mirrors ---------------------------------------------------
-   A cache-friendly copy of the numeric payload: int32 column indices (half
-   the index memory traffic of boxed-width OCaml ints) and float64 values in
-   Bigarray storage accessed unsafely. The kernel mirrors the float-array
-   one loop for loop — same slot grid, same accumulation order — so a
-   packed product is bitwise interchangeable with the reference product; the
-   float-array path above stays as the pinned reference. *)
-
-module Packed = struct
-  open Bigarray
-
-  type matrix = t
-
-  type t = {
-    rows : int;
-    cols : int;
-    row_ptr : int array; (* physically shared with the source matrix *)
-    col32 : (int32, int32_elt, c_layout) Array1.t;
-    vals : (float, float64_elt, c_layout) Array1.t;
-  }
-
-  let rows p = p.rows
-
-  let cols p = p.cols
-
-  let nnz p = Array1.dim p.vals
-
-  let fill p (values : float array) =
-    if Array.length values <> nnz p then invalid_arg "Csr.Packed.fill: values length must equal nnz";
-    for k = 0 to Array.length values - 1 do
-      Array1.unsafe_set p.vals k (Array.unsafe_get values k)
-    done
-
-  let pack (m : matrix) =
-    if m.cols >= 1 lsl 30 then invalid_arg "Csr.Packed.pack: column count exceeds int32 range";
-    let n = Array.length m.values in
-    let col32 = Array1.create Int32 C_layout n in
-    let vals = Array1.create Float64 C_layout n in
-    for k = 0 to n - 1 do
-      Array1.unsafe_set col32 k (Int32.of_int (Array.unsafe_get m.col_idx k))
-    done;
-    let p = { rows = m.rows; cols = m.cols; row_ptr = m.row_ptr; col32; vals } in
-    fill p m.values;
-    p
-
-  (* the same numbers as [par_slot_count]: the packed kernel must run the
-     same slot grid as the reference kernel to stay bitwise interchangeable *)
-  let slot_count p = if nnz p < 1 lsl 14 then 1 else min 16 (max 1 (p.rows / 64))
-
-  let scatter_rows p (x : float array) (y : float array) ~lo ~hi =
-    for i = lo to hi do
-      let xi = Array.unsafe_get x i in
-      if xi <> 0.0 then
-        for k = p.row_ptr.(i) to p.row_ptr.(i + 1) - 1 do
-          let j = Int32.to_int (Array1.unsafe_get p.col32 k) in
-          Array.unsafe_set y j (Array.unsafe_get y j +. (xi *. Array1.unsafe_get p.vals k))
-        done
-    done
-
-  let vec_mul_into ?pool x p y =
-    if Array.length x <> p.rows then invalid_arg "Csr.Packed.vec_mul: dimension mismatch";
-    if Array.length y <> p.cols then invalid_arg "Csr.Packed.vec_mul: output dimension mismatch";
-    let slots = match pool with None -> 1 | Some _ -> slot_count p in
-    if slots <= 1 then begin
-      Array.fill y 0 (Array.length y) 0.0;
-      scatter_rows p x y ~lo:0 ~hi:(p.rows - 1)
-    end
-    else begin
-      let partials = Array.init slots (fun _ -> Array.make p.cols 0.0) in
-      Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
-          scatter_rows p x partials.(s) ~lo:(s * p.rows / slots)
-            ~hi:(((s + 1) * p.rows / slots) - 1));
-      Cdr_par.Pool.merge_tree ?pool ~slots (fun ~dst ~src ->
-          let pa = partials.(dst) and pb = partials.(src) in
-          for j = 0 to p.cols - 1 do
-            pa.(j) <- pa.(j) +. pb.(j)
-          done);
-      Array.blit partials.(0) 0 y 0 p.cols
-    end
-end
-
 let pp_stats ppf m =
   let bandwidth =
     fold m ~init:0 ~f:(fun acc i j _ -> max acc (abs (i - j)))

@@ -102,32 +102,3 @@ val equal : ?tol:float -> t -> t -> bool
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line [rows x cols, nnz, fill, bandwidth] summary. *)
-
-(** A cache-friendly mirror of a matrix's numeric payload: int32 column
-    indices and float64 values in Bigarray storage, with [row_ptr] shared
-    physically with the source. The kernel mirrors {!vec_mul_into} loop for
-    loop — same fixed slot grid, same accumulation order — so packed
-    products are {e bitwise interchangeable} with the float-array reference
-    path (which stays pinned above). The win is memory
-    traffic (4-byte instead of 8-byte column indices) and bounds-check-free
-    inner loops; long-lived operators pack once and [fill] on refill. *)
-module Packed : sig
-  type matrix = t
-
-  type t
-
-  val pack : matrix -> t
-  (** Copies the source's column indices and values; raises
-      [Invalid_argument] beyond int32 column range. *)
-
-  val fill : t -> float array -> unit
-  (** Overwrite the packed values in place (the refill counterpart). *)
-
-  val rows : t -> int
-
-  val cols : t -> int
-
-  val nnz : t -> int
-
-  val vec_mul_into : ?pool:Cdr_par.Pool.t -> float array -> t -> float array -> unit
-end

@@ -1,11 +1,11 @@
-(* Tests for the fused/batched execution paths behind ?fuse and the phase
-   region dispatcher: fused V-cycles (packed smoothers, fused aggregation,
-   restriction-as-copy, one region per solve) must be bitwise identical to
-   the unfused reference at every job count; the int32/Bigarray packed CSR
-   mirrors must match the float-array kernels bit for bit; the region
-   protocol itself (forced cross-domain via CDR_REGION_MEMBERS) must
-   preserve batch results, propagate exceptions and tolerate nesting; and
-   the reusable Op_multigrid/Kron_model IAD setups must change no bits. *)
+(* Tests for the pooled execution of the V-cycle and the phase region
+   dispatcher: every V-cycle solve under a pool (one phase region per solve,
+   one-pass aggregation, restriction as a copy of the block weights) must be
+   bitwise identical to the serial no-pool solve at every job count; the
+   region protocol itself (forced cross-domain via CDR_REGION_MEMBERS) must
+   preserve batch results, propagate exceptions and tolerate nesting; the
+   reusable Op_multigrid/Kron_model IAD setups must change no bits; and the
+   committed golden digests pin the stationary vectors. *)
 
 let check_bool = Alcotest.(check bool)
 
@@ -18,7 +18,7 @@ let bits_equal a b =
       !ok)
 
 (* small enough to solve in milliseconds, large enough for a 4-level
-   hierarchy, multi-slot kernels and packed (>= 2^14 nnz) matrices *)
+   hierarchy and multi-slot kernels *)
 let cfg = { Cdr.Config.default with Cdr.Config.grid_points = 64; max_run = 4 }
 
 let model = lazy (Cdr.Model.build cfg)
@@ -38,87 +38,44 @@ let with_forced_members n f =
       Unix.putenv "CDR_REGION_MEMBERS" (match saved with Some v -> v | None -> ""))
     f
 
-(* ---------- fused V-cycles vs the unfused reference ---------- *)
+(* ---------- pooled V-cycles vs the serial reference ---------- *)
 
-let solve_mg ~smoother ~fuse pool =
+let solve_mg ~smoother pool =
   let chain = chain () in
   let s = Markov.Multigrid.setup ~smoother ~hierarchy:(hierarchy ()) chain in
-  let sol, _ = Markov.Multigrid.solve_with ~tol:1e-10 ~fuse ?pool s chain in
+  let sol, _ = Markov.Multigrid.solve_with ~tol:1e-10 ?pool s chain in
   sol.Markov.Solution.pi
 
-let test_fused_bitwise_lex () =
-  let reference = solve_mg ~smoother:`Lex ~fuse:false None in
-  check_bool "lex: fused serial = unfused serial" true
-    (bits_equal reference (solve_mg ~smoother:`Lex ~fuse:true None));
-  let p4 =
-    Cdr_par.Pool.with_pool ~jobs:4 (fun pool -> solve_mg ~smoother:`Lex ~fuse:true (Some pool))
-  in
-  check_bool "lex: fused jobs=4 = unfused serial" true (bits_equal reference p4)
+let pooled jobs solve = Cdr_par.Pool.with_pool ~jobs (fun pool -> solve (Some pool))
 
-let test_fused_bitwise_colored () =
-  let reference = solve_mg ~smoother:`Colored ~fuse:false None in
-  check_bool "colored: fused serial = unfused serial" true
-    (bits_equal reference (solve_mg ~smoother:`Colored ~fuse:true None));
-  let fused jobs =
-    Cdr_par.Pool.with_pool ~jobs (fun pool -> solve_mg ~smoother:`Colored ~fuse:true (Some pool))
-  in
-  check_bool "colored: fused jobs=1 = unfused serial" true (bits_equal reference (fused 1));
-  check_bool "colored: fused jobs=4 = unfused serial" true (bits_equal reference (fused 4))
+let test_pooled_bitwise_lex () =
+  let reference = solve_mg ~smoother:`Lex None in
+  check_bool "lex: jobs=4 = serial" true (bits_equal reference (pooled 4 (solve_mg ~smoother:`Lex)))
+
+let test_pooled_bitwise_colored () =
+  let reference = solve_mg ~smoother:`Colored None in
+  let solve = solve_mg ~smoother:`Colored in
+  check_bool "colored: jobs=1 = serial" true (bits_equal reference (pooled 1 solve));
+  check_bool "colored: jobs=4 = serial" true (bits_equal reference (pooled 4 solve))
 
 let test_w_cycle () =
   let chain = chain () in
   let s = Markov.Multigrid.setup ~hierarchy:(hierarchy ()) chain in
-  let solve ~fuse pool =
-    let sol, _ = Markov.Multigrid.solve_with ~tol:1e-10 ~cycle:`W ~fuse ?pool s chain in
+  let solve pool =
+    let sol, _ = Markov.Multigrid.solve_with ~tol:1e-10 ~cycle:`W ?pool s chain in
     sol.Markov.Solution.pi
   in
-  let reference = solve ~fuse:false None in
+  let reference = solve None in
   check_bool "W-cycle solve is stationary" true (Markov.Chain.residual chain reference < 1e-10);
-  check_bool "W: fused serial = unfused serial" true (bits_equal reference (solve ~fuse:true None));
-  let p4 = Cdr_par.Pool.with_pool ~jobs:4 (fun pool -> solve ~fuse:true (Some pool)) in
-  check_bool "W: fused jobs=4 = unfused serial" true (bits_equal reference p4)
+  check_bool "W: jobs=4 = serial" true (bits_equal reference (pooled 4 solve))
 
 (* the strong end of the contract: the ticket protocol actually running
    across domains (forced members, irrespective of the host's core count)
    moves no bits either *)
-let test_fused_bitwise_forced_region () =
-  let reference = solve_mg ~smoother:`Colored ~fuse:false None in
-  let forced =
-    with_forced_members 2 (fun () ->
-        Cdr_par.Pool.with_pool ~jobs:4 (fun pool ->
-            solve_mg ~smoother:`Colored ~fuse:true (Some pool)))
-  in
-  check_bool "colored: fused cross-domain region = unfused serial" true
-    (bits_equal reference forced)
-
-(* ---------- packed CSR mirrors vs the float-array kernels ---------- *)
-
-let test_packed_parity () =
-  let tpm = Markov.Chain.tpm (chain ()) in
-  let n = Sparse.Csr.rows tpm in
-  let x = Array.init n (fun i -> 1.0 /. float_of_int (i + 1)) in
-  let pk = Sparse.Csr.Packed.pack tpm in
-  Alcotest.(check int) "nnz preserved" (Sparse.Csr.nnz tpm) (Sparse.Csr.Packed.nnz pk);
-  let y_ref = Array.make n 0.0 and y_pk = Array.make n 0.0 in
-  Sparse.Csr.vec_mul_into x tpm y_ref;
-  Sparse.Csr.Packed.vec_mul_into x pk y_pk;
-  check_bool "vec_mul_into bitwise" true (bits_equal y_ref y_pk);
-  (* the pooled packed kernel rides the same slot grid and merge tree as the
-     pooled reference (the pooled path's partial-merge order differs from
-     the no-pool scatter by design, so compare pooled to pooled) *)
-  Cdr_par.Pool.with_pool ~jobs:4 (fun pool ->
-      let r4 = Array.make n 0.0 and y4 = Array.make n 0.0 in
-      Sparse.Csr.vec_mul_into ~pool x tpm r4;
-      Sparse.Csr.Packed.vec_mul_into ~pool x pk y4;
-      check_bool "pooled vec_mul_into bitwise" true (bits_equal r4 y4));
-  (* fill is the refill counterpart: new values, same structure *)
-  let scaled = Array.map (fun v -> 0.5 *. v) tpm.Sparse.Csr.values in
-  let refilled = Sparse.Csr.refill tpm scaled in
-  Sparse.Csr.Packed.fill pk scaled;
-  let y_ref2 = Array.make n 0.0 and y_pk2 = Array.make n 0.0 in
-  Sparse.Csr.vec_mul_into x refilled y_ref2;
-  Sparse.Csr.Packed.vec_mul_into x pk y_pk2;
-  check_bool "fill + vec_mul_into bitwise" true (bits_equal y_ref2 y_pk2)
+let test_pooled_bitwise_forced_region () =
+  let reference = solve_mg ~smoother:`Colored None in
+  let forced = with_forced_members 2 (fun () -> pooled 4 (solve_mg ~smoother:`Colored)) in
+  check_bool "colored: cross-domain region = serial" true (bits_equal reference forced)
 
 (* ---------- the region protocol on raw batches ---------- *)
 
@@ -293,8 +250,8 @@ let test_kron_matches_csr () =
 (* ---------- reusable IAD setups ---------- *)
 
 (* On a CSR operator and on the kron operator: a prepared solve equals a
-   fresh one, reusing the setup changes no bits, and neither do the
-   unfused path or the size of a pool whose team really crosses domains. *)
+   fresh one, reusing the setup changes no bits, and neither does the size
+   of a pool whose team really crosses domains. *)
 let test_iad_setup_reuse () =
   let csr = (Cdr_op.Csr_backend.create (Markov.Chain.tpm (chain ())), hierarchy ()) in
   let kron =
@@ -321,8 +278,6 @@ let test_iad_setup_reuse () =
             && stats.Markov.Op_multigrid.coarse_cycles = stats.Markov.Op_multigrid.cycles);
           check "prepared solve = fresh solve" fresh first;
           check "setup reuse changes no bits" first second;
-          let unfused, _ = Markov.Op_multigrid.solve_with ~tol:1e-10 ~fuse:false setup op in
-          check "IAD fused = unfused" first unfused;
           (* a CSR apply under a pool runs the slot grid, without one a
              single row loop: pools of every size agree with each other *)
           let pooled jobs =
@@ -359,16 +314,12 @@ let () =
     [
       ( "fused V-cycles",
         [
-          Alcotest.test_case "lex fused = unfused, serial and jobs=4" `Quick
-            test_fused_bitwise_lex;
-          Alcotest.test_case "colored fused = unfused across jobs" `Quick
-            test_fused_bitwise_colored;
-          Alcotest.test_case "W-cycles fused = unfused, stationary" `Quick test_w_cycle;
+          Alcotest.test_case "lex jobs=4 = serial" `Quick test_pooled_bitwise_lex;
+          Alcotest.test_case "colored jobs=1,4 = serial" `Quick test_pooled_bitwise_colored;
+          Alcotest.test_case "W stationary, jobs=4 = serial" `Quick test_w_cycle;
           Alcotest.test_case "forced cross-domain region moves no bits" `Quick
-            test_fused_bitwise_forced_region;
+            test_pooled_bitwise_forced_region;
         ] );
-      ( "packed csr",
-        [ Alcotest.test_case "packed kernels bitwise = float-array" `Quick test_packed_parity ] );
       ( "golden",
         [
           Alcotest.test_case "kron pi and BER match csr on the kron row's config" `Quick

@@ -18,11 +18,6 @@ let test_kahan_sum () =
   v.(0) <- 1.0;
   check_float ~eps:1e-12 "compensated" (1.0 +. (float_of_int n *. 1e-8)) (Linalg.Vec.sum v)
 
-let test_asum_norm_inf () =
-  let v = [| 3.0; -4.0 |] in
-  check_float "asum" 7.0 (Linalg.Vec.asum v);
-  check_float "norm_inf" 4.0 (Linalg.Vec.norm_inf v)
-
 let test_normalize_l1 () =
   let v = [| 1.0; 3.0 |] in
   Linalg.Vec.normalize_l1 v;
@@ -33,11 +28,6 @@ let test_normalize_l1 () =
 
 let test_dist_l1 () =
   check_float "dist" 3.0 (Linalg.Vec.dist_l1 [| 1.0; 2.0 |] [| 2.0; 0.0 |])
-
-let test_max_index () =
-  Alcotest.(check int) "max" 1 (Linalg.Vec.max_index [| 1.0; 5.0; 5.0 |]);
-  Alcotest.check_raises "empty" (Invalid_argument "Vec.max_index: empty vector") (fun () ->
-      ignore (Linalg.Vec.max_index [||]))
 
 (* ---------- Mat ---------- *)
 
@@ -174,10 +164,8 @@ let () =
         [
           Alcotest.test_case "create/dim" `Quick test_vec_create_dim;
           Alcotest.test_case "kahan sum" `Quick test_kahan_sum;
-          Alcotest.test_case "asum/norm_inf" `Quick test_asum_norm_inf;
           Alcotest.test_case "normalize_l1" `Quick test_normalize_l1;
           Alcotest.test_case "dist_l1" `Quick test_dist_l1;
-          Alcotest.test_case "max_index" `Quick test_max_index;
         ] );
       ( "mat",
         [

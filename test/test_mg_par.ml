@@ -3,7 +3,8 @@
    tolerance, every pooled kernel (colored smoothing, aggregation /
    restriction / prolongation, CSR value fill, rebuild row refill) is
    bitwise deterministic at jobs=1 vs jobs=4, and the flat assembly path is
-   pinned bit-for-bit against the retired hashtable-and-COO construction. *)
+   pinned bit for bit against fixtures/golden_chain.jsonl, digests recorded
+   from the retired hashtable-and-COO construction. *)
 
 let check_bool = Alcotest.(check bool)
 
@@ -80,26 +81,54 @@ let test_lex_solve_unchanged_by_pool () =
   let p4 = Cdr_par.Pool.with_pool ~jobs:4 (fun pool -> solve (Some pool)) in
   check_bool "lex: serial = pooled jobs=4" true (bits_equal serial p4)
 
-(* ---------- flat assembly: pinned against the reference path ---------- *)
+(* ---------- flat assembly: pinned against the golden digests ---------- *)
 
 let csr_of m = Markov.Chain.tpm m.Cdr.Model.chain
 
+(* MD5 of [f i] for i = 0 .. n-1, each followed by a comma *)
+let digest n f =
+  let b = Buffer.create (16 * n) in
+  for i = 0 to n - 1 do
+    Buffer.add_string b (f i);
+    Buffer.add_char b ','
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let ints_digest a = digest (Array.length a) (fun i -> string_of_int a.(i))
+
+(* the fixed configurations of fixtures/golden_chain.jsonl *)
+let golden_configs = [ ("grid64-maxrun4", cfg); ("default", Cdr.Config.default) ]
+
 let test_flat_equals_reference () =
-  let flat = Cdr.Model.build_direct cfg in
-  let reference = Cdr.Model.build_direct_reference cfg in
-  check_int "state count" reference.Cdr.Model.n_states flat.Cdr.Model.n_states;
-  let a = csr_of flat and b = csr_of reference in
-  Alcotest.(check (array int)) "row_ptr" b.Sparse.Csr.row_ptr a.Sparse.Csr.row_ptr;
-  Alcotest.(check (array int)) "col_idx" b.Sparse.Csr.col_idx a.Sparse.Csr.col_idx;
-  check_bool "values bitwise" true (bits_equal b.Sparse.Csr.values a.Sparse.Csr.values);
-  (* same state enumeration order, not just the same matrix *)
-  for i = 0 to flat.Cdr.Model.n_states - 1 do
-    if
-      flat.Cdr.Model.data_code i <> reference.Cdr.Model.data_code i
-      || flat.Cdr.Model.counter_code i <> reference.Cdr.Model.counter_code i
-      || flat.Cdr.Model.phase_bin i <> reference.Cdr.Model.phase_bin i
-    then Alcotest.failf "state %d decodes differently on the two paths" i
-  done
+  let fixtures =
+    In_channel.with_open_text "fixtures/golden_chain.jsonl" In_channel.input_lines
+    |> List.map Cdr_obs.Jsonl.of_string
+  in
+  check_int "one fixture per config" (List.length golden_configs) (List.length fixtures);
+  List.iter
+    (fun fx ->
+      let get conv k = Option.get (Option.bind (Cdr_obs.Jsonl.member k fx) conv) in
+      let field = get Cdr_obs.Jsonl.to_str in
+      let name = field "name" in
+      let m = Cdr.Model.build_direct (List.assoc name golden_configs) in
+      let a = csr_of m in
+      let check what expected actual =
+        Alcotest.(check string) (name ^ ": " ^ what) expected actual
+      in
+      check_int (name ^ ": state count")
+        (int_of_float (get Cdr_obs.Jsonl.to_float "states"))
+        m.Cdr.Model.n_states;
+      check "row_ptr" (field "row_ptr_md5") (ints_digest a.Sparse.Csr.row_ptr);
+      check "col_idx" (field "col_idx_md5") (ints_digest a.Sparse.Csr.col_idx);
+      check "values bits" (field "values_md5")
+        (digest (Array.length a.Sparse.Csr.values) (fun k ->
+             Int64.to_string (Int64.bits_of_float a.Sparse.Csr.values.(k))));
+      (* same state enumeration order, not just the same matrix *)
+      check "state decode" (field "states_md5")
+        (digest m.Cdr.Model.n_states (fun i ->
+             Printf.sprintf "%d/%d/%d" (m.Cdr.Model.data_code i) (m.Cdr.Model.counter_code i)
+               (m.Cdr.Model.phase_bin i))))
+    fixtures
 
 let test_value_fill_bitwise_across_jobs () =
   let serial = csr_of (Cdr.Model.build_direct cfg) in

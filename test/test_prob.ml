@@ -44,7 +44,7 @@ let test_pmf_map_labels_collision () =
 let test_pmf_cdf_tail () =
   let p = Prob.Pmf.uniform [ 1; 2; 3; 4 ] in
   check_float "cdf" 0.5 (Prob.Pmf.cdf_le p 2);
-  check_float "tail" 0.5 (Prob.Pmf.prob_gt p 2)
+  check_float "tail" 0.25 (1.0 -. Prob.Pmf.cdf_le p 3)
 
 (* ---------- Gaussian ---------- *)
 
