@@ -71,7 +71,10 @@ bench-json:
 # multigrid setup size (multigrid.setup_bytes: a return to a fatter setup
 # layout moves it and fails here). bench.iad_one_coarse_cycle_ok is 1 when
 # the kron IAD solve ran exactly one coarse V-cycle per outer cycle, so a
-# return to nested coarse solves fails here too. No wall time is read.
+# return to nested coarse solves fails here too, and op_multigrid.row_passes
+# is 1 when that solve enumerated the operator's rows once (into its entry
+# table), so a return to per-cycle enumeration fails as well. No wall time
+# is read.
 bench-counters:
 	CDR_BENCH_JSON=/tmp/bench_counters.json dune exec bench/main.exe -- smoke
 	grep -q '"model.builds{via=direct}":1' /tmp/bench_counters.json
@@ -81,7 +84,8 @@ bench-counters:
 	grep -q '"solver_cache.misses":1' /tmp/bench_counters.json
 	grep -q '"multigrid.setup_bytes":517524' /tmp/bench_counters.json
 	grep -q '"bench.iad_one_coarse_cycle_ok":1' /tmp/bench_counters.json
-	@echo "bench counters: counter deltas, setup bytes and one coarse cycle per IAD cycle as expected"
+	grep -q '"op_multigrid.row_passes":1' /tmp/bench_counters.json
+	@echo "bench counters: counter deltas, setup bytes, one coarse cycle per IAD cycle and one row pass per IAD solve as expected"
 
 # CI bench smoke: bench-counters plus the MG-SCALING gate, the one wall-clock
 # assertion: mg.speedup_j4 must clear 1.0 (or 0.9 on a single-core host,

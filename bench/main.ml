@@ -467,7 +467,8 @@ let exp_smoke () =
   Format.printf "  model.rebuilds{pattern=reused}=1  solver_cache.hits=2  solver_cache.misses=1@.";
   (* one matrix-free IAD solve of the same configuration: every outer cycle
      runs exactly one coarse V-cycle, never a nested coarse solve (the
-     count comes from the coarse scratch the V-cycles ran in) *)
+     count comes from the coarse scratch the V-cycles ran in), and the
+     solve enumerates the operator's rows once, into its entry table *)
   let km = Cdr.Kron_model.build cfg in
   match Cdr.Kron_model.hierarchy km with
   | [] -> failwith "smoke: the kron chain fits a direct solve"
@@ -481,8 +482,15 @@ let exp_smoke () =
       Cdr_obs.Metrics.set_gauge "op_multigrid.coarse_cycles" (float_of_int coarse_cycles);
       Cdr_obs.Metrics.set_gauge "bench.iad_one_coarse_cycle_ok"
         (if cycles > 0 && coarse_cycles = cycles then 1.0 else 0.0);
-      Format.printf "kron IAD solve (%d states): %d outer cycles, %d coarse V-cycles@."
-        km.Cdr.Kron_model.n_states cycles coarse_cycles
+      Cdr_obs.Metrics.set_gauge "op_multigrid.row_passes"
+        (float_of_int stats.Markov.Op_multigrid.row_passes);
+      Cdr_obs.Metrics.set_gauge "op_multigrid.table_bytes"
+        (float_of_int stats.Markov.Op_multigrid.table_bytes);
+      Format.printf
+        "kron IAD solve (%d states): %d outer cycles, %d coarse V-cycles, %d row pass(es) into a \
+         %d-byte entry table@."
+        km.Cdr.Kron_model.n_states cycles coarse_cycles stats.Markov.Op_multigrid.row_passes
+        stats.Markov.Op_multigrid.table_bytes
 
 (* ---------- KRON-SCALING: the matrix-free Kronecker backend ---------- *)
 
@@ -559,12 +567,12 @@ let exp_kron () =
         (grid, cfg, model))
       [ 256; 512; 1024; 2048 ]
   in
-  (* a tolerance solve via the IAD cycle (aggregation materializes only the
-     half-size coarse chain) at a mid rung: the IAD wall cost is ~1 ms/state
-     per run, so a 1e6-state tolerance solve belongs to an overnight table,
-     not a bench section — what matters here is the cycle count staying
-     near-grid-independent (57 cycles at grid 256 vs 60 at 128), the paper's
-     multigrid claim carried over to the matrix-free fine level. *)
+  (* a tolerance solve via the IAD cycle at the first rung. Besides the
+     half-size coarse chain (and the CSR hierarchy below it), the solve
+     keeps a per-solve table of the fine operator's entries, 12 B per
+     entry: it is not matrix-free in memory, only in that the product
+     matrix is never assembled and never applied as CSR. The rung reports
+     the table's bytes beside the never-built CSR's. *)
   (match rungs with
   | (grid, cfg, model) :: _ ->
       let ctx = Cdr.Context.make ~tol:1e-9 ~backend:`Kron () in
@@ -578,6 +586,11 @@ let exp_kron () =
       let rho = Cdr.Kron_model.phase_marginal model ~pi:mg.Markov.Solution.pi in
       let ber = Cdr.Ber.of_marginal cfg ~rho in
       Format.printf "  BER on the %d-bin grid: %.3e@." grid ber;
+      let table_bytes =
+        Option.fold ~none:0 ~some:Markov.Op_multigrid.table_bytes model.Cdr.Kron_model.iad
+      in
+      Format.printf "  entry table: %.1f MB@." (float_of_int table_bytes /. 1048576.0);
+      Cdr_obs.Metrics.set_gauge "bench.kron_iad_table_bytes" (float_of_int table_bytes);
       Cdr_obs.Metrics.set_gauge "bench.kron_solve_seconds"
         ~labels:[ ("solver", "multigrid") ]
         mg_t;
@@ -604,7 +617,9 @@ let exp_kron () =
         (float_of_int pw.Markov.Solution.iterations));
   Format.printf
     "@.the factor matrices are KBs at every rung; the apply never touches CSR-of-the-product@.";
-  Format.printf "storage, so the per-rung footprint is the two iteration vectors.@."
+  Format.printf
+    "storage, so a power rung's footprint is the two iteration vectors (the IAD rung adds@.";
+  Format.printf "its entry table).@."
 
 (* the CI-sized matrix-free smoke: a >= 2e5-state power solve (capped
    iteration budget — the assertion is that the full-product operator

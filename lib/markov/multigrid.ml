@@ -54,23 +54,6 @@ let ints_of_array a =
 
 let[@inline] ( .%() ) (b : ints) i = Int32.to_int (Bigarray.Array1.get b i)
 
-(* Counting sort of [0 .. n-1] by [label]: group [g] is
-   [members.(ptr.(g)) .. members.(ptr.(g+1) - 1)], ascending. *)
-let group_by ~groups label =
-  let ptr = Array.make (groups + 1) 0 in
-  Array.iter (fun g -> ptr.(g + 1) <- ptr.(g + 1) + 1) label;
-  for g = 0 to groups - 1 do
-    ptr.(g + 1) <- ptr.(g + 1) + ptr.(g)
-  done;
-  let members = Array.make (Array.length label) 0 in
-  let pos = Array.sub ptr 0 groups in
-  Array.iteri
-    (fun i g ->
-      members.(pos.(g)) <- i;
-      pos.(g) <- pos.(g) + 1)
-    label;
-  (ptr, members)
-
 (* A level's row-major sparsity pattern during the build. *)
 type csr_pattern = { n : int; row_ptr : int array; col_idx : int array }
 
@@ -126,7 +109,7 @@ let sort_range a lo hi =
 let make_aggregation (fine : csr_pattern) partition =
   let nc = partition.Partition.n_coarse in
   let block = partition.Partition.map in
-  let bw_ptr, bw_states = group_by ~groups:nc block in
+  let bw_ptr, bw_states = Partition.members partition in
   let row_ptr = Array.make (nc + 1) 0 in
   let cols = Array.make (Array.length fine.col_idx) 0 (* coarse nnz <= fine nnz *) in
   let owner = Array.make nc (-1) and slot = Array.make nc 0 in
@@ -185,7 +168,7 @@ let make_coloring (pat : csr_pattern) ~trans_row_ptr ~trans_col_idx =
     done
   in
   let p = Partition.color ~n:pat.n neighbors in
-  let color_ptr, color_rows = group_by ~groups:p.Partition.n_coarse p.Partition.map in
+  let color_ptr, color_rows = Partition.members p in
   {
     n_colors = p.Partition.n_coarse;
     color_ptr = ints_of_array color_ptr;
@@ -232,25 +215,26 @@ type setup = {
 
 (* ---- cycle kernels ------------------------------------------------------ *)
 
-(* Per-block sum of [v] over the block's fine states, ascending. *)
-let block_sum agg v b =
+(* Coarse row [i]: block [i]'s weight [bw] (the iterate's ascending sum,
+   also the restricted iterate), then the block's fine rows weighted by the
+   iterate relative to [bw] (uniformly when the block carries no mass),
+   summed into the row's value slots and renormalized to sum 1. [bw] is
+   computed here, not passed in: a float crossing a call is boxed. *)
+let aggregate_row ~(fine : level) agg ~fine_values ~(coarse : level) i =
+  let b_lo = agg.bw_ptr.%(i) and b_hi = agg.bw_ptr.%(i + 1) - 1 in
   let acc = ref 0.0 in
-  for idx = agg.bw_ptr.%(b) to agg.bw_ptr.%(b + 1) - 1 do
-    acc := !acc +. v.(agg.bw_states.%(idx))
+  for idx = b_lo to b_hi do
+    acc := !acc +. fine.x.(agg.bw_states.%(idx))
   done;
-  !acc
-
-(* Coarse row [i]: block [i]'s fine rows, weighted by the iterate relative
-   to the block weight [bw] (uniformly when the block carries no mass),
-   summed into the coarse value slots and renormalized to sum 1. *)
-let coarse_row ~(fine : level) agg ~fine_values ~(coarse : level) i bw =
+  let bw = !acc in
+  agg.block_weight.(i) <- bw;
   let k_lo = coarse.row_ptr.%(i) and k_hi = coarse.row_ptr.%(i + 1) - 1 in
   let coarse_values = coarse.values in
   for k = k_lo to k_hi do
     coarse_values.(k) <- 0.0
   done;
-  let w_uniform = 1.0 /. float_of_int (agg.bw_ptr.%(i + 1) - agg.bw_ptr.%(i)) in
-  for idx = agg.bw_ptr.%(i) to agg.bw_ptr.%(i + 1) - 1 do
+  let w_uniform = 1.0 /. float_of_int (b_hi - b_lo + 1) in
+  for idx = b_lo to b_hi do
     let fi = agg.bw_states.%(idx) in
     let w = if bw > 0.0 then fine.x.(fi) /. bw else w_uniform in
     for k = fine.row_ptr.%(fi) to fine.row_ptr.%(fi + 1) - 1 do
@@ -268,21 +252,15 @@ let coarse_row ~(fine : level) agg ~fine_values ~(coarse : level) i bw =
       coarse_values.(k) <- coarse_values.(k) /. !sum
     done
 
-(* Numeric aggregation into preallocated arrays, one pooled batch over
-   coarse rows: row [i] first stores block [i]'s weight (the iterate's
-   ascending sum over the block), then builds its coarse row from it. Rows
-   own disjoint value slots and block weights, so the pooled result is
-   bitwise identical to the serial one for any job count, pool or no pool.
-   The block weights are also the restricted iterate: the cycle copies them
-   to the coarse level instead of summing the blocks again. *)
+(* Numeric aggregation, one pooled batch over coarse rows: rows own
+   disjoint value slots and block weights, so pooled results are bitwise
+   the serial ones for any job count. *)
 let aggregate ?pool ~fine agg ~fine_values ~coarse =
   let nc = agg.n_coarse in
   let slots = slot_count nc in
   Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
       for i = s * nc / slots to (((s + 1) * nc / slots) - 1) do
-        let bw = block_sum agg fine.x i in
-        agg.block_weight.(i) <- bw;
-        coarse_row ~fine agg ~fine_values ~coarse i bw
+        aggregate_row ~fine agg ~fine_values ~coarse i
       done)
 
 (* Multiplicative prolongation: element-wise over fine states, walked block

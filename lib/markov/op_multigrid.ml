@@ -25,18 +25,20 @@
    default grid, 39-41 outer cycles either way) at about seven times the
    coarse work.
 
-   The aggregated pattern is a function of the operator's structure and the
-   partition only, so the first cycle's [Csr.assemble] result is refilled in
-   place on every later cycle and re-normalized in place: the coarse chain
-   keeps physically shared structure arrays, [Multigrid.matches] stays
-   O(1), and one coarse setup serves the whole solve.
+   Each solve enumerates the operator's rows once into an entry table:
+   every emitted entry, in emission order, as its coarse value slot (int32)
+   and value (float64), 12 B, off the OCaml heap. Each outer cycle's refill
+   is then one flat loop, [values.(slot) += w_i * v]. The coarse pattern is
+   assembled only when the setup has none or the operator emits an entry
+   outside it, so [Multigrid.matches] stays O(1) and one coarse setup
+   serves the whole solve.
 
    All of that state — iterate/weight/block-mass vectors, the coarse
-   iterate, the assembled pattern, the refill buffer, the coarse Multigrid
+   iterate, the entry table, the assembled pattern, the coarse Multigrid
    setup and its direct-solve scratch — lives in a reusable [setup]
-   ([prepare] + [solve_with]), so an outer cycle allocates nothing on the
-   major heap and a service answering repeated queries against one
-   operator structure reallocates nothing per request but the answer. *)
+   ([prepare] + [solve_with]), so an outer cycle allocates nothing that
+   grows with the operator, and a service answering repeated queries
+   against one operator structure reallocates nothing but the answer. *)
 
 type stats = {
   cycles : int;
@@ -44,6 +46,8 @@ type stats = {
   coarse_states : int;
   coarse_nnz : int;
   smoothing_sweeps : int;
+  row_passes : int;
+  table_bytes : int;
 }
 
 let default_hierarchy ~n_coarse =
@@ -54,25 +58,36 @@ let default_hierarchy ~n_coarse =
    order, so pooled refills are bit-identical to serial ones. *)
 let coarse_slots n_coarse = min 16 (max 1 (n_coarse / 64))
 
+type ints = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 (* Everything a solve needs beyond the operator values: the partition and
-   coarse hierarchy, preallocated iterate/weight vectors, and — once the
-   first cycle has run — the aggregated pattern, its refill buffer and the
-   coarse {!Multigrid.setup}. Owns mutable workspaces: one solve at a time. *)
+   coarse hierarchy, preallocated iterate/weight vectors, the entry table,
+   and — once the first solve has run — the aggregated pattern and the
+   coarse {!Multigrid.setup}. Owns mutable workspaces: one
+   solve at a time. *)
 type setup = {
   s_n : int;
   s_partition : Partition.t;
   s_hierarchy : Partition.t list;
-  s_blocks : int list array;
+  s_bw_ptr : int array; (* block b owns s_bw_states.(s_bw_ptr.(b) .. s_bw_ptr.(b+1) - 1) *)
+  s_bw_states : int array;
   s_x : Linalg.Vec.t;
   s_y : Linalg.Vec.t;
   s_weights : Linalg.Vec.t;
   s_block_mass : Linalg.Vec.t;
   s_coarse_x : Linalg.Vec.t; (* the coarse iterate the coarse V-cycle updates *)
-  mutable s_pattern : Sparse.Csr.t option;
-  mutable s_values : Linalg.Vec.t; (* refill buffer, reused across cycles *)
+  s_entry_ptr : int array; (* row s_bw_states.(p)'s entries start at s_entry_ptr.(p) *)
+  mutable s_slots : ints; (* table: each entry's coarse value slot *)
+  mutable s_entries : floats; (* table: each entry's value *)
+  s_owner : int array; (* per coarse column: the coarse row that marked it *)
+  s_pos : int array; (* per coarse column: its slot in the marking row *)
+  mutable s_pattern : Sparse.Csr.t option; (* its values: the refill buffer *)
   mutable s_coarse : (Multigrid.setup * Multigrid.scratch) option;
       (* the coarse chain's setup and its direct-solve scratch *)
 }
+
+let table kind len = Bigarray.Array1.create kind Bigarray.C_layout len
 
 let prepare ?coarse_hierarchy ~partition op =
   let n = Cdr_op.dim op in
@@ -82,20 +97,94 @@ let prepare ?coarse_hierarchy ~partition op =
   let hierarchy =
     match coarse_hierarchy with Some h -> h | None -> default_hierarchy ~n_coarse
   in
+  let bw_ptr, bw_states = Partition.members partition in
   {
     s_n = n;
     s_partition = partition;
     s_hierarchy = hierarchy;
-    s_blocks = Partition.blocks partition;
+    s_bw_ptr = bw_ptr;
+    s_bw_states = bw_states;
     s_x = Linalg.Vec.create n;
     s_y = Linalg.Vec.create n;
     s_weights = Linalg.Vec.create n;
     s_block_mass = Linalg.Vec.create n_coarse;
     s_coarse_x = Linalg.Vec.create n_coarse;
+    s_entry_ptr = Array.make (n + 1) 0;
+    s_slots = table Bigarray.Int32 0;
+    s_entries = table Bigarray.Float64 0;
+    s_owner = Array.make n_coarse (-1);
+    s_pos = Array.make n_coarse 0;
     s_pattern = None;
-    s_values = [||];
     s_coarse = None;
   }
+
+let table_bytes s = 12 * Bigarray.Array1.dim s.s_entries
+
+(* Room for [need] table entries, keeping the filled prefix. *)
+let reserve s need =
+  let old = Bigarray.Array1.dim s.s_entries in
+  if need > old then begin
+    let slots = table Bigarray.Int32 need and entries = table Bigarray.Float64 need in
+    Bigarray.Array1.blit s.s_slots (Bigarray.Array1.sub slots 0 old);
+    Bigarray.Array1.blit s.s_entries (Bigarray.Array1.sub entries 0 old);
+    s.s_slots <- slots;
+    s.s_entries <- entries
+  end
+
+(* Every table entry's coarse column becomes its slot in the coarse
+   pattern: the setup's, when it holds every entry, else one assembled from
+   the table, which also becomes the setup's. *)
+let bind_slots s =
+  let n_coarse = s.s_partition.Partition.n_coarse and table : ints = s.s_slots in
+  let owner = s.s_owner and pos = s.s_pos in
+  let iter_row b f =
+    for e = s.s_entry_ptr.(s.s_bw_ptr.(b)) to s.s_entry_ptr.(s.s_bw_ptr.(b + 1)) - 1 do
+      f e (Int32.to_int (Bigarray.Array1.get table e))
+    done
+  in
+  (* [f b] on each entry of each row [b], once the row's columns in [m]
+     are marked in [owner] and their slots in [pos] *)
+  let walk (m : Sparse.Csr.t) f =
+    Array.fill owner 0 n_coarse (-1);
+    for b = 0 to n_coarse - 1 do
+      for k = m.row_ptr.(b) to m.row_ptr.(b + 1) - 1 do
+        owner.(m.col_idx.(k)) <- b;
+        pos.(m.col_idx.(k)) <- k
+      done;
+      iter_row b (f b)
+    done
+  in
+  let missing = ref (Option.is_none s.s_pattern) in
+  Option.iter (fun m -> walk m (fun b _ c -> if owner.(c) <> b then missing := true)) s.s_pattern;
+  if !missing then begin
+    let m =
+      Sparse.Csr.assemble ~rows:n_coarse ~cols:n_coarse (fun b emit ->
+          iter_row b (fun _ c -> emit c 0.0))
+    in
+    s.s_pattern <- Some m
+  end;
+  walk (Option.get s.s_pattern) (fun _ e c -> Bigarray.Array1.set table e (Int32.of_int pos.(c)))
+
+(* The one row pass of a solve: the operator's rows block by block (the
+   order the refill walks them), every emitted entry appended to the table
+   as its value and its coarse column, which [bind_slots] then turns into
+   its slot. *)
+let fill_table s op =
+  let map = s.s_partition.Partition.map in
+  reserve s (Cdr_op.nnz_estimate op);
+  let e = ref 0 in
+  let emit j v =
+    if !e = Bigarray.Array1.dim s.s_entries then reserve s ((2 * !e) + 1);
+    Bigarray.Array1.set (s.s_slots : ints) !e (Int32.of_int map.(j));
+    Bigarray.Array1.set (s.s_entries : floats) !e v;
+    incr e
+  in
+  for p = 0 to s.s_n - 1 do
+    s.s_entry_ptr.(p) <- !e;
+    Cdr_op.iter_row op s.s_bw_states.(p) emit
+  done;
+  s.s_entry_ptr.(s.s_n) <- !e;
+  bind_slots s
 
 let matches s op = Cdr_op.dim op = s.s_n
 
@@ -107,7 +196,7 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
   let partition = s.s_partition in
   let n_coarse = partition.Partition.n_coarse in
   let map = partition.Partition.map in
-  let blocks = s.s_blocks in
+  let bw_ptr = s.s_bw_ptr and bw_states = s.s_bw_states in
   (match init with
   | Some v -> Array.blit v 0 s.s_x 0 n
   | None -> Array.fill s.s_x 0 n (1.0 /. float_of_int n));
@@ -139,56 +228,48 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
     for i = 0 to n - 1 do
       block_mass.(map.(i)) <- block_mass.(map.(i)) +. xv.(i)
     done;
-    for bi = 0 to n_coarse - 1 do
-      let mass = block_mass.(bi) in
+    for b = 0 to n_coarse - 1 do
+      let mass = block_mass.(b) in
+      let lo = bw_ptr.(b) and hi = bw_ptr.(b + 1) - 1 in
       if mass > 0.0 && Float.is_finite mass then
-        List.iter (fun i -> weights.(i) <- xv.(i) /. mass) blocks.(bi)
+        for p = lo to hi do
+          let i = bw_states.(p) in
+          weights.(i) <- xv.(i) /. mass
+        done
       else begin
         (* a block the iterate has not reached yet: aggregate uniformly so
            the coarse row stays stochastic *)
-        let u = 1.0 /. float_of_int (Partition.block_size partition bi) in
-        List.iter (fun i -> weights.(i) <- u) blocks.(bi)
+        let u = 1.0 /. float_of_int (hi - lo + 1) in
+        for p = lo to hi do
+          weights.(bw_states.(p)) <- u
+        done
       end
     done
   in
-  let coarse_row bi emit =
-    List.iter
-      (fun i ->
-        let w = weights.(i) in
-        Cdr_op.iter_row op i (fun j v -> emit map.(j) (w *. v)))
-      blocks.(bi)
-  in
-  (* the first cycle of the first solve assembles the pattern; every later
-     cycle refills the hoisted value buffer in place — no per-cycle (or
-     per-request) allocation *)
-  let assemble () =
-    let m0 = Sparse.Csr.assemble ?pool ~rows:n_coarse ~cols:n_coarse coarse_row in
-    s.s_pattern <- Some m0;
-    s.s_values <- Array.make (Sparse.Csr.nnz m0) 0.0;
-    m0
-  in
+  let row_passes = ref 0 in
+  (* the coarse values of the current weights, in place: one flat loop over
+     the table in emission order, so every coarse value sums the same
+     products in the same order as an enumeration of the rows would; rows
+     own disjoint value segments, so pooled refills are bitwise serial *)
   let build_coarse () =
     compute_weights ();
-    match s.s_pattern with
-    | None -> assemble ()
-    | Some m0 ->
-        let values = s.s_values in
-        Array.fill values 0 (Array.length values) 0.0;
-        (* a setup carried over to an operator of the same dimension but a
-           wider nonzero structure (the service transplants setups across
-           noise parameters) meets coarse entries outside the pattern: flag
-           them and assemble afresh instead of refilling *)
-        let stale = Atomic.make false in
-        let slots = coarse_slots n_coarse in
-        Cdr_par.Pool.run_slots_opt pool ~slots (fun sl ->
-            let lo = n_coarse * sl / slots and hi = (n_coarse * (sl + 1) / slots) - 1 in
-            for bi = lo to hi do
-              coarse_row bi (fun cj v ->
-                  match Sparse.Csr.row_index m0 bi cj with
-                  | -1 -> Atomic.set stale true
-                  | k -> values.(k) <- values.(k) +. v)
-            done);
-        if Atomic.get stale then assemble () else Sparse.Csr.refill m0 values
+    let m0 = Option.get s.s_pattern in
+    let values = m0.Sparse.Csr.values and entry_ptr = s.s_entry_ptr in
+    let slots : ints = s.s_slots and entries : floats = s.s_entries in
+    Array.fill values 0 (Array.length values) 0.0;
+    let n_slots = coarse_slots n_coarse in
+    Cdr_par.Pool.run_slots_opt pool ~slots:n_slots (fun sl ->
+        let p_lo = bw_ptr.(n_coarse * sl / n_slots)
+        and p_hi = bw_ptr.(n_coarse * (sl + 1) / n_slots) - 1 in
+        for p = p_lo to p_hi do
+          let w = weights.(bw_states.(p)) in
+          for e = entry_ptr.(p) to entry_ptr.(p + 1) - 1 do
+            let k = Int32.to_int (Bigarray.Array1.unsafe_get slots e) in
+            Array.unsafe_set values k
+              (Array.unsafe_get values k +. (w *. Bigarray.Array1.unsafe_get entries e))
+          done
+        done);
+    m0
   in
   (* one coarse V-cycle, warm-started from the block masses of the smoothed
      iterate, in the setup's own coarse iterate and direct-solve scratch *)
@@ -223,6 +304,12 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
   in
   let continue_ = ref (n > 0) in
   let run_cycles () =
+    (* the solve's one row pass: a setup transplanted to an operator with a
+       wider nonzero structure gets its pattern assembled here *)
+    if !continue_ && max_cycles > 0 then begin
+      phase "rows" (fun () -> fill_table s op);
+      incr row_passes
+    end;
     while !continue_ && !cycles < max_cycles do
       (match cancel with
       | Some f when f () -> raise Multigrid.Cancelled
@@ -256,6 +343,8 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
       coarse_states = n_coarse;
       coarse_nnz = !coarse_nnz;
       smoothing_sweeps = !sweeps;
+      row_passes = !row_passes;
+      table_bytes = table_bytes s;
     } )
 
 let solve ?tol ?max_cycles ?pre_smooth ?post_smooth ?init ?trace ?pool ?cancel ?coarse_hierarchy

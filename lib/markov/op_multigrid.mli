@@ -14,12 +14,13 @@
     returned vector carries the same l1 stationarity certificate as with an
     exact coarse solve.
 
-    The aggregated sparsity pattern depends only on the operator structure
-    and the partition, so cycles after the first refill it in place
-    ([Sparse.Csr.refill]) and re-normalize it in place
-    ({!Chain.of_csr_in_place}): the coarse chain keeps physically shared
-    structure arrays, one {!Multigrid.setup} serves the whole solve, and an
-    outer cycle allocates nothing on the major heap. *)
+    Each solve enumerates the fine operator's rows once, into the setup's
+    entry table: each emitted entry's coarse value slot and value, 12 B
+    (int32 + float64, off the OCaml heap), in emission order. Each outer
+    cycle refills the coarse values in place by one flat loop over it and
+    re-normalizes them in place ({!Chain.of_csr_in_place}): one coarse
+    pattern and one {!Multigrid.setup} serve the whole solve, and an outer
+    cycle allocates nothing that grows with the operator. *)
 
 type stats = {
   cycles : int; (* outer IAD cycles performed *)
@@ -27,6 +28,8 @@ type stats = {
   coarse_states : int;
   coarse_nnz : int; (* nonzeros of the aggregated coarse TPM *)
   smoothing_sweeps : int; (* fine-level power sweeps, pre + post *)
+  row_passes : int; (* enumerations of the fine operator's rows: one per solve *)
+  table_bytes : int; (* {!table_bytes} of the setup *)
 }
 
 val default_hierarchy : n_coarse:int -> Partition.t list
@@ -36,14 +39,14 @@ val default_hierarchy : n_coarse:int -> Partition.t list
 type setup
 (** The reusable state of the solver: the partition and coarse hierarchy,
     preallocated iterate/weight/aggregation vectors and the coarse
-    iterate, and — after the first cycle has run — the assembled coarse
-    pattern, its in-place refill buffer, the coarse {!Multigrid.setup} and
-    the coarse V-cycle's direct-solve {!Multigrid.scratch} (kept here, not
-    in the Multigrid setup, so {!Multigrid.setup_bytes} does not count
-    it). A service answering repeated
-    queries against one operator structure pays these allocations once and
-    runs every request through {!solve_with}. Owns mutable workspaces: at
-    most one solve may run against a setup at a time. *)
+    iterate, the entry table, and — after the first solve — the
+    assembled coarse pattern, the coarse {!Multigrid.setup} and the coarse
+    V-cycle's direct-solve {!Multigrid.scratch} (kept here, not in the
+    Multigrid setup, so {!Multigrid.setup_bytes} does not count it). A
+    service answering repeated queries against one operator structure pays
+    these allocations once and runs every request through {!solve_with}.
+    Owns mutable workspaces: at most one solve may run against a setup at a
+    time. *)
 
 val prepare : ?coarse_hierarchy:Partition.t list -> partition:Partition.t -> Cdr_op.t -> setup
 (** Allocate a setup for operators of this dimension/structure. Cheap (the
@@ -51,12 +54,16 @@ val prepare : ?coarse_hierarchy:Partition.t list -> partition:Partition.t -> Cdr
     {!solve_with}). Raises [Invalid_argument] when the partition does not
     cover the operator dimension. *)
 
+val table_bytes : setup -> int
+(** The entry table's payload: 12 B per entry it has room for. *)
+
 val matches : setup -> Cdr_op.t -> bool
 (** Whether the operator has the dimension the setup was prepared for.
     The nonzero structure may differ: when the operator emits an aggregated
     entry outside the cached coarse pattern, {!solve_with} assembles the
-    pattern (and with it the coarse {!Multigrid.setup}) afresh. Entries the
-    new operator no longer emits stay in the pattern as explicit zeros. *)
+    pattern (and with it the coarse {!Multigrid.setup}) afresh from its
+    entry table. Entries the new operator no longer emits stay in the
+    pattern as explicit zeros. *)
 
 val solve_with :
   ?tol:float ->
@@ -72,8 +79,9 @@ val solve_with :
   Solution.t * stats
 (** Run outer IAD cycles against an existing setup: no vector, pattern,
     buffer, scratch or coarse-setup allocation beyond the lazily-built
-    first-cycle structures; per solve, only the returned solution's
-    iterate. Numerically identical to {!solve} with the same arguments.
+    first-solve structures; per solve, one serial row pass into the entry
+    table and the returned solution's iterate. Numerically identical to
+    {!solve} with the same arguments.
     The whole outer loop runs inside one {!Cdr_par.Pool.run_phases}
     region: fine applies, aggregation refills and the coarse V-cycles all
     dispatch into one persistent team. *)
@@ -102,7 +110,7 @@ val solve :
     so [stats.coarse_cycles = stats.cycles]. Raises [Invalid_argument]
     when the partition does not cover the operator dimension.
 
-    [?pool] parallelizes the fine applies, the aggregation value pass (a
+    [?pool] parallelizes the fine applies, the aggregation refill (a
     fixed coarse-row slot grid; rows write disjoint segments, entries
     accumulate in emission order, so pooled and serial refills agree
     bitwise) and the coarse V-cycles. [?cancel] is polled before every

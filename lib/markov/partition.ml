@@ -17,14 +17,14 @@ let create map =
 
 let pair_consecutive n = create (Array.init n (fun i -> i / 2))
 
-let block_size t b = t.sizes.(b)
-
-let blocks t =
-  let members = Array.make t.n_coarse [] in
-  for i = t.n_fine - 1 downto 0 do
-    members.(t.map.(i)) <- i :: members.(t.map.(i))
-  done;
-  members
+(* Counting sort of the fine states by block: one pass to size the blocks,
+   one to place each state, so members come out ascending within a block. *)
+let members t =
+  let ptr = Array.make (t.n_coarse + 1) 0 in
+  Array.iteri (fun b size -> ptr.(b + 1) <- ptr.(b) + size) t.sizes;
+  let next = Array.sub ptr 0 t.n_coarse and members = Array.make t.n_fine 0 in
+  Array.iteri (fun i b -> members.(next.(b)) <- i; next.(b) <- next.(b) + 1) t.map;
+  (ptr, members)
 
 (* Greedy vertex coloring in vertex order: each vertex takes the smallest
    color absent from its already-seen neighborhood. Deterministic (the order

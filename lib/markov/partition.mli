@@ -14,10 +14,10 @@ val pair_consecutive : int -> t
     alone when [n] is odd) — the generic version of the paper's "lump the two
     states corresponding to consecutive discretized phase error values". *)
 
-val block_size : t -> int -> int
-
-val blocks : t -> int list array
-(** Members of each block, ascending. *)
+val members : t -> int array * int array
+(** [(ptr, members)]: block [b] owns the fine states
+    [members.(ptr.(b)) .. members.(ptr.(b + 1) - 1)], ascending. Flat, so a
+    walk over a block's states allocates nothing. *)
 
 val color : n:int -> (int -> (int -> unit) -> unit) -> t
 (** [color ~n neighbors] greedily colors the [n]-vertex graph whose

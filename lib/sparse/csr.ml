@@ -180,9 +180,10 @@ let same_pattern a b =
 
 let refill m values =
   if Array.length values <> nnz m then invalid_arg "Csr.refill: values length must equal nnz";
-  Array.iter
-    (fun v -> if not (Float.is_finite v) then invalid_arg "Csr.refill: non-finite value")
-    values;
+  (* a plain loop: [Array.iter] with a closure boxes every value *)
+  for k = 0 to Array.length values - 1 do
+    if not (Float.is_finite values.(k)) then invalid_arg "Csr.refill: non-finite value"
+  done;
   { m with values }
 
 (* Two-pass assembly from a per-row enumerator: count distinct columns per

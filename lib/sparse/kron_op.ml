@@ -56,8 +56,8 @@ let nnz_bound op =
 
 (* Fixed slot grid for one middle contraction, a function of the operand
    shapes only (never of the pool's job count) — the same discipline as
-   [Csr.par_slot_count], so pooled and serial runs execute the identical
-   slot schedule. Small contractions stay serial; otherwise parallelize the
+   [Csr.par_slot_count], so pools of every size execute the identical slot
+   schedule. Small contractions stay serial; otherwise parallelize the
    outer [l] blocks (disjoint contiguous output segments), falling back to
    chunks of the trailing [r] dimension when the term has no left blocks. *)
 let middle_slots ~l ~r a =
@@ -66,64 +66,72 @@ let middle_slots ~l ~r a =
   else if l >= 2 then min 16 l
   else min 16 (max 1 (r / 64))
 
-(* x * (I_l (x) A (x) I_r): view x as an (l, n, r) tensor and contract the
-   middle index against A's rows. [y] is fully overwritten. Every output
-   element accumulates its contributions in the same (row, entry) order on
-   every slot layout, so results are bit-identical across job counts. *)
-let apply_middle ?pool ~l ~r a x y =
+(* The part of x * (I_l (x) A (x) I_r) in leading blocks [blk_lo, blk_hi)
+   and trailing columns [c_lo, c_hi), x viewed as an (l, n, r) tensor whose
+   middle index contracts against A's rows, read straight from A's CSR
+   arrays: no closure call and no boxed value per entry. Every output
+   element accumulates in ascending (row, entry) order, whatever the loop
+   nest or slot layout. *)
+let contract a x y ~l ~r ~blk_lo ~blk_hi ~c_lo ~c_hi =
   let n = Csr.rows a in
-  (* profiler phase per contraction, so an enabled profiler attributes
-     kron-backend time the same way V-cycle legs are attributed; the label
-     list is only built when profiling is on (the gate is one atomic load) *)
-  let run () =
-  Array.fill y 0 (Array.length y) 0.0;
-  let slots = middle_slots ~l ~r a in
-  if slots = 1 then
-    for i = 0 to n - 1 do
-      Csr.iter_row a i (fun j v ->
-          for blk = 0 to l - 1 do
-            let x_base = ((blk * n) + i) * r in
-            let y_base = ((blk * n) + j) * r in
-            for c = 0 to r - 1 do
-              y.(y_base + c) <- y.(y_base + c) +. (x.(x_base + c) *. v)
-            done
-          done)
+  let row_ptr = a.Csr.row_ptr and col_idx = a.Csr.col_idx and values = a.Csr.values in
+  if Array.length x < l * n * r || Array.length y < l * n * r then
+    invalid_arg "Kron_op: operand shorter than the contraction";
+  if r = 1 then
+    (* the last factor: one banded stencil per leading block *)
+    for blk = blk_lo to blk_hi - 1 do
+      let base = blk * n in
+      for i = 0 to n - 1 do
+        let xi = Array.unsafe_get x (base + i) in
+        for k = Array.unsafe_get row_ptr i to Array.unsafe_get row_ptr (i + 1) - 1 do
+          let j = base + Array.unsafe_get col_idx k in
+          Array.unsafe_set y j (Array.unsafe_get y j +. (xi *. Array.unsafe_get values k))
+        done
+      done
     done
-  else if l >= 2 then
-    (* Slot [s] owns the contiguous block range [blk_lo, blk_hi): its writes
-       land in y[blk_lo*n*r .. blk_hi*n*r), disjoint from every other slot. *)
-    Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
-        let blk_lo = l * s / slots and blk_hi = l * (s + 1) / slots in
-        for i = 0 to n - 1 do
-          Csr.iter_row a i (fun j v ->
-              for blk = blk_lo to blk_hi - 1 do
-                let x_base = ((blk * n) + i) * r in
-                let y_base = ((blk * n) + j) * r in
-                for c = 0 to r - 1 do
-                  y.(y_base + c) <- y.(y_base + c) +. (x.(x_base + c) *. v)
-                done
-              done)
-        done)
   else
-    (* l = 1: chunk the trailing dimension. Slot [s] owns columns
-       [c_lo, c_hi) of every row block — still element-disjoint. *)
-    Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
-        let c_lo = r * s / slots and c_hi = r * (s + 1) / slots in
-        for i = 0 to n - 1 do
-          Csr.iter_row a i (fun j v ->
-              let x_base = i * r in
-              let y_base = j * r in
-              for c = c_lo to c_hi - 1 do
-                y.(y_base + c) <- y.(y_base + c) +. (x.(x_base + c) *. v)
-              done)
-        done)
-  in
-  if not (Cdr_par.Pool.profiling_on ()) then run ()
+    for i = 0 to n - 1 do
+      for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+        let j = col_idx.(k) and v = values.(k) in
+        for blk = blk_lo to blk_hi - 1 do
+          let x_base = ((blk * n) + i) * r and y_base = ((blk * n) + j) * r in
+          for c = c_lo to c_hi - 1 do
+            Array.unsafe_set y (y_base + c)
+              (Array.unsafe_get y (y_base + c) +. (Array.unsafe_get x (x_base + c) *. v))
+          done
+        done
+      done
+    done
+
+(* x * (I_l (x) A (x) I_r) into [y], fully overwritten; without a pool one
+   call that allocates nothing. With one, slot [s] owns the leading blocks
+   [l*s/slots, l*(s+1)/slots) or, when l = 1, the trailing columns
+   [r*s/slots, r*(s+1)/slots) of every row block: element-disjoint either
+   way, so pooled results are bitwise the serial one for any job count. *)
+let middle ?pool ~l ~r a x y =
+  Array.fill y 0 (Array.length y) 0.0;
+  let slots = match pool with None -> 1 | Some _ -> middle_slots ~l ~r a in
+  if slots = 1 then contract a x y ~l ~r ~blk_lo:0 ~blk_hi:l ~c_lo:0 ~c_hi:r
   else
+    Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
+        if l >= 2 then
+          contract a x y ~l ~r ~blk_lo:(l * s / slots) ~blk_hi:(l * (s + 1) / slots) ~c_lo:0
+            ~c_hi:r
+        else
+          contract a x y ~l ~r ~blk_lo:0 ~blk_hi:1 ~c_lo:(r * s / slots)
+            ~c_hi:(r * (s + 1) / slots))
+
+(* [middle] under a profiler phase per contraction, so an enabled profiler
+   attributes kron-backend time the same way V-cycle legs are attributed;
+   the closure and label list are only built when profiling is on (the
+   gate is one atomic load) *)
+let apply_middle ?pool ~l ~r a x y =
+  if not (Cdr_par.Pool.profiling_on ()) then middle ?pool ~l ~r a x y
+  else
+    let label k v = (k, string_of_int v) in
     Cdr_par.Pool.with_phase "kron-middle"
-      ~labels:
-        [ ("factor", string_of_int n); ("l", string_of_int l); ("r", string_of_int r) ]
-      run
+      ~labels:[ label "factor" (Csr.rows a); label "l" l; label "r" r ]
+      (fun () -> middle ?pool ~l ~r a x y)
 
 (* Reusable ping-pong buffers for the factor sweep: one [apply_into] needs
    exactly two length-n scratch vectors regardless of the number of factors
@@ -133,23 +141,21 @@ type workspace = { buf_a : Linalg.Vec.t; buf_b : Linalg.Vec.t }
 let workspace op = { buf_a = Array.make op.n 0.0; buf_b = Array.make op.n 0.0 }
 
 (* Applies one term's factor chain, returning whichever workspace buffer
-   holds x * (A_1 (x) ... (x) A_k). The coefficient is NOT applied here —
-   the caller fuses it into its accumulation pass. *)
+   holds x * (A_1 (x) ... (x) A_k). The first contraction reads [x] in
+   place; later ones ping-pong between the two buffers. The coefficient is
+   NOT applied here — the caller fuses it into its accumulation pass. *)
 let apply_term_into ?pool t ~ws x =
-  let total = Array.fold_left ( * ) 1 t.dims in
-  Array.blit x 0 ws.buf_a 0 total;
-  let cur = ref ws.buf_a and scratch = ref ws.buf_b in
-  let left = ref 1 and right = ref total in
-  Array.iter
-    (fun a ->
-      let n = Csr.rows a in
-      right := !right / n;
-      apply_middle ?pool ~l:!left ~r:!right a !cur !scratch;
-      let tmp = !cur in
-      cur := !scratch;
-      scratch := tmp;
-      left := !left * n)
-    t.factors;
+  let cur = ref x in
+  let left = ref 1 and right = ref (Array.fold_left ( * ) 1 t.dims) in
+  for f = 0 to Array.length t.factors - 1 do
+    let a = t.factors.(f) in
+    let n = Csr.rows a in
+    let out = if !cur == ws.buf_a then ws.buf_b else ws.buf_a in
+    right := !right / n;
+    apply_middle ?pool ~l:!left ~r:!right a !cur out;
+    cur := out;
+    left := !left * n
+  done;
   !cur
 
 let apply_into ?pool op ~ws x y =
@@ -161,14 +167,9 @@ let apply_into ?pool op ~ws x y =
     (fun t ->
       let res = apply_term_into ?pool t ~ws x in
       let c = t.coeff in
-      if c = 1.0 then
-        for idx = 0 to op.n - 1 do
-          y.(idx) <- y.(idx) +. res.(idx)
-        done
-      else
-        for idx = 0 to op.n - 1 do
-          y.(idx) <- y.(idx) +. (c *. res.(idx))
-        done)
+      for idx = 0 to op.n - 1 do
+        y.(idx) <- y.(idx) +. (c *. res.(idx))
+      done)
     op.terms
 
 let apply ?pool op x =

@@ -47,7 +47,10 @@ val workspace : t -> workspace
 
 val apply_into : ?pool:Cdr_par.Pool.t -> t -> ws:workspace -> Linalg.Vec.t -> Linalg.Vec.t -> unit
 (** [apply_into op ~ws x y] stores [x * M] into [y], where [M] is the
-    represented matrix. Allocation-free: all intermediates live in [ws].
+    represented matrix. Each term is one contraction per factor (the first
+    reads [x] in place), each walking its factor's CSR arrays directly:
+    without [?pool] a call allocates a few words, however large the
+    operator, and all intermediates live in [ws].
     [x] and [y] must not alias each other or the workspace buffers. With
     [?pool] each middle contraction is parallelized over a fixed slot grid
     (a function of the operand shapes only, never the job count): slots own

@@ -254,22 +254,20 @@ let test_hierarchy_lumps_only_phase () =
   match Cdr.Model.hierarchy model with
   | [] -> Alcotest.fail "expected at least one level"
   | p :: _ ->
-      let blocks = Markov.Partition.blocks p in
-      Array.iter
-        (fun members ->
-          match members with
-          | [] -> Alcotest.fail "empty block"
-          | first :: rest ->
-              List.iter
-                (fun i ->
-                  Alcotest.(check int) "same data" (model.Cdr.Model.data_code first)
-                    (model.Cdr.Model.data_code i);
-                  Alcotest.(check int) "same counter" (model.Cdr.Model.counter_code first)
-                    (model.Cdr.Model.counter_code i);
-                  Alcotest.(check int) "adjacent phase" (model.Cdr.Model.phase_bin first / 2)
-                    (model.Cdr.Model.phase_bin i / 2))
-                rest)
-        blocks
+      let ptr, members = Markov.Partition.members p in
+      for b = 0 to p.Markov.Partition.n_coarse - 1 do
+        if ptr.(b + 1) = ptr.(b) then Alcotest.fail "empty block";
+        let first = members.(ptr.(b)) in
+        for idx = ptr.(b) + 1 to ptr.(b + 1) - 1 do
+          let i = members.(idx) in
+          Alcotest.(check int) "same data" (model.Cdr.Model.data_code first)
+            (model.Cdr.Model.data_code i);
+          Alcotest.(check int) "same counter" (model.Cdr.Model.counter_code first)
+            (model.Cdr.Model.counter_code i);
+          Alcotest.(check int) "adjacent phase" (model.Cdr.Model.phase_bin first / 2)
+            (model.Cdr.Model.phase_bin i / 2)
+        done
+      done
 
 (* ---------- solve & BER ---------- *)
 

@@ -309,6 +309,40 @@ let test_kron_iad_memo () =
   check_bool "memoized IAD solve changes no bits" true
     (bits_equal first.Markov.Solution.pi second.Markov.Solution.pi)
 
+(* The engine carries a model's IAD setup over to the next model of the
+   same dimension. From sigma_w 0.06 to 0.07 the operator gains entries
+   (detector decisions that underflowed to 0 become positive), so the
+   solve meets entries outside the carried coarse pattern and assembles a
+   new one from its entry table; from 0.07 back to 0.06 the wider pattern
+   is kept, with explicit zeros. Either way the stationary vector is
+   bitwise the one a fresh setup gives. *)
+let test_transplanted_iad () =
+  let model sigma_w =
+    let params =
+      {
+        Cdr_svc.Params.default with
+        Cdr_svc.Params.grid = 32;
+        phases = 16;
+        counter = 2;
+        sigma_w;
+      }
+    in
+    Cdr.Kron_model.build (Result.get_ok (Cdr_svc.Params.to_config params))
+  in
+  let solve m = (Cdr.Kron_model.solve ~solver:`Multigrid m).Markov.Solution.pi in
+  let narrow = model 0.06 and wide = model 0.07 in
+  check_bool "0.07 emits more entries than 0.06" true
+    (Sparse.Kron_op.nnz_bound wide.Cdr.Kron_model.kron
+    > Sparse.Kron_op.nnz_bound narrow.Cdr.Kron_model.kron);
+  List.iter
+    (fun (name, from_, to_) ->
+      ignore (solve from_);
+      let transplanted = model to_ in
+      transplanted.Cdr.Kron_model.iad <- from_.Cdr.Kron_model.iad;
+      check_bool (name ^ ": transplanted = fresh") true
+        (bits_equal (solve (model to_)) (solve transplanted)))
+    [ ("0.06 -> 0.07", narrow, 0.07); ("0.07 -> 0.06", wide, 0.06) ]
+
 let () =
   Alcotest.run "fuse"
     [
@@ -338,5 +372,7 @@ let () =
         [
           Alcotest.test_case "op_multigrid setup reuse bitwise" `Quick test_iad_setup_reuse;
           Alcotest.test_case "kron model memoizes its setup" `Quick test_kron_iad_memo;
+          Alcotest.test_case "transplanted setup = fresh, both directions" `Quick
+            test_transplanted_iad;
         ] );
     ]

@@ -129,7 +129,10 @@ let test_partition_validation () =
     (try ignore (Markov.Partition.create [| 0; 2 |]); false with Invalid_argument _ -> true);
   let p = Markov.Partition.pair_consecutive 5 in
   Alcotest.(check int) "coarse count" 3 p.Markov.Partition.n_coarse;
-  Alcotest.(check int) "odd leftover" 1 (Markov.Partition.block_size p 2)
+  Alcotest.(check int) "odd leftover" 1 p.Markov.Partition.sizes.(2);
+  let ptr, members = Markov.Partition.members (Markov.Partition.create [| 1; 0; 1; 0; 2 |]) in
+  Alcotest.(check (array int)) "block pointers" [| 0; 2; 4; 5 |] ptr;
+  Alcotest.(check (array int)) "members ascending by block" [| 1; 3; 0; 2; 4 |] members
 
 (* the restriction the multilevel solvers aggregate with: per-block sums *)
 let block_sums (p : Markov.Partition.t) x =

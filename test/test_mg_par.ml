@@ -1,10 +1,10 @@
 (* Tests for the parallel V-cycle interior and the flat-state model assembly:
    colored-smoother fixed points agree with lexicographic ones to solver
-   tolerance, every pooled kernel (colored smoothing, aggregation /
-   restriction / prolongation, CSR value fill, rebuild row refill) is
-   bitwise deterministic at jobs=1 vs jobs=4, and the flat assembly path is
-   pinned bit for bit against fixtures/golden_chain.jsonl, digests recorded
-   from the retired hashtable-and-COO construction. *)
+   tolerance, the pooled assembly kernels (CSR value fill, rebuild row
+   refill) are bitwise deterministic at jobs=1 vs jobs=4, and the flat
+   assembly path is pinned bit for bit against fixtures/golden_chain.jsonl,
+   digests recorded from the retired hashtable-and-COO construction. The
+   pooled V-cycle solves are pinned against the serial one in test_fuse. *)
 
 let check_bool = Alcotest.(check bool)
 
@@ -51,35 +51,6 @@ let test_colored_vs_lex_fixed_point () =
     (fun i p -> dist := !dist +. abs_float (p -. sol_col.Markov.Solution.pi.(i)))
     sol_lex.Markov.Solution.pi;
   check_bool "L1 distance below 1e-9" true (!dist < 1e-9)
-
-(* ---------- pooled kernels: bitwise determinism ---------- *)
-
-let solve_colored pool =
-  let chain = chain () in
-  let s = Markov.Multigrid.setup ~smoother:`Colored ~hierarchy:(hierarchy ()) chain in
-  let sol, _ = Markov.Multigrid.solve_with ~tol:1e-10 ?pool s chain in
-  sol.Markov.Solution.pi
-
-let test_colored_bitwise_across_jobs () =
-  let serial = solve_colored None in
-  let p1 = Cdr_par.Pool.with_pool ~jobs:1 (fun pool -> solve_colored (Some pool)) in
-  let p4 = Cdr_par.Pool.with_pool ~jobs:4 (fun pool -> solve_colored (Some pool)) in
-  check_bool "colored: serial = pooled jobs=1" true (bits_equal serial p1);
-  check_bool "colored: pooled jobs=1 = jobs=4" true (bits_equal p1 p4)
-
-let test_lex_solve_unchanged_by_pool () =
-  (* with the default lex smoother the pooled V-cycle interior (aggregation,
-     restriction, prolongation, transpose scatter) must not move a single
-     bit relative to the serial solve *)
-  let chain = chain () in
-  let solve pool =
-    let s = Markov.Multigrid.setup ~hierarchy:(hierarchy ()) chain in
-    let sol, _ = Markov.Multigrid.solve_with ~tol:1e-10 ?pool s chain in
-    sol.Markov.Solution.pi
-  in
-  let serial = solve None in
-  let p4 = Cdr_par.Pool.with_pool ~jobs:4 (fun pool -> solve (Some pool)) in
-  check_bool "lex: serial = pooled jobs=4" true (bits_equal serial p4)
 
 (* ---------- flat assembly: pinned against the golden digests ---------- *)
 
@@ -161,8 +132,6 @@ let () =
       ( "colored smoother",
         [
           Alcotest.test_case "fixed point agrees with lex" `Quick test_colored_vs_lex_fixed_point;
-          Alcotest.test_case "bitwise across job counts" `Quick test_colored_bitwise_across_jobs;
-          Alcotest.test_case "lex solve unchanged by pool" `Quick test_lex_solve_unchanged_by_pool;
         ] );
       ( "flat assembly",
         [

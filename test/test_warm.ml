@@ -270,14 +270,22 @@ let test_setup_bytes_accounting () =
         Alcotest.failf "setup_bytes %d, measured %d" accounted measured)
     [ `Lex; `Colored ]
 
+(* The major-heap words allocated so far, promotions included. The runtime
+   updates the count only at minor collections, so one is forced first: a
+   solve that allocates too little to trigger one would otherwise read 0,
+   and the next would be charged for both. *)
+let flushed_major_words () =
+  Gc.minor ();
+  (Gc.quick_stat ()).Gc.major_words
+
 let test_solve_allocation () =
   let m, s = mg_setup `Lex in
   let chain = m.Cdr.Model.chain in
   let major_words cycles =
-    let before = (Gc.quick_stat ()).Gc.major_words in
+    let before = flushed_major_words () in
     let _, stats = Markov.Multigrid.solve_with ~tol:0.0 ~max_cycles:cycles s chain in
     check_int "ran every cycle" cycles stats.Markov.Multigrid.cycles;
-    (Gc.quick_stat ()).Gc.major_words -. before
+    flushed_major_words () -. before
   in
   ignore (major_words 1);
   let w2 = major_words 2 and w50 = major_words 50 in
@@ -312,9 +320,9 @@ let test_cycle_counts_in_scratch () =
    cycle count. *)
 let kron_major_words m ~tol =
   let ctx = Cdr.Context.make ~tol () in
-  let before = (Gc.quick_stat ()).Gc.major_words in
+  let before = flushed_major_words () in
   let sol = Cdr.Kron_model.solve ~solver:`Multigrid ~ctx m in
-  ((Gc.quick_stat ()).Gc.major_words -. before, sol.Markov.Solution.iterations)
+  (flushed_major_words () -. before, sol.Markov.Solution.iterations)
 
 (* Each outer IAD cycle refills the coarse chain in place and runs one
    coarse V-cycle in the setup's own scratch, so the solve's major-heap
@@ -343,6 +351,87 @@ let test_kron_default_grid_allocation () =
     Alcotest.failf "a warm default-grid kron solve allocated %.1f MB of major heap in %d cycles"
       (bytes /. 1e6) cycles
 
+(* Minor-heap words of [f ()]. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (Gc.minor_words () -. before, r)
+
+(* The CSR V-cycle allocates per level (telemetry labels, phase closures),
+   never per state: a boxed block weight per coarse row would cost two
+   words per state per cycle, over 15,000 words per cycle on this
+   7,630-state chain. *)
+let test_vcycle_minor_words () =
+  let m = Cdr.Model.build { Cdr.Config.default with Cdr.Config.grid_points = 64; max_run = 4 } in
+  let chain = m.Cdr.Model.chain in
+  let s = Markov.Multigrid.setup ~hierarchy:(Cdr.Model.hierarchy m) chain in
+  let words cycles =
+    fst
+      (minor_words (fun () ->
+           Markov.Multigrid.solve_with ~tol:0.0 ~max_cycles:cycles s chain))
+  in
+  ignore (words 1);
+  let per_cycle = (words 12 -. words 2) /. 10.0 in
+  let bound = 512.0 *. float_of_int (Markov.Multigrid.levels s) in
+  if per_cycle > bound then
+    Alcotest.failf "%.0f minor words per extra V-cycle on %d states (bound %.0f)" per_cycle
+      m.Cdr.Model.n_states bound
+
+(* One matrix-free apply allocates a fixed handful of words, the same at
+   1,280 and at 30,720 states: no closure or boxed float per entry. *)
+let test_kron_apply_minor_words () =
+  let apply_words cfg =
+    let k = (Cdr.Kron_model.build cfg).Cdr.Kron_model.kron in
+    let n = Sparse.Kron_op.dim k in
+    let ws = Sparse.Kron_op.workspace k in
+    let x = Array.make n (1.0 /. float_of_int n) and y = Array.make n 0.0 in
+    Sparse.Kron_op.apply_into k ~ws x y;
+    fst (minor_words (fun () -> Sparse.Kron_op.apply_into k ~ws x y))
+  in
+  let small_words = apply_words (Cdr.Config.create_exn small)
+  and default_words = apply_words Cdr.Config.default in
+  if small_words <> default_words || default_words > 64.0 then
+    Alcotest.failf "one apply: %.0f minor words at 1,280 states, %.0f at 30,720" small_words
+      default_words
+
+(* A warm IAD solve's outer cycle refills the coarse chain from the
+   solve's entry table and runs one coarse V-cycle: its minor-heap words
+   stay far below one per fine state (enumerating the operator's rows
+   every cycle, through closures and boxed floats, would cost about 113). *)
+let test_kron_minor_words_per_cycle () =
+  let m = Cdr.Kron_model.build { Cdr.Config.default with Cdr.Config.grid_points = 64 } in
+  let solve tol =
+    minor_words (fun () ->
+        (Cdr.Kron_model.solve ~solver:`Multigrid ~ctx:(Cdr.Context.make ~tol ()) m)
+          .Markov.Solution.iterations)
+  in
+  ignore (solve 1e-12);
+  let w_loose, c_loose = solve 1e-6 in
+  let w_tight, c_tight = solve 1e-12 in
+  check_bool "the tighter tolerance runs more cycles" true (c_tight > c_loose);
+  let per_cycle = (w_tight -. w_loose) /. float_of_int (c_tight - c_loose) in
+  let per_state = per_cycle /. float_of_int m.Cdr.Kron_model.n_states in
+  if per_state > 0.25 then
+    Alcotest.failf "%.3f minor words per fine state per extra outer cycle" per_state
+
+(* Each solve enumerates the operator's rows exactly once, into the
+   setup's entry table (12 B per entry), however many cycles it runs. *)
+let test_one_row_pass_per_solve () =
+  let m = Cdr.Kron_model.build (Cdr.Config.create_exn small) in
+  match Cdr.Kron_model.hierarchy m with
+  | [] -> Alcotest.fail "test model unexpectedly fits a direct solve"
+  | partition :: coarse_hierarchy ->
+      let op = m.Cdr.Kron_model.op in
+      let s = Markov.Op_multigrid.prepare ~coarse_hierarchy ~partition op in
+      List.iter
+        (fun tol ->
+          let _, stats = Markov.Op_multigrid.solve_with ~tol s op in
+          check_bool "several cycles" true (stats.Markov.Op_multigrid.cycles > 1);
+          check_int "one row pass" 1 stats.Markov.Op_multigrid.row_passes;
+          check_int "table bytes" (12 * Cdr_op.nnz_estimate op)
+            stats.Markov.Op_multigrid.table_bytes)
+        [ 1e-6; 1e-12 ]
+
 let () =
   Alcotest.run "cdr_warm"
     [
@@ -365,6 +454,13 @@ let () =
             test_kron_solve_allocation;
           Alcotest.test_case "warm default-grid kron solve under 16 MB" `Slow
             test_kron_default_grid_allocation;
+          Alcotest.test_case "V-cycle minor words per level, not per state" `Quick
+            test_vcycle_minor_words;
+          Alcotest.test_case "kron apply minor words independent of states" `Quick
+            test_kron_apply_minor_words;
+          Alcotest.test_case "kron IAD minor words per cycle under 0.25 per state" `Quick
+            test_kron_minor_words_per_cycle;
+          Alcotest.test_case "one row pass per IAD solve" `Quick test_one_row_pass_per_solve;
         ] );
       ( "sweeps",
         [
