@@ -58,11 +58,11 @@ bench-telemetry:
 
 # Machine-readable benchmark summary: every performance section — the
 # deterministic smoke counters, solver telemetry, domain-pool scaling
-# (including the colored-smoother V-cycle), warm-vs-cold continuation and
-# the Bechamel kernel microbenches — with per-section wall times, metric
-# counter deltas, gauge values (kernel ns/run, colored-multigrid wall
-# times), the job count and the smoother choice, written to BENCH.json
-# (path overridable via CDR_BENCH_JSON).
+# (including the pooled V-cycle), warm-vs-cold continuation and the
+# Bechamel kernel microbenches — with per-section wall times, metric
+# counter deltas, gauge values (kernel ns/run, multigrid wall times) and
+# the job count, written to BENCH.json (path overridable via
+# CDR_BENCH_JSON).
 bench-json:
 	dune exec bench/main.exe -- smoke telemetry parallel scaling warm env kernels
 
@@ -82,7 +82,7 @@ bench-counters:
 	grep -q '"model.rebuilds{pattern=reused}":1' /tmp/bench_counters.json
 	grep -q '"solver_cache.hits":2' /tmp/bench_counters.json
 	grep -q '"solver_cache.misses":1' /tmp/bench_counters.json
-	grep -q '"multigrid.setup_bytes":517524' /tmp/bench_counters.json
+	grep -q '"multigrid.setup_bytes":517468' /tmp/bench_counters.json
 	grep -q '"bench.iad_one_coarse_cycle_ok":1' /tmp/bench_counters.json
 	grep -q '"op_multigrid.row_passes":1' /tmp/bench_counters.json
 	@echo "bench counters: counter deltas, setup bytes, one coarse cycle per IAD cycle and one row pass per IAD solve as expected"

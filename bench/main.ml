@@ -11,10 +11,6 @@
    Run a subset by section-name prefix: dune exec bench/main.exe -- telemetry kernels
    Set CDR_OBS (see Cdr_obs.Sink) to stream JSONL telemetry while it runs. *)
 
-(* which Gauss-Seidel variant(s) a section exercised; reset to "lex" before
-   each section, recorded in its BENCH.json entry *)
-let section_smoother = ref "lex"
-
 let section name =
   Format.printf "@.============================================================@.";
   Format.printf "== %s@." name;
@@ -850,16 +846,14 @@ let exp_parallel () =
       if Float.is_nan !t1 then t1 := dt;
       Format.printf "  %-6d %-10.2f %-10.2f@." jobs dt (!t1 /. dt))
     job_counts;
-  (* (c) the V-cycle interior under the pool: colored smoother (color classes
-     split over slots) plus pooled aggregation/restriction/prolongation.
-     Determinism here is the strong claim: pi must be bitwise identical for
-     every job count. *)
-  Format.printf "@.(c) multigrid V-cycles, colored smoother, %d states:@." n;
+  (* (c) the V-cycle interior under the pool: the serial Gauss-Seidel
+     sweeps between pooled scatter/aggregation/restriction/prolongation and
+     the residual. Determinism here is the strong claim: pi must be bitwise
+     identical for every job count. *)
+  Format.printf "@.(c) multigrid V-cycles, %d states:@." n;
   Format.printf "  %-6s %-10s %-10s %-14s %-10s@." "jobs" "wall (s)" "speedup" "pi bits"
     "attributed";
-  let mg_setup =
-    Markov.Multigrid.setup ~smoother:`Colored ~hierarchy:(Cdr.Model.hierarchy model) chain
-  in
+  let mg_setup = Markov.Multigrid.setup ~hierarchy:(Cdr.Model.hierarchy model) chain in
   let t1 = ref nan in
   let ref_bits = ref None in
   let profiles = ref [] in
@@ -887,7 +881,7 @@ let exp_parallel () =
         | Some r -> r = bits
       in
       let coverage = Cdr_obs.Profile.coverage ~total:dt prof in
-      Cdr_obs.Metrics.set_gauge "bench.mg_colored_seconds"
+      Cdr_obs.Metrics.set_gauge "bench.mg_seconds"
         ~labels:[ ("jobs", string_of_int jobs) ]
         dt;
       Cdr_obs.Metrics.set_gauge "bench.mg_profile_coverage"
@@ -929,7 +923,6 @@ let exp_parallel () =
   Format.printf "top overhead phase: jobs=%d -> %s@."
     (List.fold_left max 1 job_counts)
     (top_overhead (List.fold_left max 1 job_counts));
-  section_smoother := "lex,colored";
   Format.printf
     "@.results are bit-identical across job counts by construction (fixed slot grids,@.";
   Format.printf
@@ -939,40 +932,32 @@ let exp_parallel () =
 (* ---------- MG-SCALING: the jobs=1 vs jobs=4 dispatch-cost gate ---------- *)
 
 (* The ROADMAP's "positive parallel scaling" question, distilled to one
-   number: a colored-multigrid solve on the default grid at jobs=1 and
-   jobs=4, through one shared setup, best-of-reps walls. The region
-   dispatcher ({!Cdr_par.Pool.run_phases}) enlists the team once per solve
-   instead of paying a fan-out per color, which is what moved this gauge
-   from ~0.7 (a 1.4x slowdown) toward >= 1.
+   number: a multigrid solve on the default grid at jobs=1 and jobs=4,
+   through one shared setup, best-of-reps walls. The region dispatcher
+   ({!Cdr_par.Pool.run_phases}) enlists the team once per solve instead of
+   paying a fan-out per pooled stage.
 
    [mg.speedup_j4] is the honest measured ratio. [mg.speedup_j4_ok] is the
    CI gate (make bench-smoke greps it): on a multi-core host it demands
    speedup >= 1.0; on a single-core host — where a true speedup is
    physically unavailable and the pool's only achievable win is costing
    nothing — it demands >= 0.9 (dispatch overhead under 10%). Both settings
-   also require bitwise-identical stationary vectors.
-
-   After the gate's reps, one lex-smoother solve at jobs=1 is timed into
-   [mg.scaling_seconds{smoother=lex,jobs=1}], ungated: the wall the colored
-   smoother has to beat to earn its place. *)
+   also require bitwise-identical stationary vectors. *)
 let exp_scaling () =
-  section "MG-SCALING: colored multigrid wall, jobs=1 vs jobs=4 (region dispatch)";
+  section "MG-SCALING: multigrid wall, jobs=1 vs jobs=4 (region dispatch)";
   let cfg =
     Cdr.Config.create_exn { Cdr.Config.default with Cdr.Config.sigma_w = 0.04 }
   in
   let model = Cdr.Model.build cfg in
   let chain = model.Cdr.Model.chain in
-  let mg_setup =
-    Markov.Multigrid.setup ~smoother:`Colored ~hierarchy:(Cdr.Model.hierarchy model) chain
-  in
+  let mg_setup = Markov.Multigrid.setup ~hierarchy:(Cdr.Model.hierarchy model) chain in
   let reps = 4 in
-  Format.printf "chain: %d states; colored smoother; best of %d interleaved solves after warmup@.@."
+  Format.printf "chain: %d states; best of %d interleaved solves after warmup@.@."
     model.Cdr.Model.n_states reps;
   (* both pools live for the whole measurement and the reps interleave
      (j1, j4, j1, j4, ...): background load on a shared host drifts over
      seconds, and interleaving keeps it from taxing one side only *)
-  let lex_setup = Markov.Multigrid.setup ~hierarchy:(Cdr.Model.hierarchy model) chain in
-  let sol1, t1, sol4, t4, t_lex =
+  let sol1, t1, sol4, t4 =
     Cdr_par.Pool.with_pool ~jobs:1 (fun pool1 ->
         Cdr_par.Pool.with_pool ~jobs:4 (fun pool4 ->
             let solve pool =
@@ -989,10 +974,7 @@ let exp_scaling () =
               let _, dt4 = solve pool4 in
               if dt4 < !best4 then best4 := dt4
             done;
-            let _, t_lex =
-              time (fun () -> Markov.Multigrid.solve_with ~tol:1e-10 ~pool:pool1 lex_setup chain)
-            in
-            (sol1, !best1, sol4, !best4, t_lex)))
+            (sol1, !best1, sol4, !best4)))
   in
   let bits s = Array.map Int64.bits_of_float s.Markov.Solution.pi in
   let identical = bits sol1 = bits sol4 in
@@ -1003,15 +985,10 @@ let exp_scaling () =
   Format.printf "  %-6d %-10.3f %-10.2f@." 1 t1 1.0;
   Format.printf "  %-6d %-10.3f %-10.2f  pi %s@." 4 t4 speedup
     (if identical then "identical" else "DIFFER (bug!)");
-  Format.printf "  %-6d %-10.3f (lex smoother, one solve, ungated)@." 1 t_lex;
   Cdr_obs.Metrics.set_gauge "mg.scaling_seconds" ~labels:[ ("jobs", "1") ] t1;
   Cdr_obs.Metrics.set_gauge "mg.scaling_seconds" ~labels:[ ("jobs", "4") ] t4;
-  Cdr_obs.Metrics.set_gauge "mg.scaling_seconds"
-    ~labels:[ ("smoother", "lex"); ("jobs", "1") ]
-    t_lex;
   Cdr_obs.Metrics.set_gauge "mg.speedup_j4" speedup;
   Cdr_obs.Metrics.set_gauge "mg.speedup_j4_ok" (if ok then 1.0 else 0.0);
-  section_smoother := "colored,lex";
   Format.printf "@.%s@."
     (if not identical then "SCALING GATE FAILED: results differ across job counts"
      else if ok then
@@ -1236,7 +1213,7 @@ let counters_snapshot () =
     (Cdr_obs.Metrics.dump ())
 
 (* gauges the section set or moved (bench sections use gauges for their own
-   measured numbers, e.g. kernel ns/run and colored-multigrid wall times) *)
+   measured numbers, e.g. kernel ns/run and multigrid wall times) *)
 let gauges_snapshot () =
   List.filter_map
     (fun s ->
@@ -1282,13 +1259,12 @@ let previous_sections () =
 let write_bench_json per_section total =
   let sections_json =
     List.map
-      (fun (name, seconds, counters, gauges, smoother) ->
+      (fun (name, seconds, counters, gauges) ->
         ( name,
           Cdr_obs.Jsonl.Obj
             [
               ("seconds", Cdr_obs.Jsonl.Num seconds);
               ("jobs", Cdr_obs.Jsonl.Num (float_of_int (Cdr_par.Pool.default_jobs ())));
-              ("smoother", Cdr_obs.Jsonl.Str smoother);
               ("counters", Cdr_obs.Jsonl.Obj counters);
               ("gauges", Cdr_obs.Jsonl.Obj gauges);
             ] ))
@@ -1328,16 +1304,14 @@ let () =
           (fun (name, f) ->
             let before = counters_snapshot () in
             let gauges_before = gauges_snapshot () in
-            section_smoother := "lex";
             let (), dt = time f in
             ( name,
               dt,
               counters_delta before (counters_snapshot ()),
-              gauges_delta gauges_before (gauges_snapshot ()),
-              !section_smoother ))
+              gauges_delta gauges_before (gauges_snapshot ()) ))
           selected
       in
-      let total = List.fold_left (fun acc (_, dt, _, _, _) -> acc +. dt) 0.0 per_section in
+      let total = List.fold_left (fun acc (_, dt, _, _) -> acc +. dt) 0.0 per_section in
       Format.printf "@.total bench time: %.1fs (%d/%d sections)@." total (List.length selected)
         (List.length sections);
       write_bench_json per_section total);

@@ -168,16 +168,6 @@ let backend =
   in
   Arg.(value & opt backend_conv `Csr & info [ "backend" ] ~doc)
 
-let smoother =
-  let smoother_conv = Arg.enum [ ("lex", `Lex); ("colored", `Colored) ] in
-  let doc =
-    "Gauss-Seidel variant inside multigrid V-cycles: $(b,lex) (serial reference order, the \
-     default) or $(b,colored) (multicolor smoother whose color classes run in parallel under \
-     $(b,--jobs); results agree with lex within the solver tolerance and are bit-identical \
-     across job counts)."
-  in
-  Arg.(value & opt smoother_conv `Lex & info [ "smoother" ] ~doc)
-
 (* ---------- parallelism (see Cdr_par) ---------- *)
 
 let jobs =
@@ -237,15 +227,15 @@ let metrics_file =
 
 (* ---------- analyze ---------- *)
 
-(* analyze reads its solver, backend and smoother flags into the shared
-   Params record, so Params.to_config applies the service's rules to them *)
+(* analyze reads its solver and backend flags into the shared Params
+   record, so Params.to_config applies the service's rules to them *)
 let analyze_config_term =
-  let with_flags p solver backend smoother = { p with Params.solver; backend; smoother } in
+  let with_flags p solver backend = { p with Params.solver; backend } in
   let check p = Result.map (fun cfg -> (p, cfg)) (to_cfg p) in
-  Term.(term_result (const check $ (const with_flags $ params_term $ solver $ backend $ smoother)))
+  Term.(term_result (const check $ (const with_flags $ params_term $ solver $ backend)))
 
 let analyze_term =
-  let run ({ Params.solver; backend; smoother; _ }, cfg) env jobs trace_file metrics_file =
+  let run ({ Params.solver; backend; _ }, cfg) env jobs trace_file metrics_file =
     with_jobs jobs @@ fun pool ->
     Option.iter
       (fun path ->
@@ -268,7 +258,7 @@ let analyze_term =
     in
     (* one library path per request kind, whatever the backend: the
        context carries the backend and both reports build on it *)
-    let ctx = Cdr.Context.make ~pool ~smoother ~backend () in
+    let ctx = Cdr.Context.make ~pool ~backend () in
     let trace =
       match env with
       | Some e ->
@@ -306,10 +296,10 @@ let sweep_cmd =
     let doc = "Counter lengths to evaluate." in
     Arg.(value & opt (list int) Cdr_svc.Protocol.default_lengths & info [ "lengths" ] ~doc)
   in
-  let run cfg solver smoother jobs warm no_cache lengths =
+  let run cfg solver jobs warm no_cache lengths =
     with_jobs jobs @@ fun pool ->
     let strategy = strategy_of warm no_cache in
-    let ctx = Cdr.Context.make ~pool ~smoother ~strategy () in
+    let ctx = Cdr.Context.make ~pool ~strategy () in
     let points = Cdr.Sweep.counter_lengths ~solver ~ctx cfg lengths in
     Format.printf "%a@." Cdr.Sweep.pp_points points;
     (* one point list feeds both the table and the optimum: no re-solving *)
@@ -318,7 +308,7 @@ let sweep_cmd =
   in
   let doc = "BER vs counter length (the paper's Figure 5)." in
   Cmd.v (Cmd.info "sweep" ~doc)
-    Term.(const run $ config_term $ solver $ smoother $ jobs $ warm_start $ no_cache $ lengths)
+    Term.(const run $ config_term $ solver $ jobs $ warm_start $ no_cache $ lengths)
 
 (* ---------- sigma sweep ---------- *)
 
@@ -327,16 +317,16 @@ let sigma_cmd =
     let doc = "Eye-opening jitter levels to evaluate." in
     Arg.(value & opt (list float) Cdr_svc.Protocol.default_sigmas & info [ "values" ] ~doc)
   in
-  let run cfg solver smoother jobs warm no_cache sigmas =
+  let run cfg solver jobs warm no_cache sigmas =
     with_jobs jobs @@ fun pool ->
     let strategy = strategy_of warm no_cache in
-    let ctx = Cdr.Context.make ~pool ~smoother ~strategy () in
+    let ctx = Cdr.Context.make ~pool ~strategy () in
     let points = Cdr.Sweep.sigma_w_values ~solver ~ctx cfg sigmas in
     Format.printf "%a@." Cdr.Sweep.pp_points points
   in
   let doc = "BER vs eye-opening jitter level (the axis of the paper's Figure 4)." in
   Cmd.v (Cmd.info "sigma" ~doc)
-    Term.(const run $ config_term $ solver $ smoother $ jobs $ warm_start $ no_cache $ sigmas)
+    Term.(const run $ config_term $ solver $ jobs $ warm_start $ no_cache $ sigmas)
 
 (* ---------- slip ---------- *)
 

@@ -8,7 +8,7 @@ type t = {
   trace : Cdr_obs.Trace.t option;
   cache : Solver_cache.t option;
   init : Linalg.Vec.t option;
-  smoother : Markov.Multigrid.smoother;
+  smoother : [ `Lex ]; (* stays only for the frozen perfbench replay *)
   strategy : strategy;
   tol : float;
   cancel : (unit -> bool) option;

@@ -2,7 +2,7 @@
     solver stack.
 
     A [Context.t] carries the pool, trace, setup cache, warm-start vector,
-    smoother, sweep strategy, tolerance, cancellation hook and backend as
+    sweep strategy, tolerance, cancellation hook and backend as
     one value: build it once with {!make}, hand it to any entry point
     ({!Model.solve}, {!Ber.analyze}, {!Report.run_model}, the {!Sweep}
     runners, the composed-chain solves) with [?ctx], and the layers below
@@ -35,7 +35,7 @@ type t = {
   trace : Cdr_obs.Trace.t option;  (** solver convergence recorder *)
   cache : Solver_cache.t option;  (** structure-keyed multigrid setup cache *)
   init : Linalg.Vec.t option;  (** warm-start iterate *)
-  smoother : Markov.Multigrid.smoother;  (** Gauss-Seidel variant, [`Lex] *)
+  smoother : [ `Lex ];  (** stays only because the perfbench replay passes it *)
   strategy : strategy;  (** sweep continuation mode, {!cold} *)
   tol : float;  (** solver convergence tolerance, [1e-12] *)
   cancel : (unit -> bool) option;
@@ -53,29 +53,30 @@ type t = {
 }
 
 val default : t
-(** No pool, no trace, no cache, no warm start, [`Lex] smoother, {!cold}
-    strategy, tolerance [1e-12], no cancellation, [`Csr] backend. *)
+(** No pool, no trace, no cache, no warm start, {!cold} strategy,
+    tolerance [1e-12], no cancellation, [`Csr] backend. *)
 
 val make :
   ?pool:Cdr_par.Pool.t ->
   ?trace:Cdr_obs.Trace.t ->
   ?cache:Solver_cache.t ->
   ?init:Linalg.Vec.t ->
-  ?smoother:Markov.Multigrid.smoother ->
+  ?smoother:[ `Lex ] ->
   ?strategy:strategy ->
   ?tol:float ->
   ?cancel:(unit -> bool) ->
   ?backend:Cdr_op.kind ->
   unit ->
   t
-(** {!default} with the given fields replaced. *)
+(** {!default} with the given fields replaced. [?smoother] (here and in
+    {!override}) stays only because the perfbench replay passes it. *)
 
 val override :
   ?pool:Cdr_par.Pool.t ->
   ?trace:Cdr_obs.Trace.t ->
   ?cache:Solver_cache.t ->
   ?init:Linalg.Vec.t ->
-  ?smoother:Markov.Multigrid.smoother ->
+  ?smoother:[ `Lex ] ->
   ?strategy:strategy ->
   ?tol:float ->
   ?cancel:(unit -> bool) ->

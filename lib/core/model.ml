@@ -380,18 +380,18 @@ let solver_name : solver -> string = function
   | `Gauss_seidel -> "gauss-seidel"
 
 let solve_chain ?(solver = `Multigrid) ~ctx ~hierarchy chain =
-  let { Context.tol; cache; trace; pool; smoother; cancel; _ } = ctx in
+  let { Context.tol; cache; trace; pool; cancel; _ } = ctx in
   let init = Context.init_for ctx (Markov.Chain.n_states chain) in
   match solver with
   | `Multigrid ->
       let solution, _stats =
         match cache with
         | Some cache ->
-            let s = Solver_cache.setup cache ~smoother ~hierarchy chain in
+            let s = Solver_cache.setup cache ~hierarchy chain in
             Markov.Multigrid.solve_with ~tol ?init ?trace ?pool ?cancel s chain
         | None ->
-            Markov.Multigrid.solve ~tol ?init ?trace ?pool ?cancel ~smoother
-              ~hierarchy:(hierarchy ()) chain
+            Markov.Multigrid.solve ~tol ?init ?trace ?pool ?cancel ~hierarchy:(hierarchy ())
+              chain
       in
       solution
   | `Power -> Markov.Power.solve ~tol ?init ?trace ?pool chain

@@ -142,9 +142,8 @@ val solve_chain :
     [ctx.init] warm-starts every solver and is ignored when its length is
     not the chain's. [ctx.trace] is forwarded to every solver's convergence
     recorder; [ctx.pool] to multigrid and power, whose parallel kernels are
-    deterministic (the Gauss-Seidel sweep runs serially); [ctx.smoother]
-    selects the multigrid Gauss-Seidel variant and is part of the cache
-    key. A firing [ctx.cancel] aborts a multigrid solve with
+    deterministic (the Gauss-Seidel sweep runs serially). A firing
+    [ctx.cancel] aborts a multigrid solve with
     {!Markov.Multigrid.Cancelled}; the other solvers do not poll it. *)
 
 val solve : ?solver:solver -> ?ctx:Context.t -> t -> Markov.Solution.t

@@ -93,14 +93,9 @@ let evict_to_budget t =
     record t "solver_cache.evictions" dropped
   end
 
-let setup t ?(smoother = `Lex) ~hierarchy chain =
-  (* the smoother is part of the key: a [`Lex] setup carries no colorings,
-     so handing it to a colored solve (or vice versa) would silently change
-     the algorithm *)
-  let matches e =
-    Markov.Multigrid.smoother e.setup = smoother && Markov.Multigrid.matches e.setup chain
-  in
-  match take_first matches t.entries with
+(* [?smoother] stays only because the frozen perfbench replay passes it *)
+let setup t ?smoother:(_ : [ `Lex ] option) ~hierarchy chain =
+  match take_first (fun e -> Markov.Multigrid.matches e.setup chain) t.entries with
   | Some (e, rest) ->
       t.hits <- t.hits + 1;
       record t "solver_cache.hits" 1;
@@ -109,7 +104,7 @@ let setup t ?(smoother = `Lex) ~hierarchy chain =
   | None ->
       t.misses <- t.misses + 1;
       record t "solver_cache.misses" 1;
-      let setup = Markov.Multigrid.setup ~smoother ~hierarchy:(hierarchy ()) chain in
+      let setup = Markov.Multigrid.setup ~hierarchy:(hierarchy ()) chain in
       let bytes = Markov.Multigrid.setup_bytes setup in
       (* a setup larger than the whole budget serves its caller once and is
          not retained: caching it would evict everything for an entry that

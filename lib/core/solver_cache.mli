@@ -34,18 +34,17 @@ val create : ?max_bytes:int -> unit -> t
 
 val setup :
   t ->
-  ?smoother:Markov.Multigrid.smoother ->
+  ?smoother:[ `Lex ] ->
   hierarchy:(unit -> Markov.Partition.t list) ->
   Markov.Chain.t ->
   Markov.Multigrid.setup
-(** The cached setup matching the chain's sparsity pattern {e and} the
-    requested smoother (default [`Lex]; a [`Lex] setup carries no colorings,
-    so the smoother is part of the cache key), or a fresh one built from
-    [hierarchy ()] (only evaluated on a miss) and inserted. The returned
-    setup is moved to the front of the LRU order; inserting one evicts
-    least recently used setups until the total fits [max_bytes]. A fresh
-    setup larger than [max_bytes] on its own is returned without being
-    retained (and evicts nothing). *)
+(** The cached setup matching the chain's sparsity pattern, or a fresh
+    one built from [hierarchy ()] (only evaluated on a miss) and inserted.
+    The returned setup is moved to the front of the LRU order; inserting
+    one evicts least recently used setups until the total fits
+    [max_bytes]. A fresh setup larger than [max_bytes] on its own is
+    returned without being retained (and evicts nothing). [?smoother] is
+    ignored; it stays only because the perfbench replay passes it. *)
 
 val set_request_key : t -> string option -> unit
 (** Attach a request-attribution key to subsequent {!setup} calls: while set,

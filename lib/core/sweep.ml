@@ -2,7 +2,7 @@ type point = { config : Config.t; report : Report.t }
 
 (* A sweep point's solve is always serial (the point is the parallel unit)
    and owns its own warm-start state, so only the scalar knobs of the
-   caller's context — smoother, tolerance, cancellation — flow into it. *)
+   caller's context — tolerance, cancellation — flow into it. *)
 let point_ctx ctx =
   { ctx with Context.pool = None; trace = None; init = None; cache = None }
 

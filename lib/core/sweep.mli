@@ -17,11 +17,7 @@
     per structure ({!Solver_cache}), and starts each solve from a secant
     extrapolation of the previous points' stationary vectors. Results agree
     with the cold path within the solver tolerance (the convergence test is
-    unchanged; only the starting point and the symbolic setup are reused).
-
-    The context's [smoother] (multigrid only, default [`Lex]) selects the
-    Gauss-Seidel variant inside each point's V-cycles; see
-    {!Markov.Multigrid.smoother}. *)
+    unchanged; only the starting point and the symbolic setup are reused). *)
 
 type point = { config : Config.t; report : Report.t }
 
@@ -33,7 +29,7 @@ val counter_lengths :
   point list
 (** BER for each counter length, all other parameters fixed (Figure 5).
 
-    [?ctx] supplies the pool, strategy, smoother, tolerance and cancellation
+    [?ctx] supplies the pool, strategy, tolerance and cancellation
     hook. A context's [init], [cache] and [trace] do {e not} flow into the
     points: every point owns its warm-start state (the continuation computes
     per-point inits and one setup cache per worker chunk) and its own

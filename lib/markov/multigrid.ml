@@ -1,7 +1,5 @@
 type stats = { cycles : int; levels : int; coarsest_size : int; smoothing_sweeps : int }
 
-type smoother = [ `Lex | `Colored ]
-
 exception Cancelled
 
 (* Fixed slot grid for the pooled V-cycle kernels: a pure function of the
@@ -147,34 +145,6 @@ let make_aggregation (fine : csr_pattern) partition =
     },
     { n = nc; row_ptr; col_idx = Array.sub cols 0 row_ptr.(nc) } )
 
-(* Rows of one level grouped by color: within a color no two rows are
-   adjacent in the symmetrized sparsity graph, so a Gauss-Seidel update of
-   all rows of one color reads only values fixed before the color started —
-   rows of a color can run in any order (or in parallel) without changing a
-   single bit. Computed symbolically once per setup level. *)
-type coloring = {
-  n_colors : int;
-  color_ptr : ints; (* length n_colors + 1 *)
-  color_rows : ints; (* rows grouped by color, ascending within one *)
-}
-
-let make_coloring (pat : csr_pattern) ~trans_row_ptr ~trans_col_idx =
-  let neighbors i f =
-    for k = trans_row_ptr.(i) to trans_row_ptr.(i + 1) - 1 do
-      f trans_col_idx.(k)
-    done;
-    for k = pat.row_ptr.(i) to pat.row_ptr.(i + 1) - 1 do
-      f pat.col_idx.(k)
-    done
-  in
-  let p = Partition.color ~n:pat.n neighbors in
-  let color_ptr, color_rows = Partition.members p in
-  {
-    n_colors = p.Partition.n_coarse;
-    color_ptr = ints_of_array color_ptr;
-    color_rows = ints_of_array color_rows;
-  }
-
 (* What a level above the coarsest reads: the transposed pattern the
    smoother sweeps, the transposed values it sweeps over (refilled from the
    level's values by one scatter per visit), and the aggregation onto the
@@ -184,8 +154,6 @@ type down = {
   trans_col_idx : ints;
   trans_perm : ints; (* fine entry k -> its position in [trans_values] *)
   trans_values : floats;
-  coloring : coloring option; (* Some iff the setup smoother is [`Colored] *)
-  color_seconds : float array; (* |colors| scratch for the sweep metric *)
   agg : aggregation;
 }
 
@@ -210,7 +178,6 @@ type setup = {
   ref_row_ptr : int array;
   ref_col_idx : int array;
   levels : level array;
-  setup_smoother : smoother;
 }
 
 (* ---- cycle kernels ------------------------------------------------------ *)
@@ -325,33 +292,9 @@ let gauss_seidel_sweeps d x sweeps =
     normalize_sweep x
   done
 
-(* Multicolor Gauss-Seidel: sweep the rows color class by color class. Rows
-   within a class are pairwise non-adjacent, so each update reads only
-   iterate entries frozen before the class began — the class's rows can be
-   split over pool slots with bit-identical results for every job count.
-   The update order (color-major) differs from the lex sweep, so colored
-   fixed points agree with lex ones to solver tolerance, not bitwise; that
-   is why [`Lex] remains the default. [color_seconds.(c)] accumulates wall
-   seconds spent in color [c] across the sweeps. *)
-let colored_gauss_seidel_sweeps ?pool d coloring x sweeps =
-  for _ = 1 to sweeps do
-    for c = 0 to coloring.n_colors - 1 do
-      let t0 = Cdr_obs.Clock.monotonic () in
-      let lo = coloring.color_ptr.%(c) in
-      let count = coloring.color_ptr.%(c + 1) - lo in
-      let slots = slot_count count in
-      Cdr_par.Pool.run_slots_opt pool ~slots (fun s ->
-          for idx = lo + (s * count / slots) to lo + (((s + 1) * count / slots) - 1) do
-            gauss_seidel_row d x coloring.color_rows.%(idx)
-          done);
-      d.color_seconds.(c) <- d.color_seconds.(c) +. (Cdr_obs.Clock.monotonic () -. t0)
-    done;
-    normalize_sweep x
-  done
-
 (* ---- setup ------------------------------------------------------------- *)
 
-let setup ?(smoother = `Lex) ~hierarchy chain =
+let setup ~hierarchy chain =
   let n = Chain.n_states chain in
   validate_hierarchy ~n hierarchy;
   let fine_csr = Chain.tpm chain in
@@ -373,20 +316,12 @@ let setup ?(smoother = `Lex) ~hierarchy chain =
     | partition :: rest when pat.n > Gth.max_direct_size ->
         let agg, coarse = make_aggregation pat partition in
         let trans_row_ptr, trans_col_idx, trans_perm = transpose pat in
-        let coloring =
-          match smoother with
-          | `Lex -> None
-          | `Colored -> Some (make_coloring pat ~trans_row_ptr ~trans_col_idx)
-        in
         let down =
           {
             trans_row_ptr = ints_of_array trans_row_ptr;
             trans_col_idx = ints_of_array trans_col_idx;
             trans_perm = ints_of_array trans_perm;
             trans_values = Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout nnz;
-            coloring;
-            color_seconds =
-              (match coloring with Some c -> Array.make (max c.n_colors 1) 0.0 | None -> [||]);
             agg;
           }
         in
@@ -401,12 +336,9 @@ let setup ?(smoother = `Lex) ~hierarchy chain =
     ref_row_ptr = fine_csr.Sparse.Csr.row_ptr;
     ref_col_idx = fine_csr.Sparse.Csr.col_idx;
     levels = Array.of_list (build 0 fine hierarchy []);
-    setup_smoother = smoother;
   }
 
 let levels s = Array.length s.levels
-
-let smoother s = s.setup_smoother
 
 let matches s chain =
   let m = Chain.tpm chain in
@@ -431,14 +363,9 @@ let aggregation_bytes a =
   block_bytes 5 + ints_bytes a.target + ints_bytes a.bw_ptr + ints_bytes a.bw_states
   + block_bytes (Array.length a.block_weight)
 
-let coloring_bytes c = block_bytes 3 + ints_bytes c.color_ptr + ints_bytes c.color_rows
-
 let down_bytes d =
-  block_bytes 7 + ints_bytes d.trans_row_ptr + ints_bytes d.trans_col_idx + ints_bytes d.trans_perm
-  + floats_bytes d.trans_values
-  + option_bytes coloring_bytes d.coloring
-  + block_bytes (Array.length d.color_seconds)
-  + aggregation_bytes d.agg
+  block_bytes 5 + ints_bytes d.trans_row_ptr + ints_bytes d.trans_col_idx + ints_bytes d.trans_perm
+  + floats_bytes d.trans_values + aggregation_bytes d.agg
 
 let level_bytes (l : level) =
   block_bytes 6 + ints_bytes l.row_ptr + ints_bytes l.col_idx
@@ -449,7 +376,7 @@ let level_bytes (l : level) =
 let setup_bytes s =
   Array.fold_left
     (fun acc l -> acc + level_bytes l)
-    (block_bytes 5
+    (block_bytes 4
     + block_bytes (Array.length s.ref_row_ptr)
     + block_bytes (Array.length s.ref_col_idx)
     + block_bytes (Array.length s.levels))
@@ -479,25 +406,13 @@ let run_cycle ~gamma ~pre_smooth ~post_smooth ?pool ~note_sweeps scratch s fine_
   let values l = if l = 0 then fine_values else levels.(l).values in
   let nc = coarsest.n in
   let dense = scratch.dense and exit = scratch.exit in
-  (* one smoothing call: lex or colored per the setup, timed per level (and
-     per color for the colored smoother) into multigrid.sweep_seconds *)
+  (* one smoothing call, timed per level into multigrid.sweep_seconds *)
   let smooth l d sweeps =
-    let x = levels.(l).x in
-    (match d.coloring with
-    | None ->
-        let t0 = Cdr_obs.Clock.monotonic () in
-        gauss_seidel_sweeps d x sweeps;
-        Cdr_obs.Metrics.observe "multigrid.sweep_seconds"
-          ~labels:[ ("level", string_of_int l); ("color", "lex") ]
-          (Cdr_obs.Clock.monotonic () -. t0)
-    | Some coloring ->
-        Array.fill d.color_seconds 0 (Array.length d.color_seconds) 0.0;
-        colored_gauss_seidel_sweeps ?pool d coloring x sweeps;
-        for c = 0 to coloring.n_colors - 1 do
-          Cdr_obs.Metrics.observe "multigrid.sweep_seconds"
-            ~labels:[ ("level", string_of_int l); ("color", string_of_int c) ]
-            d.color_seconds.(c)
-        done);
+    let t0 = Cdr_obs.Clock.monotonic () in
+    gauss_seidel_sweeps d levels.(l).x sweeps;
+    Cdr_obs.Metrics.observe "multigrid.sweep_seconds"
+      ~labels:[ ("level", string_of_int l) ]
+      (Cdr_obs.Clock.monotonic () -. t0);
     note_sweeps l sweeps
   in
   (* dense GTH on the coarsest level, straight into its iterate *)
@@ -615,8 +530,8 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
     done
   in
   (* the whole cycle loop runs inside one phase region: the pool's team is
-     assembled once per solve, and every batch a leg issues (per color, per
-     sweep, per level) is an epoch dispatch instead of a mutex fan-out *)
+     assembled once per solve, and every batch a leg issues (per stage, per
+     level) is an epoch dispatch instead of a mutex fan-out *)
   Cdr_par.Pool.run_phases pool run_cycles;
   let solution = Solution.make ~chain ~pi:(Array.copy x0) ~iterations:!cycles ~tol in
   ( solution,
@@ -627,7 +542,7 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
       smoothing_sweeps = !smoothing_sweeps;
     } )
 
-let solve ?tol ?max_cycles ?pre_smooth ?post_smooth ?cycle ?init ?trace ?pool ?cancel ?smoother
-    ~hierarchy chain =
+let solve ?tol ?max_cycles ?pre_smooth ?post_smooth ?cycle ?init ?trace ?pool ?cancel ~hierarchy
+    chain =
   solve_with ?tol ?max_cycles ?pre_smooth ?post_smooth ?cycle ?init ?trace ?pool ?cancel
-    (setup ?smoother ~hierarchy chain) chain
+    (setup ~hierarchy chain) chain

@@ -9,7 +9,7 @@
     {!default_hierarchy} (pairing consecutive states) is available for
     arbitrary chains.
 
-    Each V-cycle: pre-smooth (Gauss-Seidel), coarsen with the smoothed
+    Each V-cycle: pre-smooth (Gauss-Seidel, rows in index order), coarsen with the smoothed
     iterate as weights, recurse, multiplicative disaggregation, post-smooth.
     The coarsest level — first level at or below {!Gth.max_direct_size}
     states, or the end of the hierarchy — is solved exactly with GTH. *)
@@ -26,22 +26,6 @@ exception Cancelled
     check runs between V-cycles only (never inside one), so the setup's
     workspaces are not mid-update when the exception propagates; the setup
     stays valid for the next solve. *)
-
-type smoother = [ `Lex | `Colored ]
-(** The Gauss-Seidel update order inside V-cycles.
-
-    [`Lex] (the default) sweeps rows [0 .. n-1] in order — the serial
-    reference; its results are bitwise identical to every previous release.
-
-    [`Colored] is the multicolor (red/black-generalized) variant: {!setup}
-    greedily colors each level's symmetrized sparsity graph once,
-    symbolically ({!Partition.color}), and sweeps color class by color class.
-    Rows within a class are pairwise non-adjacent, so a class's updates read
-    only iterate entries frozen before the class began — the class can be
-    split over pool slots with results bit-identical for {e every} job count
-    (jobs=1 and jobs=N agree exactly). The color-major update order differs
-    from the lex order, so colored fixed points agree with lex ones to
-    solver tolerance, not bitwise. *)
 
 val default_hierarchy : n:int -> coarsest:int -> Partition.t list
 (** Pair consecutive states until [coarsest] (or fewer) states remain. *)
@@ -67,16 +51,11 @@ type setup
     A setup owns mutable workspaces: at most one [solve_with] may run
     against it at a time (use one setup per worker for parallel sweeps). *)
 
-val setup : ?smoother:smoother -> hierarchy:Partition.t list -> Chain.t -> setup
+val setup : hierarchy:Partition.t list -> Chain.t -> setup
 (** Build the symbolic setup from the chain's sparsity pattern: per-level
-    patterns, transpose maps, aggregation groupings and (for [`Colored])
-    the per-level row colorings. Default smoother: [`Lex]. Raises
+    patterns, transpose maps and aggregation groupings. Raises
     [Invalid_argument] when the hierarchy sizes do not chain up with the
     fine chain. *)
-
-val smoother : setup -> smoother
-(** The smoother the setup was built for (cache keys must include it:
-    a [`Lex] setup carries no colorings). *)
 
 val matches : setup -> Chain.t -> bool
 (** Whether the chain's TPM has the sparsity pattern the setup was built
@@ -132,7 +111,7 @@ val solve_with :
 
     The whole cycle loop runs inside one {!Cdr_par.Pool.run_phases}
     region (the pool's team is enlisted once per solve instead of one
-    fan-out per sweep/color). Aggregation computes block weights and
+    fan-out per pooled stage). Aggregation computes block weights and
     coarse rows in a single pooled batch, and iterate restriction is a
     copy of those block weights.
 
@@ -184,22 +163,20 @@ val solve :
   ?trace:Cdr_obs.Trace.t ->
   ?pool:Cdr_par.Pool.t ->
   ?cancel:(unit -> bool) ->
-  ?smoother:smoother ->
   hierarchy:Partition.t list ->
   Chain.t ->
   Solution.t * stats
 (** [setup] followed by [solve_with] on a fresh setup. Defaults:
     [tol = 1e-12], [max_cycles = 200], [pre_smooth = 2],
-    [post_smooth = 2], [smoother = `Lex]. Raises [Invalid_argument] when the
-    hierarchy sizes do not chain up with the fine chain.
+    [post_smooth = 2]. Raises [Invalid_argument] when the hierarchy sizes
+    do not chain up with the fine chain.
 
-    [?pool] parallelizes the whole V-cycle interior: the per-cycle
-    stationarity-residual SpMV, the transpose scatter, aggregation,
-    iterate restriction and prolongation (all over fixed slot grids whose
-    per-slot accumulation order equals the serial one, so pooled results
-    are bitwise identical to serial ones), plus — with [`Colored] only —
-    the smoother itself, within each color class. The [`Lex] smoother has a
-    loop-carried dependency across all rows and stays serial.
+    [?pool] parallelizes the V-cycle interior around the smoother: the
+    per-cycle stationarity-residual SpMV, the transpose scatter,
+    aggregation, iterate restriction and prolongation (all over fixed slot
+    grids whose per-slot accumulation order equals the serial one, so
+    pooled results are bitwise identical to serial ones). The Gauss-Seidel
+    sweep has a loop-carried dependency across all rows and stays serial.
 
     With [?trace], one sample per V-cycle (the l1 stationarity residual the
     convergence test uses — computed per cycle regardless, so tracing adds no
@@ -207,4 +184,4 @@ val solve :
     {!Cdr_obs.Trace.record_sweeps} (level 0 = finest; the coarsest level is
     solved directly and performs no sweeps). Every smoothing call also
     observes wall seconds into the [multigrid.sweep_seconds] metric,
-    labelled by level and color ([color="lex"] for the lex smoother). *)
+    labelled by level. *)

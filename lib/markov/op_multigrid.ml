@@ -3,7 +3,7 @@
    levels, one multilevel V-cycle whose top level is never materialized.
 
    {!Multigrid} wants the fine TPM as CSR: its setup transposes every level
-   and colors sparsity graphs — exactly the materialization the Kronecker
+   and aggregates its sparsity pattern — exactly the materialization the Kronecker
    backend exists to avoid. Instead of teaching the V-cycle interior about
    operators, this module runs the classical outer IAD loop with the fine
    level represented only by its action and entry enumerator:

@@ -26,30 +26,6 @@ let members t =
   Array.iteri (fun i b -> members.(next.(b)) <- i; next.(b) <- next.(b) + 1) t.map;
   (ptr, members)
 
-(* Greedy vertex coloring in vertex order: each vertex takes the smallest
-   color absent from its already-seen neighborhood. Deterministic (the order
-   is 0..n-1, not degree- or hash-driven) and contiguous (color c is only
-   introduced when 0..c-1 are all taken by neighbors), so the result is a
-   valid partition whose blocks are the color classes. *)
-let color ~n neighbors =
-  if n = 0 then create [||]
-  else begin
-    let colors = Array.make n (-1) in
-    (* [taken.(c) = i] marks color c as used by a neighbor of vertex i *)
-    let taken = Array.make n (-1) in
-    for i = 0 to n - 1 do
-      neighbors i (fun j ->
-          if j < 0 || j >= n then invalid_arg "Partition.color: neighbor out of range";
-          if j <> i && colors.(j) >= 0 then taken.(colors.(j)) <- i);
-      let c = ref 0 in
-      while taken.(!c) = i do
-        incr c
-      done;
-      colors.(i) <- !c
-    done;
-    create colors
-  end
-
 let prolong_into t ~coarse ~block_weight x =
   if Array.length coarse <> t.n_coarse || Array.length block_weight <> t.n_coarse then
     invalid_arg "Partition.prolong_into: coarse dimension";

@@ -19,18 +19,6 @@ val members : t -> int array * int array
     [members.(ptr.(b)) .. members.(ptr.(b + 1) - 1)], ascending. Flat, so a
     walk over a block's states allocates nothing. *)
 
-val color : n:int -> (int -> (int -> unit) -> unit) -> t
-(** [color ~n neighbors] greedily colors the [n]-vertex graph whose
-    adjacency is enumerated by [neighbors i f] (calling [f j] per neighbor;
-    self-loops are ignored) and returns the coloring as a partition whose
-    blocks are the color classes: vertices sharing a block are pairwise
-    non-adjacent. Vertices are colored in index order with the smallest
-    available color, so the result is deterministic and the block labels are
-    contiguous from 0. The multicolor Gauss–Seidel smoother
-    ({!Multigrid.setup} with [`Colored]) colors each level's symmetrized
-    sparsity graph this way, once, symbolically. Raises [Invalid_argument]
-    on an out-of-range neighbor. *)
-
 val prolong_into : t -> coarse:Linalg.Vec.t -> block_weight:Linalg.Vec.t -> Linalg.Vec.t -> unit
 (** Multiplicative disaggregation in place: [x] holds the weights on entry
     and [block_weight] their per-block sums; each [x.(i)] becomes

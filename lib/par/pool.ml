@@ -157,9 +157,9 @@ let run_serial slots f =
 
 (* ---- phase regions ---------------------------------------------------
    Dispatch over the queue costs two mutex sections and two condvar
-   round trips per batch; a V-cycle issues one batch per smoothing sweep and
-   per color, so at small grids that fixed cost dominates the kernels it
-   fans out (ROADMAP-1's negative scaling). Inside a region the same batches
+   round trips per batch; a V-cycle issues several batches per level
+   (scatter, aggregation, prolongation) and one per residual, so at small
+   grids that fixed cost dominates the kernels it fans out. Inside a region the same batches
    ride an epoch/ticket protocol that costs one atomic store and a handful
    of CAS claims, with helpers spinning briefly before blocking. *)
 

@@ -60,9 +60,9 @@ val run_phases : t option -> (unit -> 'a) -> 'a
     {!run_slots_opt} batch [body] issues from the calling domain is
     dispatched over a lock-free epoch/ticket protocol (one atomic store to
     publish, CAS claims per slot, spin-then-block waiting) instead of the
-    mutex-and-condvar queue. A V-cycle that issues one batch per smoothing
-    sweep and per color pays the team start-up once per solve instead of
-    one fan-out per batch.
+    mutex-and-condvar queue. A V-cycle that issues several batches per
+    level pays the team start-up once per solve instead of one fan-out per
+    batch.
 
     The slot grids and the slot-indexed result layout are exactly those of
     the queue path, so results are bit-identical to [run_slots] with or

@@ -254,42 +254,3 @@ let to_csr op =
   | [] -> invalid_arg "Kron_op.to_csr: empty operator"
   | first :: rest ->
       List.fold_left (fun acc t -> Csr.add acc (materialize_term t)) (materialize_term first) rest
-
-let stationary ?pool ?(tol = 1e-12) ?(max_iter = 100_000) op =
-  let n = dim op in
-  if n = 0 then Error "empty operator"
-  else begin
-    (* Exact row-sum check via the per-factor row-sum tensor: unlike a probe
-       application this verifies stochasticity row by row, matrix-free. *)
-    let rs = row_sums op in
-    let max_dev = ref 0.0 in
-    Array.iter
-      (fun s ->
-        let d = abs_float (s -. 1.0) in
-        if d > !max_dev then max_dev := d)
-      rs;
-    if !max_dev > 1e-6 then Error "operator is not row-stochastic (row sums deviate from 1)"
-    else begin
-      let ws = workspace op in
-      let x = ref (Array.make n (1.0 /. float_of_int n)) in
-      let y = ref (Array.make n 0.0) in
-      let neg = ref false in
-      apply_into ?pool op ~ws !x !y;
-      Array.iter (fun v -> if v < -1e-12 then neg := true) !y;
-      if !neg then Error "operator has negative entries"
-      else begin
-        let iterations = ref 0 in
-        let residual = ref Float.infinity in
-        while !residual > tol && !iterations < max_iter do
-          apply_into ?pool op ~ws !x !y;
-          Linalg.Vec.normalize_l1 !y;
-          residual := Linalg.Vec.dist_l1 !y !x;
-          let tmp = !x in
-          x := !y;
-          y := tmp;
-          incr iterations
-        done;
-        Ok (!x, !iterations, !residual)
-      end
-    end
-  end

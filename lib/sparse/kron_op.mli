@@ -77,15 +77,3 @@ val iter_row : t -> int -> (int -> float -> unit) -> unit
 
 val to_csr : t -> Csr.t
 (** Materialize (for tests and small operators). *)
-
-val stationary :
-  ?pool:Cdr_par.Pool.t ->
-  ?tol:float ->
-  ?max_iter:int ->
-  t ->
-  (Linalg.Vec.t * int * float, string) result
-(** Power iteration directly on the matrix-free operator: the stationary
-    distribution of a chain whose TPM is the represented matrix, without
-    storing it. Returns [(pi, iterations, residual)], or [Error] when the
-    operator is not row-stochastic (checked exactly via {!row_sums}) or has
-    negative entries. *)

@@ -446,7 +446,6 @@ let handle t job =
             in
             let ctx =
               Cdr.Context.make ?pool:t.pool ~cache:t.cache
-                ~smoother:req.Protocol.params.Params.smoother
                 ~backend:req.Protocol.params.Params.backend ?cancel ()
             in
             (* attribute this request's setup-cache traffic to its structure

@@ -11,7 +11,7 @@ type t = {
   p01 : float;
   p10 : float;
   solver : solver;
-  smoother : Markov.Multigrid.smoother;
+  smoother : [ `Lex ]; (* stays only for the frozen perfbench replay *)
   backend : Cdr_op.kind;
   env : Cdr_env.Env.t option;
 }
@@ -83,10 +83,6 @@ let string_of_solver = function
   | `Multigrid -> "multigrid"
   | `Power -> "power"
   | `Gauss_seidel -> "gauss-seidel"
-
-let smoother_of_string = function "lex" -> Some `Lex | "colored" -> Some `Colored | _ -> None
-
-let string_of_smoother = function `Lex -> "lex" | `Colored -> "colored"
 
 let backend_of_string = Cdr_op.kind_of_string
 
@@ -163,9 +159,10 @@ let common_field p key v =
   | "solver" ->
       let* x = enum_field key solver_of_string v in
       Ok (Some { p with solver = x })
-  | "smoother" ->
-      let* x = enum_field key smoother_of_string v in
-      Ok (Some { p with smoother = x })
+  | "smoother" -> (
+      match v with
+      | Cdr_obs.Jsonl.Str "lex" -> Ok (Some p)
+      | _ -> Error "field \"smoother\" must be \"lex\", the only smoother")
   | "backend" ->
       let* x = enum_field key backend_of_string v in
       Ok (Some { p with backend = x })
@@ -255,7 +252,6 @@ let of_json ?(defaults = default) json =
                   {
                     p with
                     solver = defaults.solver;
-                    smoother = defaults.smoother;
                     backend = defaults.backend;
                     env = defaults.env;
                   }
@@ -329,7 +325,8 @@ let to_json p =
        ("p01", Num p.p01);
        ("p10", Num p.p10);
        ("solver", Str (string_of_solver p.solver));
-       ("smoother", Str (string_of_smoother p.smoother));
+       (* the one smoother, kept on the wire so no cache key moves *)
+       ("smoother", Str "lex");
        ("backend", Str (string_of_backend p.backend));
      ]
     @ match p.env with None -> [] | Some e -> [ ("env", Cdr_env.Env.to_json e) ])
@@ -341,5 +338,5 @@ let model_key p =
   match p.env with None -> base | Some e -> base ^ "." ^ Cdr_env.Env.key e
 
 let structure_key p =
-  Printf.sprintf "%s.%s.%s.%s" (model_key p) (string_of_solver p.solver)
-    (string_of_smoother p.smoother) (string_of_backend p.backend)
+  Printf.sprintf "%s.%s.lex.%s" (model_key p) (string_of_solver p.solver)
+    (string_of_backend p.backend)

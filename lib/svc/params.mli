@@ -1,7 +1,7 @@
 (** The one request/parameter schema every front end consumes.
 
     Before this module, the analysis parameters — grid size, counter length,
-    noise levels, solver and smoother choice — existed as three hand-rolled
+    noise levels, solver choice — existed as three hand-rolled
     copies of default handling inside the [cdr_analyze] subcommands, and the
     serving layer would have added a fourth. This module is the single
     definition: the field set, the defaults, the [Config.t] conversion, and
@@ -33,7 +33,7 @@ type t = {
   p01 : float;  (** per-bit data transition probability 0 -> 1 *)
   p10 : float;  (** per-bit data transition probability 1 -> 0 *)
   solver : solver;
-  smoother : Markov.Multigrid.smoother;
+  smoother : [ `Lex ];  (** stays only because the perfbench replay reads it *)
   backend : Cdr_op.kind;
       (** operator representation the solve runs on: [`Csr] (default) or the
           matrix-free [`Kron]. Request kinds the matrix-free backend cannot
@@ -47,7 +47,7 @@ type t = {
 
 val default : t
 (** The paper's running example plus the historical CLI defaults
-    (multigrid, lex smoother, the SONET-flavoured drift of the examples);
+    (multigrid, the SONET-flavoured drift of the examples);
     [p01 = p10 = 0.5], no environment. *)
 
 val to_config : t -> (Cdr.Config.t, string) result
@@ -83,13 +83,13 @@ val structure_key : t -> string
 (** Batching key: equal for two parameter sets exactly when their chains
     share state space and solver machinery — the state-space fields ([grid],
     [phases], [counter], [drift_max], [max_run], the environment spec) plus
-    [solver], [smoother] (a multigrid setup is keyed on the smoother too)
-    and [backend]. The noise fields ([sigma_w], [drift_mean], [p01], [p10])
+    [solver] and [backend], with the constant [lex] between them that the
+    wire format has always carried there. The noise fields ([sigma_w], [drift_mean], [p01], [p10])
     are deliberately excluded: those are the deltas {!Cdr.Model.rebuild}
     turns into in-place refills. *)
 
 val model_key : t -> string
-(** {!structure_key} without the solver/smoother suffix: equal exactly when
+(** {!structure_key} without the solver/backend suffix: equal exactly when
     {!Cdr.Model.rebuild} can reuse the state enumeration and sparsity
     pattern, whatever solver runs on top. Parameter sets with an
     environment carry its {!Cdr_env.Env.key} suffix and never collide with

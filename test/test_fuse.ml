@@ -40,23 +40,18 @@ let with_forced_members n f =
 
 (* ---------- pooled V-cycles vs the serial reference ---------- *)
 
-let solve_mg ~smoother pool =
+let solve_mg pool =
   let chain = chain () in
-  let s = Markov.Multigrid.setup ~smoother ~hierarchy:(hierarchy ()) chain in
+  let s = Markov.Multigrid.setup ~hierarchy:(hierarchy ()) chain in
   let sol, _ = Markov.Multigrid.solve_with ~tol:1e-10 ?pool s chain in
   sol.Markov.Solution.pi
 
 let pooled jobs solve = Cdr_par.Pool.with_pool ~jobs (fun pool -> solve (Some pool))
 
 let test_pooled_bitwise_lex () =
-  let reference = solve_mg ~smoother:`Lex None in
-  check_bool "lex: jobs=4 = serial" true (bits_equal reference (pooled 4 (solve_mg ~smoother:`Lex)))
-
-let test_pooled_bitwise_colored () =
-  let reference = solve_mg ~smoother:`Colored None in
-  let solve = solve_mg ~smoother:`Colored in
-  check_bool "colored: jobs=1 = serial" true (bits_equal reference (pooled 1 solve));
-  check_bool "colored: jobs=4 = serial" true (bits_equal reference (pooled 4 solve))
+  let reference = solve_mg None in
+  check_bool "lex: jobs=1 = serial" true (bits_equal reference (pooled 1 solve_mg));
+  check_bool "lex: jobs=4 = serial" true (bits_equal reference (pooled 4 solve_mg))
 
 let test_w_cycle () =
   let chain = chain () in
@@ -73,9 +68,9 @@ let test_w_cycle () =
    across domains (forced members, irrespective of the host's core count)
    moves no bits either *)
 let test_pooled_bitwise_forced_region () =
-  let reference = solve_mg ~smoother:`Colored None in
-  let forced = with_forced_members 2 (fun () -> pooled 4 (solve_mg ~smoother:`Colored)) in
-  check_bool "colored: cross-domain region = serial" true (bits_equal reference forced)
+  let reference = solve_mg None in
+  let forced = with_forced_members 2 (fun () -> pooled 4 solve_mg) in
+  check_bool "lex: cross-domain region = serial" true (bits_equal reference forced)
 
 (* ---------- the region protocol on raw batches ---------- *)
 
@@ -170,7 +165,7 @@ let kron_cfg =
     }
 
 (* the fixed configurations of fixtures/golden_pi.jsonl: the default grid
-   (7 levels), the colored smoother, plain Gauss-Seidel, W-cycles, and the
+   (7 levels), plain Gauss-Seidel, W-cycles, and the
    matrix-free IAD path, which runs one coarse Multigrid.cycle per outer
    cycle (test_kron_matches_csr checks that row against the CSR answer);
    each returns the stationary vector and, through Report, the BER *)
@@ -181,7 +176,6 @@ let golden_runs =
   in
   [
     ("csr-default", fun () -> report Cdr.Context.default Cdr.Config.default);
-    ("csr-grid64-colored", fun () -> report (Cdr.Context.make ~smoother:`Colored ()) cfg);
     ("csr-grid64-gauss-seidel", fun () -> report ~solver:`Gauss_seidel Cdr.Context.default cfg);
     ( "csr-grid64-w",
       fun () ->
@@ -349,7 +343,6 @@ let () =
       ( "fused V-cycles",
         [
           Alcotest.test_case "lex jobs=4 = serial" `Quick test_pooled_bitwise_lex;
-          Alcotest.test_case "colored jobs=1,4 = serial" `Quick test_pooled_bitwise_colored;
           Alcotest.test_case "W stationary, jobs=4 = serial" `Quick test_w_cycle;
           Alcotest.test_case "forced cross-domain region moves no bits" `Quick
             test_pooled_bitwise_forced_region;

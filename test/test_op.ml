@@ -150,6 +150,29 @@ let test_sum_validation () =
      with Invalid_argument _ -> true);
   check_int "terms concatenate" 2 (Sparse.Kron_op.n_terms (Sparse.Kron_op.sum [ a; a ]))
 
+(* The served kron solves run through Cdr_op.Kron_backend: power iteration
+   on an independent product of two symmetric two-state chains converges to
+   the (uniform) product of their stationary vectors, and a sub-stochastic
+   term is refused by the row-sum check before any solve. *)
+let two_state p =
+  Sparse.Csr.of_dense
+    (Linalg.Mat.of_arrays [| [| 1.0 -. p; p |]; [| p; 1.0 -. p |] |])
+
+let test_kron_backend_stationary () =
+  let op = Cdr_op.Kron_backend.create (Sparse.Kron_op.term [ two_state 0.3; two_state 0.2 ]) in
+  let sol = Markov.Power.solve_op ~tol:1e-13 op in
+  check_bool "converged" true sol.Markov.Solution.converged;
+  Array.iter
+    (fun v -> check_bool "uniform" true (Float.abs (v -. 0.25) < 1e-10))
+    sol.Markov.Solution.pi
+
+let test_kron_backend_rejects_substochastic () =
+  let half = Sparse.Csr.map (fun v -> 0.9 *. v) (Sparse.Csr.identity 2) in
+  let op = Cdr_op.Kron_backend.create (Sparse.Kron_op.term [ two_state 0.3; half ]) in
+  match Cdr_op.check_stochastic op with
+  | Ok () -> Alcotest.fail "sub-stochastic Kronecker term accepted"
+  | Error msg -> check_bool "error names a row" true (String.length msg > 0)
+
 (* dims 24^3 = 13824: big enough that every middle contraction crosses the
    pooling threshold, covering both the l-block and the r-chunk dispatch *)
 let big_random_op () =
@@ -362,6 +385,8 @@ let () =
       ( "kron-op",
         Alcotest.test_case "sum validation" `Quick test_sum_validation
         :: Alcotest.test_case "pooled apply bitwise" `Quick test_pooled_apply_bitwise
+        :: Alcotest.test_case "stationary" `Quick test_kron_backend_stationary
+        :: Alcotest.test_case "rejects non-stochastic" `Quick test_kron_backend_rejects_substochastic
         :: List.map QCheck_alcotest.to_alcotest
              [
                prop_apply_matches_materialized; prop_row_sums;

@@ -152,24 +152,6 @@ let test_kron_op_sum () =
   let via_matrix = Sparse.Csr.vec_mul x (Sparse.Kron_op.to_csr op) in
   check_float ~eps:1e-12 "matches matrix" 0.0 (Linalg.Vec.dist_l1 y via_matrix)
 
-let test_kron_op_stationary () =
-  (* independent product chain: stationary distribution is the product of
-     component stationary distributions *)
-  let a = stochastic2 0.3 and b = stochastic2 0.2 in
-  let op = Sparse.Kron_op.term [ a; b ] in
-  match Sparse.Kron_op.stationary ~tol:1e-13 op with
-  | Error msg -> Alcotest.fail msg
-  | Ok (pi, _, residual) ->
-      Alcotest.(check bool) "converged" true (residual <= 1e-13);
-      (* both components are symmetric, so the product is uniform *)
-      Array.iter (fun v -> check_float ~eps:1e-10 "uniform" 0.25 v) pi
-
-let test_kron_op_rejects_non_stochastic () =
-  let bad = Sparse.Csr.of_dense (dense_of_list 2 2 [ (0, 0, 0.9); (1, 1, 0.9) ]) in
-  match Sparse.Kron_op.stationary (Sparse.Kron_op.term [ bad ]) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected rejection of a sub-stochastic operator"
-
 let test_kron_op_validation () =
   Alcotest.(check bool) "empty" true
     (try ignore (Sparse.Kron_op.term []); false with Invalid_argument _ -> true);
@@ -294,8 +276,6 @@ let () =
         [
           Alcotest.test_case "matches materialized" `Quick test_kron_op_matches_materialized;
           Alcotest.test_case "sum of terms" `Quick test_kron_op_sum;
-          Alcotest.test_case "stationary" `Quick test_kron_op_stationary;
-          Alcotest.test_case "rejects non-stochastic" `Quick test_kron_op_rejects_non_stochastic;
           Alcotest.test_case "validation" `Quick test_kron_op_validation;
         ] );
       ("spy", [ Alcotest.test_case "render shape" `Quick test_spy_shapes ]);

@@ -38,16 +38,28 @@ let test_params_keys () =
   let r = { p with Cdr_svc.Params.counter = 4 } in
   check_bool "counter change splits the structure key" true
     (Cdr_svc.Params.structure_key p <> Cdr_svc.Params.structure_key r);
-  let s = { p with Cdr_svc.Params.smoother = `Colored } in
-  check_bool "smoother is part of the structure key" true
-    (Cdr_svc.Params.structure_key p <> Cdr_svc.Params.structure_key s);
-  check_string "smoother does not split the model key" (Cdr_svc.Params.model_key p)
-    (Cdr_svc.Params.model_key s);
   let k = { p with Cdr_svc.Params.backend = `Kron } in
   check_bool "backend is part of the structure key" true
     (Cdr_svc.Params.structure_key p <> Cdr_svc.Params.structure_key k);
   check_string "backend does not split the model key" (Cdr_svc.Params.model_key p)
-    (Cdr_svc.Params.model_key k)
+    (Cdr_svc.Params.model_key k);
+  (* the router's rendezvous hashes the structure key and the result cache
+     (persisted snapshots included) stores by the cache key: neither string
+     may move *)
+  check_string "structure key" "g32.ph16.k2.dr2.run8.multigrid.lex.csr"
+    (Cdr_svc.Params.structure_key p);
+  check_string "model key" "g32.ph16.k2.dr2.run8" (Cdr_svc.Params.model_key p);
+  check_string "result cache key"
+    "analyze|{\"version\":2,\"grid\":32,\"max_run\":8,\"noise\":{\"sigma_w\":0.059999999999999998,\"drift_mean\":0.10000000000000001,\"drift_max\":2},\"loop\":{\"phases\":16,\"counter\":2},\"p01\":0.5,\"p10\":0.5,\"solver\":\"multigrid\",\"smoother\":\"lex\",\"backend\":\"csr\"}"
+    (Option.get
+       (Cdr_svc.Protocol.cache_key
+          {
+            Cdr_svc.Protocol.id = "k";
+            kind = Cdr_svc.Protocol.Analyze;
+            params = p;
+            deadline_ms = None;
+            hold_ms = None;
+          }))
 
 let test_params_backend_codec () =
   let p = { tiny_params with Cdr_svc.Params.backend = `Kron } in
@@ -593,6 +605,54 @@ let test_engine_cache_gauges () =
   check_bool "bytes gauge is the engine cache's" true
     (gauge "solver_cache.bytes" [] = Some (Cdr.Solver_cache.bytes cache))
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* "lex" is the only smoother: both schema versions refuse any other value
+   with a message that names it, and on the served path the refusal is a
+   structured bad_request while the same request with "lex" is answered *)
+let test_params_smoother () =
+  let colored = ("smoother", Cdr_obs.Jsonl.Str "colored") in
+  List.iter
+    (fun (schema, fields) ->
+      match Cdr_svc.Params.of_json (Cdr_obs.Jsonl.Obj fields) with
+      | Ok _ -> Alcotest.failf "%s: colored smoother accepted" schema
+      | Error msg -> check_bool (schema ^ ": message names lex") true (contains ~sub:"\"lex\"" msg))
+    [ ("v1", [ ("grid", Cdr_obs.Jsonl.Num 32.); colored ]);
+      ("v2", [ ("version", Cdr_obs.Jsonl.Num 2.); colored ]) ];
+  let svc =
+    Cdr_svc.Server.local_service
+      {
+        Cdr_svc.Server.queue_bound = 4;
+        jobs = None;
+        default_deadline_ms = None;
+        replica = None;
+        results = None;
+      }
+  in
+  let write, replies = reply_capture () in
+  let line id smoother =
+    Printf.sprintf "{\"id\":%S,\"kind\":\"analyze\",\"params\":%s}" id
+      (tiny_json [ ("smoother", Cdr_obs.Jsonl.Str smoother) ])
+  in
+  svc.Cdr_svc.Server.submit_line ~write (line "colored" "colored");
+  svc.Cdr_svc.Server.submit_line ~write (line "lex" "lex");
+  svc.Cdr_svc.Server.shutdown ();
+  svc.Cdr_svc.Server.run ();
+  match replies () with
+  | [ refused; served ] ->
+      check_string "refusal keeps the id" "colored"
+        (match field "id" refused with Cdr_obs.Jsonl.Str s -> s | _ -> "");
+      check_string "bad_request code" "bad_request" (error_code refused);
+      check_bool "refusal names lex" true
+        (match Cdr_obs.Jsonl.member "message" (field "error" refused) with
+        | Some (Cdr_obs.Jsonl.Str m) -> contains ~sub:"\"lex\"" m
+        | _ -> false);
+      check_bool "lex request served" true (is_ok served)
+  | rs -> Alcotest.failf "expected 2 replies, got %d" (List.length rs)
+
 let () =
   Alcotest.run "svc"
     [
@@ -602,6 +662,7 @@ let () =
           Alcotest.test_case "unknown field rejected" `Quick test_params_unknown_field;
           Alcotest.test_case "backend codec" `Quick test_params_backend_codec;
           Alcotest.test_case "structure and model keys" `Quick test_params_keys;
+          Alcotest.test_case "lex is the only smoother" `Quick test_params_smoother;
         ] );
       ( "protocol",
         [

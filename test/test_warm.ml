@@ -234,9 +234,9 @@ let test_warm_under_pool () =
 (* a chain large enough for a three-level hierarchy above the GTH level *)
 let mg_model = lazy (Cdr.Model.build { small with Cdr.Config.grid_points = 64 })
 
-let mg_setup smoother =
+let mg_setup () =
   let m = Lazy.force mg_model in
-  (m, Markov.Multigrid.setup ~smoother ~hierarchy:(Cdr.Model.hierarchy m) m.Cdr.Model.chain)
+  (m, Markov.Multigrid.setup ~hierarchy:(Cdr.Model.hierarchy m) m.Cdr.Model.chain)
 
 (* Every Bigarray reachable from [v], each counted once: the off-heap bytes
    that Obj.reachable_words does not see. *)
@@ -258,17 +258,14 @@ let bigarray_payload v =
   !bytes
 
 let test_setup_bytes_accounting () =
-  List.iter
-    (fun smoother ->
-      let _, s = mg_setup smoother in
-      check_bool "a multi-level setup" true (Markov.Multigrid.levels s >= 3);
-      let measured = (8 * Obj.reachable_words (Obj.repr s)) + bigarray_payload s in
-      let accounted = Markov.Multigrid.setup_bytes s in
-      (* the only slack: empty arrays share one static atom, which the
-         accounting charges per array *)
-      if abs (measured - accounted) > 64 then
-        Alcotest.failf "setup_bytes %d, measured %d" accounted measured)
-    [ `Lex; `Colored ]
+  let _, s = mg_setup () in
+  check_bool "a multi-level setup" true (Markov.Multigrid.levels s >= 3);
+  let measured = (8 * Obj.reachable_words (Obj.repr s)) + bigarray_payload s in
+  let accounted = Markov.Multigrid.setup_bytes s in
+  (* the only slack: empty arrays share one static atom, which the
+     accounting charges per array *)
+  if abs (measured - accounted) > 64 then
+    Alcotest.failf "setup_bytes %d, measured %d" accounted measured
 
 (* The major-heap words allocated so far, promotions included. The runtime
    updates the count only at minor collections, so one is forced first: a
@@ -279,7 +276,7 @@ let flushed_major_words () =
   (Gc.quick_stat ()).Gc.major_words
 
 let test_solve_allocation () =
-  let m, s = mg_setup `Lex in
+  let m, s = mg_setup () in
   let chain = m.Cdr.Model.chain in
   let major_words cycles =
     let before = flushed_major_words () in
@@ -300,7 +297,7 @@ let test_solve_allocation () =
    scratch, and moves the same bits as a one-cycle [solve_with] (whose
    solution is renormalized in l1). *)
 let test_cycle_counts_in_scratch () =
-  let m, s = mg_setup `Lex in
+  let m, s = mg_setup () in
   let chain = m.Cdr.Model.chain in
   let scratch = Markov.Multigrid.scratch s in
   let x = Markov.Chain.uniform chain in
