@@ -100,7 +100,8 @@ bench-smoke: bench-counters
 
 # CI kron smoke: the matrix-free backend solving a 208,896-state chain that
 # was never materialized, asserted structurally from the JSON (state count,
-# finite residual, non-negative stationary mass — never wall times), then an
+# finite residual at most a tenth of the uniform start's, non-negative
+# stationary mass, the same bits under a jobs=2 pool — never wall times), then an
 # end-to-end agreement check: cdr_analyze with --backend kron must print the
 # same BER headline as --backend csr on the same config.
 kron-smoke: build

@@ -473,12 +473,9 @@ let cycle ?(pre_smooth = 2) ?(post_smooth = 2) ?pool scratch s chain x =
   let x0 = s.levels.(0).x in
   Array.blit x 0 x0 0 n;
   Linalg.Vec.normalize_l1 x0;
-  let run () =
-    run_cycle ~gamma:1 ~pre_smooth ~post_smooth ?pool
-      ~note_sweeps:(fun _ _ -> ())
-      scratch s (Chain.tpm chain).Sparse.Csr.values
-  in
-  Cdr_par.Pool.run_phases pool run;
+  run_cycle ~gamma:1 ~pre_smooth ~post_smooth ?pool
+    ~note_sweeps:(fun _ _ -> ())
+    scratch s (Chain.tpm chain).Sparse.Csr.values;
   Array.blit x0 0 x 0 n
 
 (* ---- solve ------------------------------------------------------------- *)
@@ -515,24 +512,18 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
      hook never interrupts a half-updated workspace mid-cycle (the next
      [solve_with] against this setup overwrites every workspace anyway) *)
   let cancelled () = match cancel with Some f -> f () | None -> false in
-  let run_cycles () =
-    while !continue_ && !cycles < max_cycles do
-      if cancelled () then raise Cancelled;
-      run_cycle ~gamma ~pre_smooth ~post_smooth ?pool ~note_sweeps scratch s fine_values;
-      incr cycles;
-      let residual =
-        Cdr_par.Pool.with_phase "residual" (fun () -> Chain.residual ?pool ~scratch:next chain x0)
-      in
-      (match trace with
-      | Some t -> Cdr_obs.Trace.record t ~iter:!cycles ~residual
-      | None -> ());
-      if residual <= tol then continue_ := false
-    done
-  in
-  (* the whole cycle loop runs inside one phase region: the pool's team is
-     assembled once per solve, and every batch a leg issues (per stage, per
-     level) is an epoch dispatch instead of a mutex fan-out *)
-  Cdr_par.Pool.run_phases pool run_cycles;
+  while !continue_ && !cycles < max_cycles do
+    if cancelled () then raise Cancelled;
+    run_cycle ~gamma ~pre_smooth ~post_smooth ?pool ~note_sweeps scratch s fine_values;
+    incr cycles;
+    let residual =
+      Cdr_par.Pool.with_phase "residual" (fun () -> Chain.residual ?pool ~scratch:next chain x0)
+    in
+    (match trace with
+    | Some t -> Cdr_obs.Trace.record t ~iter:!cycles ~residual
+    | None -> ());
+    if residual <= tol then continue_ := false
+  done;
   let solution = Solution.make ~chain ~pi:(Array.copy x0) ~iterations:!cycles ~tol in
   ( solution,
     {

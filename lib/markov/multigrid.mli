@@ -109,11 +109,8 @@ val solve_with :
     roughly [levels/2]x the per-cycle cost — the right trade on the very
     large ladder chains (see the MG-LADDER bench section).
 
-    The whole cycle loop runs inside one {!Cdr_par.Pool.run_phases}
-    region (the pool's team is enlisted once per solve instead of one
-    fan-out per pooled stage). Aggregation computes block weights and
-    coarse rows in a single pooled batch, and iterate restriction is a
-    copy of those block weights.
+    Aggregation computes block weights and coarse rows in a single pooled
+    batch, and iterate restriction is a copy of those block weights.
 
     Each solve allocates its scratch once: the dense coarsest matrix that
     GTH eliminates in place ({!Gth.solve_in_place}), the exit masses, and

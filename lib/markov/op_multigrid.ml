@@ -303,32 +303,27 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
         Linalg.Vec.dist_l1 !y !x)
   in
   let continue_ = ref (n > 0) in
-  let run_cycles () =
-    (* the solve's one row pass: a setup transplanted to an operator with a
-       wider nonzero structure gets its pattern assembled here *)
-    if !continue_ && max_cycles > 0 then begin
-      phase "rows" (fun () -> fill_table s op);
-      incr row_passes
-    end;
-    while !continue_ && !cycles < max_cycles do
-      (match cancel with
-      | Some f when f () -> raise Multigrid.Cancelled
-      | _ -> ());
-      smooth ~applied:(!cycles > 0) pre_smooth;
-      coarse_cycle ();
-      phase "prolong" prolong;
-      smooth post_smooth;
-      incr cycles;
-      let r = residual_now () in
-      (match trace with
-      | Some t -> Cdr_obs.Trace.record t ~iter:!cycles ~residual:r
-      | None -> ());
-      if r <= tol then continue_ := false
-    done
-  in
-  (* one phase region for the whole outer loop: fine applies, aggregation
-     refills and the coarse V-cycles all dispatch into one team *)
-  Cdr_par.Pool.run_phases pool run_cycles;
+  (* the solve's one row pass: a setup transplanted to an operator with a
+     wider nonzero structure gets its pattern assembled here *)
+  if !continue_ && max_cycles > 0 then begin
+    phase "rows" (fun () -> fill_table s op);
+    incr row_passes
+  end;
+  while !continue_ && !cycles < max_cycles do
+    (match cancel with
+    | Some f when f () -> raise Multigrid.Cancelled
+    | _ -> ());
+    smooth ~applied:(!cycles > 0) pre_smooth;
+    coarse_cycle ();
+    phase "prolong" prolong;
+    smooth post_smooth;
+    incr cycles;
+    let r = residual_now () in
+    (match trace with
+    | Some t -> Cdr_obs.Trace.record t ~iter:!cycles ~residual:r
+    | None -> ());
+    if r <= tol then continue_ := false
+  done;
   (* the solution owns its iterate; the setup's workspaces stay reusable,
      and the certificate's x * M lands in the spare iterate buffer *)
   let residual pi =

@@ -81,10 +81,7 @@ val solve_with :
     buffer, scratch or coarse-setup allocation beyond the lazily-built
     first-solve structures; per solve, one serial row pass into the entry
     table and the returned solution's iterate. Numerically identical to
-    {!solve} with the same arguments.
-    The whole outer loop runs inside one {!Cdr_par.Pool.run_phases}
-    region: fine applies, aggregation refills and the coarse V-cycles all
-    dispatch into one persistent team. *)
+    {!solve} with the same arguments. *)
 
 val solve :
   ?tol:float ->

@@ -7,30 +7,6 @@
    into slot-indexed storage and combines slots in a fixed order, so the
    values computed are independent of the schedule. *)
 
-(* A phase region ([run_phases]) enlists worker domains once and then
-   dispatches every batch the region body issues over lock-free tickets: the
-   owner publishes the job, bumps an epoch, and workers claim slots by CAS on
-   a combined [epoch | next-slot] word. The slot grid and the slot-indexed
-   result layout are exactly those of the queue path, so the determinism
-   contract is untouched — only the per-batch mutex/condvar round trips go
-   away. *)
-type region = {
-  r_owner : Domain.id; (* only this domain may dispatch into the region *)
-  r_members : int; (* helper domains enlisted (the owner is extra) *)
-  r_epoch : int Atomic.t; (* batch sequence number, bumped per dispatch *)
-  r_stop : bool Atomic.t;
-  mutable r_job : int -> unit; (* published before the epoch bump *)
-  mutable r_slots : int; (* ditto *)
-  r_next : int Atomic.t; (* ticket word: (epoch lsl slot_bits) lor next *)
-  r_done : int Atomic.t; (* slots completed in the current batch *)
-  r_failure : exn option Atomic.t;
-  r_sleepers : int Atomic.t; (* helpers blocked on [r_wake] *)
-  r_waiting : bool Atomic.t; (* owner blocked waiting for the batch end *)
-  r_exited : int Atomic.t; (* helpers that left the region loop *)
-  r_mutex : Mutex.t;
-  r_wake : Condition.t;
-}
-
 type t = {
   jobs : int;
   mutex : Mutex.t;
@@ -41,7 +17,6 @@ type t = {
   mutable spawned : bool; (* guarded by [mutex] *)
   mutable stopped : bool; (* guarded by [mutex] *)
   busy : bool Atomic.t; (* a batch is in flight; nested batches run serially *)
-  region : region option Atomic.t; (* active [run_phases] region, if any *)
 }
 
 let max_jobs = 64 (* OCaml caps live domains at 128; stay well under *)
@@ -111,7 +86,6 @@ let create ?jobs () =
     spawned = false;
     stopped = false;
     busy = Atomic.make false;
-    region = Atomic.make None;
   }
 
 let jobs t = t.jobs
@@ -155,160 +129,8 @@ let run_serial slots f =
     f s
   done
 
-(* ---- phase regions ---------------------------------------------------
-   Dispatch over the queue costs two mutex sections and two condvar
-   round trips per batch; a V-cycle issues several batches per level
-   (scatter, aggregation, prolongation) and one per residual, so at small
-   grids that fixed cost dominates the kernels it fans out. Inside a region the same batches
-   ride an epoch/ticket protocol that costs one atomic store and a handful
-   of CAS claims, with helpers spinning briefly before blocking. *)
-
-let spin_budget = 4096 (* [Domain.cpu_relax] iterations before blocking *)
-
-let slot_bits = 20 (* ticket word layout; batches this large skip the region *)
-
-let slot_mask = (1 lsl slot_bits) - 1
-
-(* Claim and run slots of epoch [e]. The ticket word carries the epoch so a
-   helper that slept through a batch boundary can never claim (or even
-   observe a consistent slot index for) a batch it did not enter: the CAS
-   fails the moment the embedded epoch moves on. *)
-let region_claim r e =
-  let job = r.r_job and slots = r.r_slots in
-  let base = e lsl slot_bits in
-  let continue_ = ref true in
-  while !continue_ do
-    let cur = Atomic.get r.r_next in
-    let s = cur land slot_mask in
-    if cur lsr slot_bits <> e || s >= slots then continue_ := false
-    else if Atomic.compare_and_set r.r_next cur (base lor (s + 1)) then begin
-      (try job s with exn -> ignore (Atomic.compare_and_set r.r_failure None (Some exn)));
-      if Atomic.fetch_and_add r.r_done 1 = slots - 1 && Atomic.get r.r_waiting then begin
-        Mutex.lock r.r_mutex;
-        Condition.broadcast r.r_wake;
-        Mutex.unlock r.r_mutex
-      end
-    end
-  done
-
-(* Helper loop: spin for a new epoch, block when the region goes quiet,
-   leave on [r_stop]. Runs on a pool worker domain, entered once per region
-   through the ordinary task queue. *)
-let region_worker r () =
-  let seen = ref (Atomic.get r.r_epoch) in
-  let spins = ref 0 in
-  let running = ref true in
-  while !running do
-    if Atomic.get r.r_stop then running := false
-    else begin
-      let e = Atomic.get r.r_epoch in
-      if e <> !seen then begin
-        seen := e;
-        spins := 0;
-        region_claim r e
-      end
-      else if !spins < spin_budget then begin
-        incr spins;
-        Domain.cpu_relax ()
-      end
-      else begin
-        Mutex.lock r.r_mutex;
-        Atomic.incr r.r_sleepers;
-        while (not (Atomic.get r.r_stop)) && Atomic.get r.r_epoch = !seen do
-          Condition.wait r.r_wake r.r_mutex
-        done;
-        Atomic.decr r.r_sleepers;
-        Mutex.unlock r.r_mutex;
-        spins := 0
-      end
-    end
-  done;
-  ignore (Atomic.fetch_and_add r.r_exited 1);
-  Mutex.lock r.r_mutex;
-  Condition.broadcast r.r_wake;
-  Mutex.unlock r.r_mutex
-
-(* One batch inside a region, owner side: publish the job, bump the epoch,
-   help claim, then spin-then-block for stragglers. Mirrors [run_slots]'s
-   profiler accounting with the region's team size. *)
-let region_dispatch r ~slots f =
-  let prof = Atomic.get profiling in
-  let labels = if prof then current_phase () else [] in
-  let busy_s = if prof then Array.make slots 0.0 else [||] in
-  let wall0 = if prof then Cdr_obs.Clock.monotonic () else 0.0 in
-  let job =
-    if not prof then f
-    else fun s ->
-      let b0 = Cdr_obs.Clock.monotonic () in
-      Fun.protect
-        ~finally:(fun () -> busy_s.(s) <- Cdr_obs.Clock.monotonic () -. b0)
-        (fun () -> f s)
-  in
-  Atomic.set r.r_failure None;
-  r.r_job <- job;
-  r.r_slots <- slots;
-  Atomic.set r.r_done 0;
-  let e = Atomic.get r.r_epoch + 1 in
-  (* ticket base first: a helper that observes the new epoch must find a
-     ticket word already carrying it *)
-  Atomic.set r.r_next (e lsl slot_bits);
-  Atomic.set r.r_epoch e;
-  if Atomic.get r.r_sleepers > 0 then begin
-    Mutex.lock r.r_mutex;
-    Condition.broadcast r.r_wake;
-    Mutex.unlock r.r_mutex
-  end;
-  region_claim r e;
-  let bar0 = if prof then Cdr_obs.Clock.monotonic () else 0.0 in
-  if Atomic.get r.r_done < slots then begin
-    let spins = ref 0 in
-    while Atomic.get r.r_done < slots && !spins < spin_budget do
-      incr spins;
-      Domain.cpu_relax ()
-    done;
-    if Atomic.get r.r_done < slots then begin
-      Mutex.lock r.r_mutex;
-      Atomic.set r.r_waiting true;
-      while Atomic.get r.r_done < slots do
-        Condition.wait r.r_wake r.r_mutex
-      done;
-      Atomic.set r.r_waiting false;
-      Mutex.unlock r.r_mutex
-    end
-  end;
-  if prof then begin
-    let now = Cdr_obs.Clock.monotonic () in
-    let wall = now -. wall0 in
-    let busy = Array.fold_left ( +. ) 0.0 busy_s in
-    let team = float_of_int (r.r_members + 1) in
-    let idle = Float.max 0.0 ((team *. wall) -. busy) in
-    Cdr_obs.Metrics.incr ~labels "pool.dispatches";
-    Cdr_obs.Metrics.add ~labels "pool.tasks" slots;
-    Cdr_obs.Metrics.observe ~labels ~base:2.0 "pool.busy_seconds" busy;
-    Cdr_obs.Metrics.observe ~labels ~base:2.0 "pool.idle_seconds" idle;
-    Cdr_obs.Metrics.observe ~labels ~base:2.0 "pool.barrier_seconds" (now -. bar0)
-  end;
-  match Atomic.get r.r_failure with Some exn -> raise exn | None -> ()
-
-(* Helpers beyond the machine's core count cannot overlap with the owner;
-   they only add context switches (acute on a single-core host, where any
-   cross-domain protocol is pure overhead). [CDR_REGION_MEMBERS] overrides
-   the cap so tests can force the cross-domain protocol regardless. *)
-let region_members t =
-  let cap = min (t.jobs - 1) (max 0 (Domain.recommended_domain_count () - 1)) in
-  match Sys.getenv_opt "CDR_REGION_MEMBERS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> min n (t.jobs - 1)
-      | Some _ | None -> cap)
-  | None -> cap
-
 let run_slots t ~slots f =
   if slots > 0 then
-    match Atomic.get t.region with
-    | Some r when slots > 1 && slots < slot_mask && Domain.self () = r.r_owner ->
-        region_dispatch r ~slots f
-    | Some _ | None ->
     if t.jobs = 1 || slots = 1 || t.stopped || not (Atomic.compare_and_set t.busy false true)
     then
       if not (Atomic.get profiling) then run_serial slots f
@@ -394,72 +216,6 @@ let run_slots_opt pool ~slots f =
   | Some t when slots > 1 -> run_slots t ~slots f
   | Some _ | None -> run_serial slots f
 
-(* Enter a phase region: while [body] runs on this domain, every batch it
-   issues through this pool rides the epoch/ticket protocol above instead of
-   the queue. Helpers are enlisted once (through the ordinary queue, so they
-   are just pool workers for the duration) and released when [body] returns.
-   With no spare cores the region degenerates to holding [busy], which sends
-   every nested batch down the zero-dispatch serial fast path — the same
-   slot schedule either way, so results are bitwise unchanged. *)
-let run_phases pool body =
-  match pool with
-  | None -> body ()
-  | Some t ->
-      if t.jobs = 1 || t.stopped || not (Atomic.compare_and_set t.busy false true) then body ()
-      else begin
-        let members = region_members t in
-        if members = 0 then Fun.protect ~finally:(fun () -> Atomic.set t.busy false) body
-        else begin
-          ensure_workers t;
-          let r =
-            {
-              r_owner = Domain.self ();
-              r_members = members;
-              r_epoch = Atomic.make 0;
-              r_stop = Atomic.make false;
-              r_job = ignore;
-              r_slots = 0;
-              r_next = Atomic.make 0;
-              r_done = Atomic.make 0;
-              r_failure = Atomic.make None;
-              r_sleepers = Atomic.make 0;
-              r_waiting = Atomic.make false;
-              r_exited = Atomic.make 0;
-              r_mutex = Mutex.create ();
-              r_wake = Condition.create ();
-            }
-          in
-          Atomic.set t.region (Some r);
-          Mutex.lock t.mutex;
-          for _ = 1 to members do
-            Queue.push (region_worker r) t.pending
-          done;
-          Condition.broadcast t.work;
-          Mutex.unlock t.mutex;
-          Fun.protect
-            ~finally:(fun () ->
-              Atomic.set t.region None;
-              Atomic.set r.r_stop true;
-              Mutex.lock r.r_mutex;
-              Condition.broadcast r.r_wake;
-              Mutex.unlock r.r_mutex;
-              (* helpers must leave the region loop before the pool's queue
-                 (and [busy]) are handed back *)
-              let spins = ref 0 in
-              while Atomic.get r.r_exited < members && !spins < spin_budget do
-                incr spins;
-                Domain.cpu_relax ()
-              done;
-              Mutex.lock r.r_mutex;
-              while Atomic.get r.r_exited < members do
-                Condition.wait r.r_wake r.r_mutex
-              done;
-              Mutex.unlock r.r_mutex;
-              Atomic.set t.busy false)
-            body
-        end
-      end
-
 (* Fixed-shape pairwise reduction over slot indices: merge [src] into [dst]
    for the pair grid (1,0), (3,2), ... then (2,0), (6,4), ... doubling the
    stride each round. The merge tree's shape depends only on [slots], and
@@ -513,14 +269,3 @@ let parallel_map t f a =
   end
 
 let map_list t f l = Array.to_list (parallel_map t f (Array.of_list l))
-
-let parallel_reduce t ~map ~combine ~init n =
-  if n <= 0 then init
-  else begin
-    let results = Array.make n None in
-    parallel_for t n (fun i -> results.(i) <- Some (map i));
-    (* combine strictly in index order: deterministic for any job count *)
-    Array.fold_left
-      (fun acc r -> match r with Some v -> combine acc v | None -> acc)
-      init results
-  end

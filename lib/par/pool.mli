@@ -19,7 +19,10 @@
     - {b No re-entrancy surprises.} A pool executes one batch at a time. A
       batch submitted while another is in flight (e.g. a parallel sweep point
       that itself calls a parallel kernel with the same pool) runs serially
-      on the calling domain instead of deadlocking. *)
+      on the calling domain instead of deadlocking.
+    - {b One dispatch path.} Every pooled batch goes through one
+      mutex-and-condvar work queue: {!run_slots} enqueues a task per slot,
+      the caller helps drain it, then waits for the stragglers. *)
 
 type t
 
@@ -54,27 +57,6 @@ val run_slots_opt : t option -> slots:int -> (int -> unit) -> unit
     serial path executes the {e same} slot schedule as the pooled one —
     one code path, bit-identical results with or without a pool. *)
 
-val run_phases : t option -> (unit -> 'a) -> 'a
-(** [run_phases pool body] enters a {e phase region} for the extent of
-    [body]: worker domains are enlisted once, and every {!run_slots} /
-    {!run_slots_opt} batch [body] issues from the calling domain is
-    dispatched over a lock-free epoch/ticket protocol (one atomic store to
-    publish, CAS claims per slot, spin-then-block waiting) instead of the
-    mutex-and-condvar queue. A V-cycle that issues several batches per
-    level pays the team start-up once per solve instead of one fan-out per
-    batch.
-
-    The slot grids and the slot-indexed result layout are exactly those of
-    the queue path, so results are bit-identical to [run_slots] with or
-    without a region. Active helpers are capped at the machine's core count
-    ([CDR_REGION_MEMBERS] overrides, for tests); with no spare cores the
-    region instead pins the pool's nested-batch serial fast path, making
-    every batch zero-dispatch-cost on the caller. Identity when [pool] is
-    [None], [jobs = 1], or a region/batch is already active (nested regions
-    compose with the existing one batch-at-a-time contract). Exceptions
-    from a batch re-raise in the caller at that batch's barrier, and
-    [body]'s own exceptions release the region. *)
-
 val merge_tree : ?pool:t -> slots:int -> (dst:int -> src:int -> unit) -> unit
 (** Pairwise tree reduction over slot indices [0 .. slots-1]: calls
     [merge ~dst ~src] for the fixed pair grid (stride 2, then 4, 8, …),
@@ -94,13 +76,6 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** {!parallel_map} over a list, preserving order. *)
-
-val parallel_reduce : t -> map:(int -> 'a) -> combine:('a -> 'a -> 'a) -> init:'a -> int -> 'a
-(** [parallel_reduce t ~map ~combine ~init n] folds
-    [combine (... (combine init (map 0)) ...) (map (n-1))] with the [map]
-    calls evaluated in parallel but combined strictly in index order, so the
-    reduction is deterministic for any job count (even when [combine] is not
-    associative, e.g. float addition). *)
 
 (** {1 Profiling}
 

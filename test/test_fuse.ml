@@ -1,11 +1,8 @@
-(* Tests for the pooled execution of the V-cycle and the phase region
-   dispatcher: every V-cycle solve under a pool (one phase region per solve,
-   one-pass aggregation, restriction as a copy of the block weights) must be
-   bitwise identical to the serial no-pool solve at every job count; the
-   region protocol itself (forced cross-domain via CDR_REGION_MEMBERS) must
-   preserve batch results, propagate exceptions and tolerate nesting; the
-   reusable Op_multigrid/Kron_model IAD setups must change no bits; and the
-   committed golden digests pin the stationary vectors. *)
+(* Tests for the pooled execution of the V-cycle: every V-cycle solve under
+   a pool (one-pass aggregation, restriction as a copy of the block weights)
+   must be bitwise identical to the serial no-pool solve at every job count;
+   the reusable Op_multigrid/Kron_model IAD setups must change no bits; and
+   the committed golden digests pin the stationary vectors. *)
 
 let check_bool = Alcotest.(check bool)
 
@@ -26,17 +23,6 @@ let model = lazy (Cdr.Model.build cfg)
 let chain () = (Lazy.force model).Cdr.Model.chain
 
 let hierarchy () = Cdr.Model.hierarchy (Lazy.force model)
-
-(* run [f] with the region member cap forced to [n], restoring the
-   environment after: on a single-core host regions otherwise degenerate to
-   the serial fast path and the cross-domain ticket protocol goes untested *)
-let with_forced_members n f =
-  let saved = Sys.getenv_opt "CDR_REGION_MEMBERS" in
-  Unix.putenv "CDR_REGION_MEMBERS" (string_of_int n);
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "CDR_REGION_MEMBERS" (match saved with Some v -> v | None -> ""))
-    f
 
 (* ---------- pooled V-cycles vs the serial reference ---------- *)
 
@@ -63,85 +49,6 @@ let test_w_cycle () =
   let reference = solve None in
   check_bool "W-cycle solve is stationary" true (Markov.Chain.residual chain reference < 1e-10);
   check_bool "W: jobs=4 = serial" true (bits_equal reference (pooled 4 solve))
-
-(* the strong end of the contract: the ticket protocol actually running
-   across domains (forced members, irrespective of the host's core count)
-   moves no bits either *)
-let test_pooled_bitwise_forced_region () =
-  let reference = solve_mg None in
-  let forced = with_forced_members 2 (fun () -> pooled 4 solve_mg) in
-  check_bool "lex: cross-domain region = serial" true (bits_equal reference forced)
-
-(* ---------- the region protocol on raw batches ---------- *)
-
-(* a deterministic multi-batch workload: every batch writes disjoint index
-   ranges, so queue dispatch, region dispatch and serial execution must all
-   produce the identical array *)
-let batch_workload pool out =
-  let n = Array.length out in
-  Array.fill out 0 n 0.0;
-  for round = 1 to 40 do
-    Cdr_par.Pool.run_slots_opt pool ~slots:8 (fun s ->
-        let lo = n * s / 8 and hi = (n * (s + 1) / 8) - 1 in
-        for i = lo to hi do
-          out.(i) <- out.(i) +. (1.0 /. float_of_int (round + i))
-        done)
-  done
-
-let test_region_batches_bitwise () =
-  let n = 1000 in
-  let reference = Array.make n 0.0 in
-  batch_workload None reference;
-  let through_region members =
-    with_forced_members members (fun () ->
-        Cdr_par.Pool.with_pool ~jobs:4 (fun pool ->
-            let out = Array.make n 0.0 in
-            Cdr_par.Pool.run_phases (Some pool) (fun () -> batch_workload (Some pool) out);
-            out))
-  in
-  (* members=0: the region degenerates to the serial fast path *)
-  check_bool "region members=0 bitwise" true (bits_equal reference (through_region 0));
-  check_bool "region members=2 bitwise" true (bits_equal reference (through_region 2))
-
-let test_region_exception_and_reuse () =
-  with_forced_members 2 (fun () ->
-      Cdr_par.Pool.with_pool ~jobs:4 (fun pool ->
-          (* an exception from a batch slot inside the region surfaces to the
-             dispatching caller... *)
-          let raised =
-            try
-              Cdr_par.Pool.run_phases (Some pool) (fun () ->
-                  Cdr_par.Pool.run_slots pool ~slots:8 (fun s ->
-                      if s = 5 then failwith "slot boom"));
-              false
-            with Failure m -> m = "slot boom"
-          in
-          check_bool "slot exception propagates out of the region" true raised;
-          (* ...and the pool is fully reusable afterwards: both for plain
-             batches and for a fresh region *)
-          let n = 500 in
-          let reference = Array.make n 0.0 in
-          batch_workload None reference;
-          let out = Array.make n 0.0 in
-          batch_workload (Some pool) out;
-          check_bool "queue batches after a failed region" true (bits_equal reference out);
-          Cdr_par.Pool.run_phases (Some pool) (fun () -> batch_workload (Some pool) out);
-          check_bool "a fresh region after a failed one" true (bits_equal reference out)))
-
-let test_region_nesting () =
-  with_forced_members 2 (fun () ->
-      Cdr_par.Pool.with_pool ~jobs:4 (fun pool ->
-          let n = 500 in
-          let reference = Array.make n 0.0 in
-          batch_workload None reference;
-          let out = Array.make n 0.0 in
-          (* an inner run_phases on a pool already inside a region must run
-             its body directly (the region is not re-entered) and still
-             produce identical batches; run_phases on no pool is the body *)
-          Cdr_par.Pool.run_phases (Some pool) (fun () ->
-              Cdr_par.Pool.run_phases (Some pool) (fun () ->
-                  Cdr_par.Pool.run_phases None (fun () -> batch_workload (Some pool) out)));
-          check_bool "nested regions bitwise" true (bits_equal reference out)))
 
 (* ---------- golden fixture: stationary-vector bits ---------- *)
 
@@ -275,9 +182,8 @@ let test_iad_setup_reuse () =
           (* a CSR apply under a pool runs the slot grid, without one a
              single row loop: pools of every size agree with each other *)
           let pooled jobs =
-            with_forced_members 2 (fun () ->
-                Cdr_par.Pool.with_pool ~jobs (fun pool ->
-                    fst (Markov.Op_multigrid.solve_with ~tol:1e-10 ~pool setup op)))
+            Cdr_par.Pool.with_pool ~jobs (fun pool ->
+                fst (Markov.Op_multigrid.solve_with ~tol:1e-10 ~pool setup op))
           in
           check "IAD jobs=4 = jobs=1" (pooled 1) (pooled 4))
     [ ("csr", csr); ("kron", kron) ]
@@ -344,22 +250,12 @@ let () =
         [
           Alcotest.test_case "lex jobs=4 = serial" `Quick test_pooled_bitwise_lex;
           Alcotest.test_case "W stationary, jobs=4 = serial" `Quick test_w_cycle;
-          Alcotest.test_case "forced cross-domain region moves no bits" `Quick
-            test_pooled_bitwise_forced_region;
         ] );
       ( "golden",
         [
           Alcotest.test_case "kron pi and BER match csr on the kron row's config" `Quick
             test_kron_matches_csr;
           Alcotest.test_case "stationary bits match the committed digests" `Slow test_golden_pi;
-        ] );
-      ( "phase regions",
-        [
-          Alcotest.test_case "batches bitwise through the region" `Quick
-            test_region_batches_bitwise;
-          Alcotest.test_case "exceptions propagate, pool reusable" `Quick
-            test_region_exception_and_reuse;
-          Alcotest.test_case "nesting degrades to the body" `Quick test_region_nesting;
         ] );
       ( "reusable IAD",
         [

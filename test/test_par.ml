@@ -43,23 +43,6 @@ let test_parallel_for_edges () =
   Alcotest.(check (array int)) "chunk=1 covers all" (Array.make 19 1) hits;
   check_int "jobs" 4 (Cdr_par.Pool.jobs pool)
 
-let test_parallel_reduce_deterministic () =
-  (* a non-associative combine (float addition) must still give identical
-     bits at any job count because combination is in index order *)
-  let n = 10_000 in
-  let map i = 1.0 /. float_of_int (i + 1) in
-  let run jobs =
-    Cdr_par.Pool.with_pool ~jobs @@ fun pool ->
-    Cdr_par.Pool.parallel_reduce pool ~map ~combine:( +. ) ~init:0.0 n
-  in
-  let serial = ref 0.0 in
-  for i = 0 to n - 1 do
-    serial := !serial +. map i
-  done;
-  let r1 = run 1 and r4 = run 4 in
-  check_bool "jobs=1 matches serial bits" true (Int64.bits_of_float !serial = Int64.bits_of_float r1);
-  check_bool "jobs=4 matches jobs=1 bits" true (Int64.bits_of_float r1 = Int64.bits_of_float r4)
-
 let test_pool_nesting_and_exceptions () =
   Cdr_par.Pool.with_pool ~jobs:4 @@ fun pool ->
   (* a nested batch on the same pool degrades to serial instead of deadlocking *)
@@ -325,7 +308,6 @@ let () =
         [
           Alcotest.test_case "parallel_map order" `Quick test_parallel_map_order;
           Alcotest.test_case "parallel_for edge cases" `Quick test_parallel_for_edges;
-          Alcotest.test_case "deterministic reduce" `Quick test_parallel_reduce_deterministic;
           Alcotest.test_case "nesting and exceptions" `Quick test_pool_nesting_and_exceptions;
           Alcotest.test_case "CDR_JOBS parsing" `Quick test_default_jobs_env;
         ] );
