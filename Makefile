@@ -1,4 +1,4 @@
-.PHONY: all build test test-par fmt loc unreached check solvers-smoke perfbench-selfcheck bench-telemetry bench-scaling bench-json bench-counters bench-smoke kron-smoke bench-kron bench-env bench-ladder serve-smoke bench-load load-smoke replica-smoke clean
+.PHONY: all build test test-par fmt loc unreached check solvers-smoke perfbench-selfcheck bench-telemetry bench-scaling bench-json bench-counters bench-smoke kron-smoke bench-kron bench-env bench-ladder serve-smoke replica-smoke clean
 
 all: build
 
@@ -28,13 +28,14 @@ loc:
 unreached:
 	bash scripts/unreached.sh
 
-# Everything CI needs: the build, formatting (dune files; the container has
-# no ocamlformat), the unreached-module check, the full test suite, the
-# parallel suite under a forced multi-domain pool, the solvers listing, the
-# bench counters, the kron smoke, the multi-replica serving smoke (routing,
-# worker kill/respawn, result-cache persistence) and the perfbench
+# Everything CI needs: the build, formatting (dune files; ocamlformat is not
+# required), the unreached-module check, the full test suite, the parallel
+# suite under a forced multi-domain pool, the solvers listing, the bench
+# counters, the kron smoke, the stdio serving smoke (every request kind,
+# deadline, overload, SIGTERM drain), the multi-replica serving smoke
+# (routing, worker kill/respawn, result-cache persistence) and the perfbench
 # generator's self-check.
-check: build fmt unreached test test-par solvers-smoke bench-counters kron-smoke replica-smoke perfbench-selfcheck
+check: build fmt unreached test test-par solvers-smoke bench-counters kron-smoke serve-smoke replica-smoke perfbench-selfcheck
 
 # The solver comparison at grid 16 (3,840 states, under a second): it must
 # list exactly the three stationary solvers, multigrid, gauss-seidel and
@@ -152,24 +153,6 @@ serve-smoke: build
 bench-scaling:
 	dune exec bench/main.exe -- parallel
 
-# Load benchmark: an open-loop mixed session (analyze/sweep/sigma/slip at a
-# fixed target rate) through a spawned cdr_serve, then the replica
-# throughput experiment (1 vs 4 replicas at a saturating rate, plus a
-# repeated-query session against the shared result cache). Both sections
-# merge into the repo-root BENCH.json (path overridable via CDR_BENCH_JSON)
-# without clobbering the solver sections. The speedup and cache gates fold
-# their core-count-aware policy into boolean gauges, so the guard greps
-# booleans, not floats: serve.replica_speedup must clear 2x on a >=4-core
-# host (1.2x on 2-3 cores, 0.85x single-core, mirroring mg.speedup_j4_ok),
-# at equal error rates; the repeated-query session must exceed a 50% hit
-# rate with hit p95 at least 10x below the cold-solve p95.
-bench-load: build
-	dune exec bin/cdr_load.exe -- --rate 50 -n 100 --warmup 10 --grid 32 --structures 3
-	dune exec bin/cdr_load.exe -- --replica-bench 4 --grid 16
-	grep -q '"serve.replica_speedup_ok":1' $${CDR_BENCH_JSON:-BENCH.json}
-	grep -q '"serve.result_cache_ok":1' $${CDR_BENCH_JSON:-BENCH.json}
-	@echo "bench-load: throughput multiplier and result-cache gates as expected"
-
 # CI replica smoke: scripts/replica_smoke.sh — a mixed session through a
 # 2-replica router with the shared result cache, a worker killed -9
 # mid-session (respawn observed, zero hung requests, only structured
@@ -177,12 +160,6 @@ bench-load: build
 # response byte-identically across a server restart.
 replica-smoke: build
 	bash scripts/replica_smoke.sh
-
-# CI load smoke: a short cdr_load session plus structural assertions on the
-# JSON report (response accounting, percentile fields, embedded server
-# stats, deadline-induced timeouts) — never wall times or rates.
-load-smoke: build
-	bash scripts/load_smoke.sh
 
 clean:
 	dune clean

@@ -862,37 +862,54 @@ let exp_parallel () =
   (* (c) the V-cycle interior under the pool: the serial Gauss-Seidel
      sweeps between pooled scatter/aggregation/restriction/prolongation and
      the residual. Determinism here is the strong claim: pi must be bitwise
-     identical for every job count. *)
-  Format.printf "@.(c) multigrid V-cycles, %d states:@." n;
-  Format.printf "  %-6s %-10s %-10s %-14s %-10s@." "jobs" "wall (s)" "speedup" "pi bits"
-    "attributed";
+     identical for every job count. One run per job count can read wider
+     than the differences between job counts, so every pool lives for the
+     whole measurement and the runs interleave (j1, j2, j4, j8, j1, ...),
+     as in MG-SCALING; the table prints each job count's median wall and
+     range, and the attribution column and phase table read the median
+     run's profile. *)
+  let reps = 5 in
+  Format.printf "@.(c) multigrid V-cycles, %d states, median of %d interleaved runs:@." n reps;
+  Format.printf "  %-6s %-10s %-16s %-10s %-14s %-10s@." "jobs" "wall (s)" "range (s)" "speedup"
+    "pi bits" "attributed";
   let mg_setup = Markov.Multigrid.setup ~hierarchy:(Cdr.Model.hierarchy model) chain in
-  let t1 = ref nan in
-  let ref_bits = ref None in
-  let profiles = ref [] in
   (* the pool profiler answers the ROADMAP question this table raises: when
      jobs > 1 is slower, which phase paid for it — idle slots or the
      caller's barrier wait? *)
   Cdr_par.Pool.set_profiling true;
+  let pools = List.map (fun jobs -> Cdr_par.Pool.create ~jobs ()) job_counts in
+  let ref_bits = ref None in
+  (* runs.(k): (wall, profile, pi bitwise equal to the first run's) for each
+     run at the k-th job count *)
+  let runs = Array.make (List.length job_counts) [] in
+  for _ = 1 to reps do
+    List.iteri
+      (fun k pool ->
+        let before = Cdr_obs.Profile.collect () in
+        let (sol, _), dt =
+          time (fun () -> Markov.Multigrid.solve_with ~tol:1e-10 ~pool mg_setup chain)
+        in
+        let prof = Cdr_obs.Profile.sub (Cdr_obs.Profile.collect ()) before in
+        let bits = Array.map Int64.bits_of_float sol.Markov.Solution.pi in
+        if !ref_bits = None then ref_bits := Some bits;
+        runs.(k) <- (dt, prof, !ref_bits = Some bits) :: runs.(k))
+      pools
+  done;
+  List.iter Cdr_par.Pool.shutdown pools;
+  (* per job count: the median run's wall and profile, the wall range, and
+     whether every run reproduced the reference bits *)
+  let medians =
+    List.mapi
+      (fun k jobs ->
+        let sorted = List.sort (fun (a, _, _) (b, _, _) -> compare a b) runs.(k) in
+        let dt, prof, _ = List.nth sorted (reps / 2) in
+        let lo, _, _ = List.hd sorted and hi, _, _ = List.nth sorted (reps - 1) in
+        (jobs, (dt, prof, lo, hi, List.for_all (fun (_, _, same) -> same) sorted)))
+      job_counts
+  in
+  let t1 = match medians with (_, (dt, _, _, _, _)) :: _ -> dt | [] -> nan in
   List.iter
-    (fun jobs ->
-      let before = Cdr_obs.Profile.collect () in
-      let (sol, _), dt =
-        time (fun () ->
-            Cdr_par.Pool.with_pool ~jobs (fun pool ->
-                Markov.Multigrid.solve_with ~tol:1e-10 ~pool mg_setup chain))
-      in
-      let prof = Cdr_obs.Profile.sub (Cdr_obs.Profile.collect ()) before in
-      profiles := (jobs, (prof, dt)) :: !profiles;
-      if Float.is_nan !t1 then t1 := dt;
-      let bits = Array.map Int64.bits_of_float sol.Markov.Solution.pi in
-      let identical =
-        match !ref_bits with
-        | None ->
-            ref_bits := Some bits;
-            true
-        | Some r -> r = bits
-      in
+    (fun (jobs, (dt, prof, lo, hi, identical)) ->
       let coverage = Cdr_obs.Profile.coverage ~total:dt prof in
       Cdr_obs.Metrics.set_gauge "bench.mg_seconds"
         ~labels:[ ("jobs", string_of_int jobs) ]
@@ -900,14 +917,18 @@ let exp_parallel () =
       Cdr_obs.Metrics.set_gauge "bench.mg_profile_coverage"
         ~labels:[ ("jobs", string_of_int jobs) ]
         coverage;
-      Format.printf "  %-6d %-10.2f %-10.2f %-14s %5.1f%%@." jobs dt (!t1 /. dt)
+      Format.printf "  %-6d %-10.2f %-16s %-10.2f %-14s %5.1f%%@." jobs dt
+        (Printf.sprintf "%.2f-%.2f" lo hi)
+        (t1 /. dt)
         (if identical then "identical" else "DIFFER (bug!)")
         (100. *. coverage))
-    job_counts;
+    medians;
   Cdr_par.Pool.set_profiling false;
   (* phase attribution at the scaling endpoints, and the headline: which
      phase carries the most parallel overhead (idle + barrier) at jobs=8 *)
-  let profile_of jobs = List.assoc_opt jobs !profiles in
+  let profile_of jobs =
+    Option.map (fun (dt, prof, _, _, _) -> (prof, dt)) (List.assoc_opt jobs medians)
+  in
   let top_overhead jobs =
     match profile_of jobs with
     | Some (prof, _) -> (
@@ -1252,9 +1273,8 @@ let counters_delta before after =
 let bench_json_path =
   match Sys.getenv_opt "CDR_BENCH_JSON" with Some p -> p | None -> "BENCH.json"
 
-(* sections from other tools (cdr_load's serve.load / serve.replica_bench)
-   already in the file are preserved; a filtered bench run only overwrites
-   the sections it actually ran *)
+(* sections already in the file are preserved: a filtered bench run only
+   overwrites the sections it actually ran *)
 let previous_sections () =
   if not (Sys.file_exists bench_json_path) then []
   else

@@ -187,27 +187,16 @@ let with_jobs jobs f =
       Format.eprintf "cdr_analyze: %s@." msg;
       exit 2
 
-(* ---------- sweep strategy flags (see Cdr.Sweep) ---------- *)
+(* ---------- sweep strategy flag (see Cdr.Sweep) ---------- *)
 
-let warm_start =
+let strategy =
   let doc =
     "Run the sweep as a warm-started continuation: points are processed in parameter order, each \
      reusing the previous point's state enumeration, sparsity pattern and stationary vector, with \
      multigrid setups cached per structure. Results agree with the default independent solves \
      within the solver tolerance."
   in
-  Arg.(value & flag & info [ "warm-start" ] ~doc)
-
-let no_cache =
-  let doc =
-    "With $(b,--warm-start): keep the previous-point initial iterate but disable model rebuilds \
-     and the multigrid setup cache (every point rebuilds its own symbolic setup). Without \
-     $(b,--warm-start) this is the default behavior already."
-  in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
-
-let strategy_of warm no_cache =
-  if warm then { Cdr.Context.warm_start = true; reuse_setup = not no_cache } else Cdr.Context.cold
+  Arg.(value & vflag Cdr.Context.cold [ (Cdr.Context.warm, info [ "warm-start" ] ~doc) ])
 
 (* ---------- telemetry flags (see Cdr_obs) ---------- *)
 
@@ -296,9 +285,8 @@ let sweep_cmd =
     let doc = "Counter lengths to evaluate." in
     Arg.(value & opt (list int) Cdr_svc.Protocol.default_lengths & info [ "lengths" ] ~doc)
   in
-  let run cfg solver jobs warm no_cache lengths =
+  let run cfg solver jobs strategy lengths =
     with_jobs jobs @@ fun pool ->
-    let strategy = strategy_of warm no_cache in
     let ctx = Cdr.Context.make ~pool ~strategy () in
     let points = Cdr.Sweep.counter_lengths ~solver ~ctx cfg lengths in
     Format.printf "%a@." Cdr.Sweep.pp_points points;
@@ -308,7 +296,7 @@ let sweep_cmd =
   in
   let doc = "BER vs counter length (the paper's Figure 5)." in
   Cmd.v (Cmd.info "sweep" ~doc)
-    Term.(const run $ config_term $ solver $ jobs $ warm_start $ no_cache $ lengths)
+    Term.(const run $ config_term $ solver $ jobs $ strategy $ lengths)
 
 (* ---------- sigma sweep ---------- *)
 
@@ -317,16 +305,15 @@ let sigma_cmd =
     let doc = "Eye-opening jitter levels to evaluate." in
     Arg.(value & opt (list float) Cdr_svc.Protocol.default_sigmas & info [ "values" ] ~doc)
   in
-  let run cfg solver jobs warm no_cache sigmas =
+  let run cfg solver jobs strategy sigmas =
     with_jobs jobs @@ fun pool ->
-    let strategy = strategy_of warm no_cache in
     let ctx = Cdr.Context.make ~pool ~strategy () in
     let points = Cdr.Sweep.sigma_w_values ~solver ~ctx cfg sigmas in
     Format.printf "%a@." Cdr.Sweep.pp_points points
   in
   let doc = "BER vs eye-opening jitter level (the axis of the paper's Figure 4)." in
   Cmd.v (Cmd.info "sigma" ~doc)
-    Term.(const run $ config_term $ solver $ jobs $ warm_start $ no_cache $ sigmas)
+    Term.(const run $ config_term $ solver $ jobs $ strategy $ sigmas)
 
 (* ---------- slip ---------- *)
 

@@ -1,6 +1,5 @@
-(* JSON-lines analysis server: one request per input line, one response per
-   line back. Stdin/stdout by default, a Unix-domain stream socket with
-   --socket. See Cdr_svc.Protocol for the request/response format.
+(* JSON-lines analysis server: one request per stdin line, one response per
+   stdout line. See Cdr_svc.Protocol for the request/response format.
 
    --replicas N turns this process into an acceptor/router that forks N
    worker replicas of itself (each re-executed with --replica-worker) and
@@ -8,14 +7,6 @@
    layers a params-keyed response memoization cache in front of solving. *)
 
 open Cmdliner
-
-let socket =
-  let doc =
-    "Serve on a Unix-domain stream socket bound at $(docv) (removed on exit) instead of \
-     stdin/stdout. Each connection speaks the same line protocol; all connections share one \
-     solve loop, solver cache and domain pool."
-  in
-  Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
 
 let queue_bound =
   let doc =
@@ -83,8 +74,7 @@ let summary =
   in
   Arg.(value & flag & info [ "summary" ] ~doc)
 
-let run socket queue_bound jobs default_deadline_ms replicas result_cache persist replica_worker
-    summary =
+let run queue_bound jobs default_deadline_ms replicas result_cache persist replica_worker summary =
   if queue_bound < 1 then begin
     Format.eprintf "cdr_serve: --queue-bound must be >= 1@.";
     exit 2
@@ -116,14 +106,10 @@ let run socket queue_bound jobs default_deadline_ms replicas result_cache persis
   in
   (match replica_worker with
   | Some r -> Cdr_svc.Replica.run ~replica:r cfg
-  | None -> (
-      let service =
-        if replicas > 1 then Cdr_svc.Router.create ~replicas cfg
-        else Cdr_svc.Server.local_service cfg
-      in
-      match socket with
-      | None -> Cdr_svc.Server.run_stdio_service service
-      | Some path -> Cdr_svc.Server.run_socket_service ~path service));
+  | None ->
+      Cdr_svc.Server.run_stdio_service
+        (if replicas > 1 then Cdr_svc.Router.create ~replicas cfg
+         else Cdr_svc.Server.local_service cfg));
   (match (results, persist) with
   | Some rc, Some path -> Cdr_svc.Result_cache.save rc path
   | _ -> ());
@@ -147,18 +133,17 @@ let cmd =
          (rendezvous hashing), a $(b,stats) request aggregates every replica's snapshot, and \
          $(b,--result-cache) shares one response memoization cache across all of them.";
       `P
-        "SIGTERM (or end of input in stdio mode) drains every admitted request, answers each, \
-         and exits 0.";
+        "SIGTERM (or end of input) drains every admitted request, answers each, and exits 0.";
       `S Manpage.s_examples;
       `Pre
         "  \\$ echo '{\"id\":\"r1\",\"kind\":\"analyze\",\"params\":{\"grid\":64}}' | cdr_serve";
-      `Pre "  \\$ cdr_serve --socket /tmp/cdr.sock --replicas 4 --result-cache 512";
+      `Pre "  \\$ cdr_serve --replicas 4 --result-cache 512 < requests.jsonl";
     ]
   in
   Cmd.v
     (Cmd.info "cdr_serve" ~version:"1.0.0" ~doc ~man)
     Term.(
-      const run $ socket $ queue_bound $ jobs $ default_deadline_ms $ replicas $ result_cache
-      $ persist $ replica_worker $ summary)
+      const run $ queue_bound $ jobs $ default_deadline_ms $ replicas $ result_cache $ persist
+      $ replica_worker $ summary)
 
 let () = exit (Cmd.eval cmd)

@@ -1,7 +1,7 @@
-type strategy = { warm_start : bool; reuse_setup : bool }
+type strategy = Cold | Warm
 
-let cold = { warm_start = false; reuse_setup = false }
-let warm = { warm_start = true; reuse_setup = true }
+let cold = Cold
+let warm = Warm
 
 type t = {
   pool : Cdr_par.Pool.t option;

@@ -14,21 +14,17 @@
     one context per request (process-wide cache, shared pool, per-request
     deadline hook). *)
 
-type strategy = {
-  warm_start : bool;
-      (** sweeps: start each solve from a secant extrapolation of the
-          previous points' stationary vectors *)
-  reuse_setup : bool;
-      (** sweeps: rebuild models in place and cache multigrid setups per
-          structure *)
-}
-(** Sweep continuation strategy, read by the {!Sweep} runners. *)
+type strategy
+(** Sweep strategy, read by the {!Sweep} runners: one of the two values
+    below. *)
 
 val cold : strategy
 (** Independent cold solves — the historical default. *)
 
 val warm : strategy
-(** Warm-started, structure-cached continuation (both fields true). *)
+(** Continuation: start each solve from a secant extrapolation of the
+    previous points' stationary vectors, rebuild models in place and cache
+    multigrid setups per structure. *)
 
 type t = {
   pool : Cdr_par.Pool.t option;  (** domain pool for the parallel kernels *)

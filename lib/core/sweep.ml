@@ -57,12 +57,12 @@ let predict ~v ~v1 ~pi1 ~v2 ~pi2 =
    Under a pool the chunks run in parallel and warm-starting happens within
    each worker's chunk; results return in the caller's original order. *)
 let map_points_continuation ?solver ~ctx ~attr_name ~attr_of ~param_of ~config_of values =
-  let strategy = ctx.Context.strategy and pool = ctx.Context.pool in
+  let pool = ctx.Context.pool in
   let indexed = List.mapi (fun i v -> (i, v)) values in
   let sorted = List.stable_sort (fun (_, a) (_, b) -> Stdlib.compare a b) indexed in
   let jobs = match pool with None -> 1 | Some p -> Cdr_par.Pool.jobs p in
   let run_chunk chunk =
-    let cache = if strategy.Context.reuse_setup then Some (Solver_cache.create ()) else None in
+    let cache = Some (Solver_cache.create ()) in
     let prev = ref None and prev2 = ref None in
     List.map
       (fun (idx, v) ->
@@ -71,18 +71,14 @@ let map_points_continuation ?solver ~ctx ~attr_name ~attr_of ~param_of ~config_o
         Cdr_obs.Metrics.incr "sweep.points";
         let model =
           match !prev with
-          | Some (prev_model, _, _) when strategy.Context.reuse_setup ->
-              fst (Model.rebuild prev_model config)
-          | Some _ | None -> Model.build config
+          | Some (prev_model, _, _) -> fst (Model.rebuild prev_model config)
+          | None -> Model.build config
         in
         let init =
-          if not strategy.Context.warm_start then None
-          else
-            match (!prev, !prev2) with
-            | Some (_, pi1, v1), Some (pi2, v2) ->
-                Some (predict ~v:(param_of v) ~v1 ~pi1 ~v2 ~pi2)
-            | Some (_, pi1, _), None -> Some pi1
-            | None, _ -> None
+          match (!prev, !prev2) with
+          | Some (_, pi1, v1), Some (pi2, v2) -> Some (predict ~v:(param_of v) ~v1 ~pi1 ~v2 ~pi2)
+          | Some (_, pi1, _), None -> Some pi1
+          | None, _ -> None
         in
         (* the chunk owns its warm-start state: the per-point init and the
            per-chunk setup cache replace whatever the caller's context holds
@@ -106,16 +102,16 @@ let map_points_continuation ?solver ~ctx ~attr_name ~attr_of ~param_of ~config_o
   |> List.map snd
 
 (* One sweep over [values]: independent cold points, or the continuation
-   when the context's strategy asks for warm starts or setup reuse. *)
+   under the warm strategy. *)
 let sweep ?solver ~ctx ~attr_name ~attr_of ~param_of ~config_of values =
-  let strategy = ctx.Context.strategy in
-  if (not strategy.Context.warm_start) && not strategy.Context.reuse_setup then
+  if ctx.Context.strategy = Context.warm then
+    map_points_continuation ?solver ~ctx ~attr_name ~attr_of ~param_of ~config_of values
+  else
     map_points ?pool:ctx.Context.pool
       (fun v ->
         let config = Config.create_exn (config_of v) in
         point ~ctx ~attr_name ~attr_value:(attr_of v) config solver)
       values
-  else map_points_continuation ?solver ~ctx ~attr_name ~attr_of ~param_of ~config_of values
 
 let counter_lengths ?solver ?(ctx = Context.default) base lengths =
   sweep ?solver ~ctx ~attr_name:"counter" ~attr_of:string_of_int ~param_of:float_of_int

@@ -11,7 +11,7 @@
    re-measured).
 
    Thread-safe under one internal mutex: in router mode the cache is
-   shared between the transport reader threads (lookups) and the
+   shared between the stdio reader thread (lookups) and the
    per-replica response pumps (stores). *)
 
 type entry = { key : string; response : Cdr_obs.Jsonl.t }

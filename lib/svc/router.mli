@@ -1,6 +1,6 @@
 (** The acceptor/router side of multi-replica serving.
 
-    One router process owns the listening transport and forks [replicas]
+    One router process owns stdin/stdout and forks [replicas]
     worker processes ({!Replica}), each the same binary re-executed with
     [--replica-worker <i>] over a socketpair. Every parsed request is
     routed by rendezvous hash of its {!Params.structure_key}, so requests
@@ -50,7 +50,7 @@ val route : ?dead:(int -> bool) -> replicas:int -> string -> int option
 
 val create : ?bin:string -> replicas:int -> Server.config -> Server.service
 (** Spawn the worker fleet and return the router as a {!Server.service}
-    for {!Server.run_stdio_service} / {!Server.run_socket_service}.
+    for {!Server.run_stdio_service}.
     [bin] (default [Sys.executable_name]) is the executable re-run with
     [--replica-worker]. [config.results] enables the shared result cache;
     [config.jobs]/[config.queue_bound]/[config.default_deadline_ms] are

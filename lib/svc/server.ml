@@ -6,11 +6,11 @@ type config = {
   results : Result_cache.t option;
 }
 
-(* A transport-independent request sink: the stdio and socket front ends
-   feed lines into [submit_line] and run [run] on the main thread;
-   [shutdown] (SIGTERM, stdin EOF) stops admission and makes [run] return
-   once everything admitted has been answered. The local single-process
-   engine and the multi-replica router both implement this. *)
+(* A request sink: the stdio front end feeds lines into [submit_line] and
+   runs [run] on the main thread; [shutdown] (SIGTERM, stdin EOF) stops
+   admission and makes [run] return once everything admitted has been
+   answered. The local single-process engine and the multi-replica router
+   both implement this. *)
 type service = {
   submit_line : write:(Cdr_obs.Jsonl.t -> unit) -> string -> unit;
   run : unit -> unit;
@@ -86,13 +86,11 @@ let local_service cfg =
     shutdown = (fun () -> Admission.close queue);
   }
 
-(* ---------- pieces shared by both transports ---------- *)
-
-(* Condition.wait / input_line / accept block in C, where signal handlers
-   cannot run; this thread's Thread.delay wakeups are the guaranteed
-   safepoints that let a pending SIGTERM actually execute its handler, after
-   which it triggers the service shutdown. [finished] terminates the ticker
-   on a normal (EOF-driven) shutdown. *)
+(* Condition.wait / input_line block in C, where signal handlers cannot
+   run; this thread's Thread.delay wakeups are the guaranteed safepoints
+   that let a pending SIGTERM actually execute its handler, after which it
+   triggers the service shutdown. [finished] terminates the ticker on a
+   normal (EOF-driven) shutdown. *)
 let shutdown_ticker ~stop ~finished svc =
   Thread.create
     (fun () ->
@@ -102,14 +100,11 @@ let shutdown_ticker ~stop ~finished svc =
       if Atomic.get stop then svc.shutdown ())
     ()
 
-let install_sigterm stop =
-  ignore (Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set stop true)))
-
 (* ---------- stdio transport ---------- *)
 
 let run_stdio_service svc =
   let stop = Atomic.make false and finished = Atomic.make false in
-  install_sigterm stop;
+  ignore (Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set stop true)));
   let out_mu = Mutex.create () in
   let write json =
     Mutex.lock out_mu;
@@ -136,94 +131,5 @@ let run_stdio_service svc =
   (* drain complete: every admitted request has been answered; push the
      tail of the telemetry stream out before the process is torn down *)
   Cdr_obs.Sink.flush_all ()
-
-(* ---------- unix-domain-socket transport ---------- *)
-
-(* per-connection reply path: responses drain through the shared solve loop
-   after the connection's reader can already have hit EOF, so the socket is
-   only closed once every admitted request has been answered *)
-type conn = {
-  oc : out_channel;
-  mu : Mutex.t;
-  mutable pending : int;
-  mutable eof : bool;
-}
-
-let conn_write c json =
-  Mutex.lock c.mu;
-  (try
-     output_string c.oc (Cdr_obs.Jsonl.to_string json);
-     output_char c.oc '\n';
-     flush c.oc
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  Mutex.unlock c.mu
-
-let conn_close_if_done c =
-  Mutex.lock c.mu;
-  let close_now = c.eof && c.pending = 0 in
-  Mutex.unlock c.mu;
-  if close_now then try close_out c.oc with Sys_error _ | Unix.Unix_error _ -> ()
-
-let run_socket_service ~path svc =
-  let stop = Atomic.make false and finished = Atomic.make false in
-  install_sigterm stop;
-  ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-  if Sys.file_exists path then Sys.remove path;
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (* connection fds must not leak into worker replicas respawned later: a
-     worker holding a duped client fd would keep that client's EOF from
-     ever arriving *)
-  Unix.set_close_on_exec sock;
-  Unix.bind sock (Unix.ADDR_UNIX path);
-  Unix.listen sock 16;
-  let handle_conn fd =
-    Unix.set_close_on_exec fd;
-    let ic = Unix.in_channel_of_descr fd in
-    let c =
-      { oc = Unix.out_channel_of_descr fd; mu = Mutex.create (); pending = 0; eof = false }
-    in
-    (* [submit_line] writes exactly one response per line — synchronously
-       for a rejection, later otherwise — so one pending count per
-       non-empty line balances either way *)
-    let reply json =
-      conn_write c json;
-      Mutex.lock c.mu;
-      c.pending <- c.pending - 1;
-      Mutex.unlock c.mu;
-      conn_close_if_done c
-    in
-    (try
-       while not (Atomic.get stop) do
-         let line = input_line ic in
-         if String.trim line <> "" then begin
-           Mutex.lock c.mu;
-           c.pending <- c.pending + 1;
-           Mutex.unlock c.mu;
-           svc.submit_line ~write:reply line
-         end
-       done
-     with End_of_file | Sys_error _ -> ());
-    Mutex.lock c.mu;
-    c.eof <- true;
-    Mutex.unlock c.mu;
-    conn_close_if_done c
-  in
-  let _acceptor =
-    Thread.create
-      (fun () ->
-        try
-          while not (Atomic.get stop) do
-            let fd, _ = Unix.accept sock in
-            ignore (Thread.create handle_conn fd)
-          done
-        with Unix.Unix_error _ | Sys_error _ -> ())
-      ()
-  in
-  let _ticker = shutdown_ticker ~stop ~finished svc in
-  svc.run ();
-  Atomic.set finished true;
-  Cdr_obs.Sink.flush_all ();
-  (try Unix.close sock with Unix.Unix_error _ -> ());
-  if Sys.file_exists path then try Sys.remove path with Sys_error _ -> ()
 
 let run_stdio cfg = run_stdio_service (local_service cfg)

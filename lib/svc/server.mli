@@ -1,28 +1,22 @@
-(** The long-running analysis server behind [cdr_serve].
+(** The long-running analysis server behind [cdr_serve]: one request per
+    stdin line, one response per stdout line ({!run_stdio_service}).
 
-    Two transports over one core:
+    Threading model: the protocol reader is a lightweight systhread (it
+    blocks in [input_line], which releases the runtime lock), the solve
+    loop runs on the main thread, and solve parallelism comes from the
+    engine's domain pool — so OCaml domains are spent on numeric kernels,
+    not on I/O plumbing. A ticker thread wakes every 50 ms purely to
+    guarantee signal delivery while everything else is parked in blocking
+    C calls.
 
-    - {!run_stdio}: one request per stdin line, one response per stdout
-      line — the mode the smoke tests and shell pipelines use;
-    - {!run_socket_service}: the same protocol over a Unix-domain stream
-      socket, every connection multiplexed onto the single solve loop.
+    Shutdown: SIGTERM or stdin EOF stops admission, the loop drains every
+    already accepted request, replies to each, and the entry point returns
+    normally — the caller exits 0. Requests arriving during the drain are
+    refused with an ["overloaded"] error.
 
-    Threading model: protocol readers are lightweight systhreads (they
-    block in [input_line]/[accept], which releases the runtime lock), the
-    solve loop runs on the main thread, and solve parallelism comes from
-    the engine's domain pool — so OCaml domains are spent on numeric
-    kernels, not on connection plumbing. A ticker thread wakes every 50 ms
-    purely to guarantee signal delivery while everything else is parked in
-    blocking C calls.
-
-    Shutdown: SIGTERM (or stdin EOF in stdio mode) stops admission, the
-    loop drains every already accepted request, replies to each, and both
-    entry points return normally — the caller exits 0. Requests arriving
-    during the drain are refused with an ["overloaded"] error.
-
-    Both transports run over the {!service} record, so the
-    multi-replica {!Router} reuses the exact same connection plumbing,
-    shutdown ticker, and drain semantics as the single-process engine. *)
+    The stdio front end runs over the {!service} record, so the
+    multi-replica {!Router} reuses the exact same reader, shutdown ticker,
+    and drain semantics as the single-process engine. *)
 
 type config = {
   queue_bound : int;
@@ -41,11 +35,11 @@ type config = {
           solving (see {!Engine.create}); [None] disables memoization *)
 }
 
-(** A transport-independent request sink. [submit_line] is called from a
-    reader thread with one raw request line and must eventually call
-    [write] exactly once with the response (immediately for a rejection);
-    [run] executes on the main thread until shutdown {e and} drain
-    complete; [shutdown] (idempotent, any thread) stops admission. *)
+(** A request sink. [submit_line] is called from the reader thread with
+    one raw request line and must eventually call [write] exactly once
+    with the response (immediately for a rejection); [run] executes on the
+    main thread until shutdown {e and} drain complete; [shutdown]
+    (idempotent, any thread) stops admission. *)
 type service = {
   submit_line : write:(Cdr_obs.Jsonl.t -> unit) -> string -> unit;
   run : unit -> unit;
@@ -57,12 +51,6 @@ val local_service : config -> service
     queue, refusing with ["overloaded"] beyond [queue_bound]. *)
 
 val run_stdio_service : service -> unit
-
-val run_socket_service : path:string -> service -> unit
-(** Binds (and on exit unlinks) the socket at [path]; an existing file at
-    [path] is removed first. Responses for one connection go back on that
-    connection; SIGPIPE is ignored so a vanished client only loses its own
-    replies. *)
 
 val run_stdio : config -> unit
 (** [run_stdio cfg = run_stdio_service (local_service cfg)] *)

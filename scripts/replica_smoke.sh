@@ -8,23 +8,59 @@
 set -eu
 
 SERVE=${SERVE:-_build/default/bin/cdr_serve.exe}
-LOAD=${LOAD:-_build/default/bin/cdr_load.exe}
 TMP=$(mktemp -d)
 cleanup() { rm -rf "$TMP"; }
 trap cleanup EXIT
 
+# wait_for ID FILE: until FILE holds the response to ID (10 s at most)
+wait_for() {
+  for _ in $(seq 1 100); do
+    grep -q "\"id\":\"$1\"" "$2" 2>/dev/null && return 0
+    sleep 0.1
+  done
+  grep -q "\"id\":\"$1\"" "$2"
+}
+
 echo "--- mixed session through 2 replicas with a shared result cache"
-"$LOAD" --rate 200 -n 20 --warmup 5 --grid 32 --replicas 2 --result-cache 64 \
-  --json "$TMP/load.json" >"$TMP/stdout"
-grep -q '"responses":20' "$TMP/load.json"
-# the stats aggregate carries the router section and per-replica rows
-grep -q '"router":{' "$TMP/load.json"
-grep -q '"result_cache":{"hits"' "$TMP/load.json"
-grep -q '"replica":0' "$TMP/load.json"
-grep -q '"replica":1' "$TMP/load.json"
-# ... and cdr_load reported the per-replica request breakdown
-grep -q 'replica 0:' "$TMP/stdout"
-grep -q 'replica 1:' "$TMP/stdout"
+FIFO="$TMP/mixed.in"
+mkfifo "$FIFO"
+(
+  timeout 60 "$SERVE" --replicas 2 --result-cache 64 <"$FIFO" >"$TMP/mixed" 2>"$TMP/mixed.err"
+  echo $? >"$TMP/mixed.exit"
+) &
+SRV=$!
+exec 9>"$FIFO"
+# two structures that rendezvous-route to different replicas (m1 to 1, m2 to 0)
+echo '{"id":"m1","kind":"analyze","params":{"grid":32}}' >&9
+echo '{"id":"m2","kind":"analyze","params":{"grid":32,"counter":3}}' >&9
+# the repeat goes in only once the original is answered: while the original
+# is still in flight the result cache has nothing to hit
+wait_for m1 "$TMP/mixed"
+echo '{"id":"m3","kind":"analyze","params":{"grid":32}}' >&9
+echo '{"id":"ms","kind":"stats"}' >&9
+exec 9>&-
+wait "$SRV"
+test "$(cat "$TMP/mixed.exit")" = 0
+for id in m1 m2 m3 ms; do
+  test "$(grep -c "\"id\":\"$id\"" "$TMP/mixed")" = 1
+done
+# the stats aggregate carries the router section with a result-cache hit ...
+grep -q '"router":{' "$TMP/mixed"
+grep '"id":"ms"' "$TMP/mixed" | grep -qE '"result_cache":\{"hits":[1-9]'
+# ... and the hit replayed the original response byte for byte, id aside
+cmp <(grep '"id":"m1"' "$TMP/mixed" | sed 's/"id":"m1"//') \
+  <(grep '"id":"m3"' "$TMP/mixed" | sed 's/"id":"m3"//')
+# both replicas have a row, and each answered at least one analyze
+grep '"id":"ms"' "$TMP/mixed" | python3 -c '
+import json, sys
+rows = json.loads(sys.stdin.read())["result"]["replicas"]
+for r in (0, 1):
+    row = [x for x in rows if x["replica"] == r]
+    assert len(row) == 1, f"no stats row for replica {r}"
+    ok = sum(q["count"] for q in row[0]["requests"]
+             if q["kind"] == "analyze" and q["status"] == "ok")
+    assert ok >= 1, f"replica {r} answered no analyze"
+'
 
 echo "--- kill one worker mid-session: respawn, zero hangs, structured errors"
 FIFO="$TMP/in"
@@ -36,11 +72,7 @@ mkfifo "$FIFO"
 SRV=$!
 exec 9>"$FIFO"
 echo '{"id":"s0","kind":"stats"}' >&9
-for _ in $(seq 1 100); do
-  grep -q '"id":"s0"' "$TMP/out" 2>/dev/null && break
-  sleep 0.1
-done
-grep -q '"id":"s0"' "$TMP/out"
+wait_for s0 "$TMP/out"
 VICTIM=$(grep -o '"pid":[0-9]*' "$TMP/out" | head -1 | cut -d: -f2)
 # put slow requests in flight on both replicas, then kill one of them
 echo '{"id":"k1","kind":"analyze","params":{"grid":32},"hold_ms":400}' >&9

@@ -215,6 +215,44 @@ let test_persistence_rejects_stale_format () =
   check_string "save writes the tag first" (tag Cdr_svc.Result_cache.format_version) first;
   Sys.remove path
 
+(* a crash while the snapshot is being written (or a copy cut short) leaves
+   a torn tail: the torn line costs its own entry, never the ones before it,
+   and a file torn inside the header loads as no snapshot at all *)
+let test_persistence_torn_snapshot () =
+  let path = Filename.temp_file "cdr_result_cache" ".jsonl" in
+  let rc = Cdr_svc.Result_cache.create ~capacity:8 () in
+  List.iter (fun k -> Cdr_svc.Result_cache.store rc k (resp k)) [ "a"; "b"; "c" ];
+  Cdr_svc.Result_cache.save rc path;
+  let ic = open_in_bin path in
+  let full = In_channel.input_all ic in
+  close_in ic;
+  let cut_to n =
+    let oc = open_out_bin path in
+    output_string oc (String.sub full 0 n);
+    close_out oc
+  in
+  (* the last line holds the most recent entry, "c"; cut it in half *)
+  let body = String.sub full 0 (String.length full - 1) in
+  let last_start = String.rindex body '\n' + 1 in
+  cut_to (last_start + ((String.length body - last_start) / 2));
+  let torn = Cdr_svc.Result_cache.load ~capacity:8 path in
+  check_int "torn tail loses one entry" 2 (Cdr_svc.Result_cache.length torn);
+  check_bool "torn entry gone" true (Cdr_svc.Result_cache.find torn "c" = None);
+  List.iter
+    (fun key ->
+      match Cdr_svc.Result_cache.find torn key with
+      | Some v ->
+          check_string
+            ("entry " ^ key ^ " byte-identical")
+            (Cdr_obs.Jsonl.to_string (resp key))
+            (Cdr_obs.Jsonl.to_string v)
+      | None -> Alcotest.failf "complete entry %s lost to a torn tail" key)
+    [ "a"; "b" ];
+  cut_to (String.index full '\n' / 2);
+  check_int "torn header loads empty" 0
+    (Cdr_svc.Result_cache.length (Cdr_svc.Result_cache.load path));
+  Sys.remove path
+
 (* ---------- forwarding re-encoding ---------- *)
 
 let test_request_json_roundtrip () =
@@ -262,6 +300,8 @@ let () =
           Alcotest.test_case "persistence round-trip" `Quick test_persistence_roundtrip;
           Alcotest.test_case "stale snapshot format loads empty" `Quick
             test_persistence_rejects_stale_format;
+          Alcotest.test_case "torn snapshot keeps complete entries" `Quick
+            test_persistence_torn_snapshot;
         ] );
       ( "protocol",
         [ Alcotest.test_case "forwarding re-encodes exactly" `Quick test_request_json_roundtrip ]

@@ -185,16 +185,35 @@ let test_warm_matches_cold () =
 
 let test_setup_reuse_is_bitwise_cold () =
   (* structure caching alone (no warm start) must not change a single bit:
-     the symbolic phase carries no values *)
-  let cache_only = { Cdr.Context.warm_start = false; reuse_setup = true } in
-  let cold_points = Cdr.Sweep.sigma_w_values small sigmas in
-  let cached_points =
-    Cdr.Sweep.sigma_w_values ~ctx:(Cdr.Context.make ~strategy:cache_only ()) small sigmas
+     the symbolic phase carries no values. The continuation always warm-
+     starts, so this walks its other half by hand: in-place rebuilds and one
+     setup cache across the points, every solve from the default start. *)
+  let cache = Cdr.Solver_cache.create () in
+  let ctx = Cdr.Context.make ~cache () in
+  let prev = ref None in
+  let cached_bers =
+    List.map
+      (fun sigma ->
+        let config = Cdr.Config.create_exn { small with Cdr.Config.sigma_w = sigma } in
+        let model =
+          match !prev with
+          | Some m -> fst (Cdr.Model.rebuild m config)
+          | None -> Cdr.Model.build config
+        in
+        prev := Some model;
+        (fst (Cdr.Report.run_model ~ctx (Cdr.Report.Csr model))).Cdr.Report.ber)
+      sigmas
   in
+  let cold_bers =
+    List.map
+      (fun sigma -> (Cdr.Report.run { small with Cdr.Config.sigma_w = sigma }).Cdr.Report.ber)
+      sigmas
+  in
+  check_bool "a later point reused a cached setup" true (Cdr.Solver_cache.hits cache >= 1);
   check_bool "cache-only sweep bitwise equals cold" true
     (List.for_all2
        (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
-       (bers cold_points) (bers cached_points))
+       cold_bers cached_bers)
 
 let test_warm_under_pool () =
   (* chunked continuation under a pool: same points, same order, still within
