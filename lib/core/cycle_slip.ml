@@ -66,7 +66,7 @@ let restart_tpm model ~lock =
    slip rate is the ordinary crossing flux evaluated at the restart chain's
    stationary vector. *)
 let first_slip ?(ctx = Context.default) model =
-  Cdr_obs.Span.with_ ~name:"cycle_slip.first_slip" @@ fun () ->
+  Cdr_obs.Span.with_ ~name:"passage.first_slip" @@ fun () ->
   let chain = Markov.Chain.of_csr (restart_tpm model ~lock:(lock_index model)) in
   (* the restart pattern differs from the model's: a cached setup for it
      would only evict the model's reusable stationary setup *)

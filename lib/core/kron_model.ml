@@ -133,7 +133,7 @@ let build_kron cfg tables =
 let build cfg =
   let cfg = Config.create_exn cfg in
   let model, build_seconds =
-    Cdr_obs.Span.timed ~name:"model.build" ~attrs:[ ("via", "kron") ] @@ fun () ->
+    Cdr_obs.Span.timed ~name:"kron_model.build" @@ fun () ->
     let tables = Model.direct_tables cfg in
     let m = cfg.Config.grid_points in
     let n_data = Data_source.n_states cfg in

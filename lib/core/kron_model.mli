@@ -35,8 +35,8 @@ type t = {
 val build : Config.t -> t
 (** Builds the factor matrices and verifies row-stochasticity exactly (via
     the factorized row sums — no apply); raises [Invalid_argument] if the
-    factorization fails the check. Runs in a ["model.build"] span with
-    [via=kron] and counts in the ["model.builds"] metric. *)
+    factorization fails the check. Runs in a ["kron_model.build"] span and
+    counts in the ["model.builds"] metric with [via=kron]. *)
 
 val operator : t -> Cdr_op.t
 

@@ -101,7 +101,7 @@ let build ?(backend = `Csr) env base =
   let configs = Array.init r (Env.regime_config env base) in
   let via = Cdr_op.kind_string backend in
   let built, build_seconds =
-    Cdr_obs.Span.timed ~name:"env.build"
+    Cdr_obs.Span.timed ~name:"composed.build"
       ~attrs:[ ("via", via); ("regimes", string_of_int r) ]
     @@ fun () ->
     let n_states, repr, op, key =
@@ -157,7 +157,7 @@ let solve ?(solver = `Multigrid) ?(ctx = Cdr.Context.default) t =
       ("backend", Cdr_op.kind_string (backend t));
     ]
   in
-  Cdr_obs.Span.with_ ~name:"env.solve" ~attrs:labels @@ fun () ->
+  Cdr_obs.Span.with_ ~name:"composed.solve" ~attrs:labels @@ fun () ->
   Cdr_obs.Metrics.incr "env.solves" ~labels;
   let hierarchy () = hierarchy t in
   match t.repr with

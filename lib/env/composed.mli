@@ -43,7 +43,7 @@ val build : ?backend:Cdr_op.kind -> Env.t -> Cdr.Config.t -> t
     [`Csr]). The [`Csr] path composed with {!Env.identity} is bitwise equal
     to {!Cdr.Model.build_direct} on the base config; the [`Kron] path
     verifies row-stochasticity exactly via the factorized row sums. Runs in
-    an ["env.build"] span and counts in ["env.builds"]. *)
+    a ["composed.build"] span and counts in ["env.builds"]. *)
 
 val backend : t -> Cdr_op.kind
 
@@ -63,7 +63,7 @@ type solver = Cdr.Model.solver
 
 val solve : ?solver:solver -> ?ctx:Cdr.Context.t -> t -> Markov.Solution.t
 (** Stationary distribution of the composed chain (default [`Multigrid]),
-    inside an ["env.solve"] span. The [`Csr] repr runs
+    inside a ["composed.solve"] span. The [`Csr] repr runs
     {!Cdr.Model.solve_chain} (including the context's {!Cdr.Solver_cache});
     the [`Kron] repr runs {!Cdr.Kron_model.solve_op} with the memoized IAD
     setup, and rejects [`Gauss_seidel] with [Invalid_argument]. *)

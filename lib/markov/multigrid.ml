@@ -406,13 +406,8 @@ let run_cycle ~gamma ~pre_smooth ~post_smooth ?pool ~note_sweeps scratch s fine_
   let values l = if l = 0 then fine_values else levels.(l).values in
   let nc = coarsest.n in
   let dense = scratch.dense and exit = scratch.exit in
-  (* one smoothing call, timed per level into multigrid.sweep_seconds *)
   let smooth l d sweeps =
-    let t0 = Cdr_obs.Clock.monotonic () in
     gauss_seidel_sweeps d levels.(l).x sweeps;
-    Cdr_obs.Metrics.observe "multigrid.sweep_seconds"
-      ~labels:[ ("level", string_of_int l) ]
-      (Cdr_obs.Clock.monotonic () -. t0);
     note_sweeps l sweeps
   in
   (* dense GTH on the coarsest level, straight into its iterate *)
@@ -426,23 +421,28 @@ let run_cycle ~gamma ~pre_smooth ~post_smooth ?pool ~note_sweeps scratch s fine_
     done;
     Gth.solve_in_place ~n:nc dense ~exit coarsest.x
   in
-  (* each leaf stage of the cycle runs under a pool profiling phase labeled
-     with its level, so an enabled profiler ([Pool.set_profiling true])
-     attributes the cycle's wall time stage by stage (Cdr_obs.Profile);
-     phases wrap the leaves only, never the recursion, so the per-phase
-     walls are disjoint and sum to (almost all of) the cycle wall *)
+  (* each leaf stage of the cycle runs in a [multigrid.<stage>] span with a
+     [level] attribute; spans wrap the leaves only, never the recursion, so
+     stage durations are disjoint and sum to (almost all of) the cycle wall.
+     With recording off a stage costs one flag test: the label is built
+     only for a span that is recorded *)
   let rec cycle l =
-    let phase name f = Cdr_par.Pool.with_phase ~labels:[ ("level", string_of_int l) ] name f in
+    let stage name f =
+      if Cdr_obs.Span.recording () then
+        Cdr_obs.Span.with_ ~name ~attrs:[ ("level", string_of_int l) ] f
+      else f ()
+    in
     match levels.(l).down with
-    | None -> phase "coarsest" solve_coarsest
+    | None -> stage "multigrid.coarsest" solve_coarsest
     | Some d ->
         let fine = levels.(l) and coarse = levels.(l + 1) in
         let agg = d.agg and fine_values = values l in
-        phase "scatter" (fun () -> scatter_transpose ?pool d fine_values);
-        phase "smooth" (fun () -> smooth l d pre_smooth);
-        phase "aggregate" (fun () -> aggregate ?pool ~fine agg ~fine_values ~coarse);
+        stage "multigrid.scatter" (fun () -> scatter_transpose ?pool d fine_values);
+        stage "multigrid.smooth" (fun () -> smooth l d pre_smooth);
+        stage "multigrid.aggregate" (fun () -> aggregate ?pool ~fine agg ~fine_values ~coarse);
         (* restriction = the block weights aggregate just computed *)
-        phase "restrict" (fun () -> Array.blit agg.block_weight 0 coarse.x 0 agg.n_coarse);
+        stage "multigrid.restrict" (fun () ->
+            Array.blit agg.block_weight 0 coarse.x 0 agg.n_coarse);
         cycle (l + 1);
         (* W-cycles ([gamma = 2]) revisit the coarse hierarchy below the finest
            level: the second recursion re-aggregates level l+1 with the coarse
@@ -453,11 +453,11 @@ let run_cycle ~gamma ~pre_smooth ~post_smooth ?pool ~note_sweeps scratch s fine_
            solution — so the extra visit stops one level above it. *)
         if gamma > 1 && l > 0 && l + 1 < n_levels - 1 then cycle (l + 1);
         (* multiplicative prolongation using the pre-recursion block weights *)
-        phase "prolong" (fun () ->
+        stage "multigrid.prolong" (fun () ->
             prolong_iterate ?pool agg ~coarse:coarse.x ~x:fine.x;
             let s = Linalg.Vec.sum fine.x in
             if s > 0.0 then Linalg.Vec.scale_in_place (1.0 /. s) fine.x);
-        phase "smooth" (fun () -> smooth l d post_smooth)
+        stage "multigrid.smooth" (fun () -> smooth l d post_smooth)
   in
   cycle 0;
   scratch.cycles_run <- scratch.cycles_run + 1
@@ -517,7 +517,8 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
     run_cycle ~gamma ~pre_smooth ~post_smooth ?pool ~note_sweeps scratch s fine_values;
     incr cycles;
     let residual =
-      Cdr_par.Pool.with_phase "residual" (fun () -> Chain.residual ?pool ~scratch:next chain x0)
+      Cdr_obs.Span.with_ ~name:"multigrid.residual" ~attrs:[ ("level", "0") ] (fun () ->
+          Chain.residual ?pool ~scratch:next chain x0)
     in
     (match trace with
     | Some t -> Cdr_obs.Trace.record t ~iter:!cycles ~residual

@@ -179,6 +179,12 @@ val solve :
     convergence test uses — computed per cycle regardless, so tracing adds no
     numerical work) and a per-level smoothing-sweep breakdown via
     {!Cdr_obs.Trace.record_sweeps} (level 0 = finest; the coarsest level is
-    solved directly and performs no sweeps). Every smoothing call also
-    observes wall seconds into the [multigrid.sweep_seconds] metric,
-    labelled by level. *)
+    solved directly and performs no sweeps).
+
+    While {!Cdr_obs.Span.recording} is true, every leaf stage of a cycle
+    runs in a span named [multigrid.scatter], [multigrid.smooth],
+    [multigrid.aggregate], [multigrid.restrict], [multigrid.prolong] or
+    [multigrid.coarsest], and every residual test in a
+    [multigrid.residual] span, each with a [level] attribute. Stage spans
+    never nest, so their durations are disjoint. With recording off a stage
+    costs one flag test. *)

@@ -204,20 +204,18 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
   let x = ref s.s_x in
   let y = ref s.s_y in
   let sweeps = ref 0 and cycles = ref 0 and coarse_cycles = ref 0 and coarse_nnz = ref 0 in
-  let phase name f = Cdr_par.Pool.with_phase ~labels:[ ("solver", "iad") ] name f in
   (* [~applied] when [!y] already holds [!x * M]: the residual test of the
      previous outer cycle left it there, so the first pre-smoothing sweep
      reuses it instead of applying the operator again (same bits) *)
   let smooth ?(applied = false) count =
-    phase "smooth" (fun () ->
-        for sweep = 1 to count do
-          if not (applied && sweep = 1) then Cdr_op.vec_mul_into ?pool op !x !y;
-          Linalg.Vec.normalize_l1 !y;
-          let tmp = !x in
-          x := !y;
-          y := tmp;
-          incr sweeps
-        done)
+    for sweep = 1 to count do
+      if not (applied && sweep = 1) then Cdr_op.vec_mul_into ?pool op !x !y;
+      Linalg.Vec.normalize_l1 !y;
+      let tmp = !x in
+      x := !y;
+      y := tmp;
+      incr sweeps
+    done
   in
   (* within-block normalized aggregation weights of the current iterate *)
   let weights = s.s_weights in
@@ -274,7 +272,7 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
   (* one coarse V-cycle, warm-started from the block masses of the smoothed
      iterate, in the setup's own coarse iterate and direct-solve scratch *)
   let coarse_cycle () =
-    let chain = Chain.of_csr_in_place (phase "aggregate" build_coarse) in
+    let chain = Chain.of_csr_in_place (build_coarse ()) in
     let cs, scratch =
       match s.s_coarse with
       | Some (cs, scratch) when Multigrid.matches cs chain -> (cs, scratch)
@@ -298,15 +296,14 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
     Linalg.Vec.normalize_l1 !x
   in
   let residual_now () =
-    phase "residual" (fun () ->
-        Cdr_op.vec_mul_into ?pool op !x !y;
-        Linalg.Vec.dist_l1 !y !x)
+    Cdr_op.vec_mul_into ?pool op !x !y;
+    Linalg.Vec.dist_l1 !y !x
   in
   let continue_ = ref (n > 0) in
   (* the solve's one row pass: a setup transplanted to an operator with a
      wider nonzero structure gets its pattern assembled here *)
   if !continue_ && max_cycles > 0 then begin
-    phase "rows" (fun () -> fill_table s op);
+    fill_table s op;
     incr row_passes
   end;
   while !continue_ && !cycles < max_cycles do
@@ -315,7 +312,7 @@ let solve_with ?(tol = 1e-12) ?(max_cycles = 200) ?(pre_smooth = 2) ?(post_smoot
     | _ -> ());
     smooth ~applied:(!cycles > 0) pre_smooth;
     coarse_cycle ();
-    phase "prolong" prolong;
+    prolong ();
     smooth post_smooth;
     incr cycles;
     let r = residual_now () in

@@ -21,50 +21,6 @@ type t = {
 
 let max_jobs = 64 (* OCaml caps live domains at 128; stay well under *)
 
-(* ---- profiler --------------------------------------------------------
-   Off by default and gated on one [Atomic.get] per batch, so instrumented
-   call sites cost nothing in production runs. When on, every pooled batch
-   attributes wall time to the caller's current phase (a domain-local label
-   stack installed by [with_phase]) in four ways:
-
-     busy     sum of per-slot task execution time, measured on the worker
-     idle     jobs * batch wall minus busy: capacity the batch left unused
-     barrier  time the caller spent waiting for straggler slots after it
-              drained the queue itself
-     merge    wall time of [merge_tree] reductions
-
-   Per-slot busy times go into a write-disjoint array (slot [s] is written
-   only by the domain that ran slot [s]); the existing [remaining] atomic
-   orders those writes before the caller's read, so no extra synchronisation
-   is needed. *)
-
-let profiling = Atomic.make false
-
-let set_profiling b = Atomic.set profiling b
-
-let profiling_on () = Atomic.get profiling
-
-let phase_key : (string * string) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [ ("phase", "unattributed") ])
-
-let current_phase () = !(Domain.DLS.get phase_key)
-
-let with_phase ?(labels = []) name f =
-  if not (Atomic.get profiling) then f ()
-  else begin
-    let cell = Domain.DLS.get phase_key in
-    let saved = !cell in
-    let phase_labels = ("phase", name) :: labels in
-    cell := phase_labels;
-    let t0 = Cdr_obs.Clock.monotonic () in
-    Fun.protect
-      ~finally:(fun () ->
-        cell := saved;
-        Cdr_obs.Metrics.observe ~labels:phase_labels ~base:2.0 "pool.phase_seconds"
-          (Cdr_obs.Clock.monotonic () -. t0))
-      f
-  end
-
 let default_jobs () =
   match Sys.getenv_opt "CDR_JOBS" with
   | Some s -> (
@@ -132,34 +88,14 @@ let run_serial slots f =
 let run_slots t ~slots f =
   if slots > 0 then
     if t.jobs = 1 || slots = 1 || t.stopped || not (Atomic.compare_and_set t.busy false true)
-    then
-      if not (Atomic.get profiling) then run_serial slots f
-      else begin
-        let labels = current_phase () in
-        let t0 = Cdr_obs.Clock.monotonic () in
-        Fun.protect
-          ~finally:(fun () ->
-            let dt = Cdr_obs.Clock.monotonic () -. t0 in
-            Cdr_obs.Metrics.incr ~labels "pool.serial_batches";
-            Cdr_obs.Metrics.add ~labels "pool.tasks" slots;
-            Cdr_obs.Metrics.observe ~labels ~base:2.0 "pool.busy_seconds" dt)
-          (fun () -> run_serial slots f)
-      end
+    then run_serial slots f
     else begin
       ensure_workers t;
-      let prof = Atomic.get profiling in
-      let labels = if prof then current_phase () else [] in
-      let busy_s = if prof then Array.make slots 0.0 else [||] in
-      let wall0 = if prof then Cdr_obs.Clock.monotonic () else 0.0 in
       let remaining = Atomic.make slots in
       let failure = Atomic.make None in
       let task s () =
-        let b0 = if prof then Cdr_obs.Clock.monotonic () else 0.0 in
         (try f s
          with e -> ignore (Atomic.compare_and_set failure None (Some e)));
-        (* slot [s] is this domain's alone; the [remaining] decrement below
-           publishes the write to the caller waiting on zero *)
-        if prof then busy_s.(s) <- Cdr_obs.Clock.monotonic () -. b0;
         if Atomic.fetch_and_add remaining (-1) = 1 then begin
           Mutex.lock t.mutex;
           Condition.broadcast t.batch_done;
@@ -185,23 +121,11 @@ let run_slots t ~slots f =
             continue_ := false
       done;
       (* wait for slots other domains are still executing *)
-      let bar0 = if prof then Cdr_obs.Clock.monotonic () else 0.0 in
       Mutex.lock t.mutex;
       while Atomic.get remaining > 0 do
         Condition.wait t.batch_done t.mutex
       done;
       Mutex.unlock t.mutex;
-      if prof then begin
-        let now = Cdr_obs.Clock.monotonic () in
-        let wall = now -. wall0 in
-        let busy = Array.fold_left ( +. ) 0.0 busy_s in
-        let idle = Float.max 0.0 ((float_of_int t.jobs *. wall) -. busy) in
-        Cdr_obs.Metrics.incr ~labels "pool.dispatches";
-        Cdr_obs.Metrics.add ~labels "pool.tasks" slots;
-        Cdr_obs.Metrics.observe ~labels ~base:2.0 "pool.busy_seconds" busy;
-        Cdr_obs.Metrics.observe ~labels ~base:2.0 "pool.idle_seconds" idle;
-        Cdr_obs.Metrics.observe ~labels ~base:2.0 "pool.barrier_seconds" (now -. bar0)
-      end;
       Atomic.set t.busy false;
       match Atomic.get failure with Some e -> raise e | None -> ()
     end
@@ -223,8 +147,6 @@ let run_slots_opt pool ~slots f =
    non-associative [merge] (float accumulation) gives identical results for
    any job count — and for no pool at all. *)
 let merge_tree ?pool ~slots merge =
-  let prof = Atomic.get profiling in
-  let t0 = if prof then Cdr_obs.Clock.monotonic () else 0.0 in
   let height = ref 1 in
   while !height < slots do
     let stride = 2 * !height in
@@ -235,10 +157,7 @@ let merge_tree ?pool ~slots merge =
         let src = dst + h in
         if src < slots then merge ~dst ~src);
     height := stride
-  done;
-  if prof && slots > 1 then
-    Cdr_obs.Metrics.observe ~labels:(current_phase ()) ~base:2.0 "pool.merge_seconds"
-      (Cdr_obs.Clock.monotonic () -. t0)
+  done
 
 let parallel_for t ?chunk n f =
   if n > 0 then begin

@@ -76,38 +76,3 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** {!parallel_map} over a list, preserving order. *)
-
-(** {1 Profiling}
-
-    An opt-in accounting layer for the "where does the wall time go when
-    jobs > 1" question (negative parallel scaling, ROADMAP-1). When enabled,
-    every batch records into {!Cdr_obs.Metrics} under the caller's current
-    phase labels:
-
-    - ["pool.busy_seconds"] — per-slot task execution time, summed;
-    - ["pool.idle_seconds"] — [jobs * wall - busy] for the batch: worker
-      capacity the batch could not use (stragglers, too few slots);
-    - ["pool.barrier_seconds"] — time the caller waited for slots other
-      domains were still running after it had drained the queue;
-    - ["pool.merge_seconds"] — {!merge_tree} wall time;
-    - ["pool.dispatches"] / ["pool.serial_batches"] / ["pool.tasks"] —
-      batch and slot counters (a batch that ran on the calling domain
-      because the pool was busy or [jobs = 1] counts as serial).
-
-    Phases are attributed via a domain-local label stack, so a nested batch
-    inherits the phase of the code that submitted it. Work not under any
-    {!with_phase} reports as [phase=unattributed]. When profiling is off
-    (the default) the entire layer is one [Atomic.get] per batch.
-    {!Cdr_obs.Profile} aggregates these series into a per-phase report. *)
-
-val set_profiling : bool -> unit
-(** Turn batch accounting on or off, process-wide. *)
-
-val profiling_on : unit -> bool
-
-val with_phase : ?labels:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** [with_phase ~labels name f] runs [f] with the current domain's phase set
-    to [("phase", name) :: labels] and additionally records [f]'s wall time
-    into ["pool.phase_seconds"] under those labels. Nested phases shadow the
-    outer one for their extent (instrument leaf phases if the sums are to be
-    disjoint). Identity when profiling is off. *)

@@ -121,18 +121,6 @@ let middle ?pool ~l ~r a x y =
           contract a x y ~l ~r ~blk_lo:0 ~blk_hi:1 ~c_lo:(r * s / slots)
             ~c_hi:(r * (s + 1) / slots))
 
-(* [middle] under a profiler phase per contraction, so an enabled profiler
-   attributes kron-backend time the same way V-cycle legs are attributed;
-   the closure and label list are only built when profiling is on (the
-   gate is one atomic load) *)
-let apply_middle ?pool ~l ~r a x y =
-  if not (Cdr_par.Pool.profiling_on ()) then middle ?pool ~l ~r a x y
-  else
-    let label k v = (k, string_of_int v) in
-    Cdr_par.Pool.with_phase "kron-middle"
-      ~labels:[ label "factor" (Csr.rows a); label "l" l; label "r" r ]
-      (fun () -> middle ?pool ~l ~r a x y)
-
 (* Reusable ping-pong buffers for the factor sweep: one [apply_into] needs
    exactly two length-n scratch vectors regardless of the number of factors
    or terms, so callers allocate once per solve, not once per iteration. *)
@@ -152,7 +140,7 @@ let apply_term_into ?pool t ~ws x =
     let n = Csr.rows a in
     let out = if !cur == ws.buf_a then ws.buf_b else ws.buf_a in
     right := !right / n;
-    apply_middle ?pool ~l:!left ~r:!right a !cur out;
+    middle ?pool ~l:!left ~r:!right a !cur out;
     cur := out;
     left := !left * n
   done;

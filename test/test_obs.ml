@@ -258,6 +258,59 @@ let test_span_disabled_and_exceptions () =
   let names = List.map (fun s -> s.Cdr_obs.Span.name) (Cdr_obs.Span.roots ()) in
   Alcotest.(check (list string)) "both roots closed" [ "boom"; "after" ] names
 
+(* ---------- Multigrid stage spans ---------- *)
+
+let mg_model = lazy (Cdr.Model.build { Cdr.Config.default with Cdr.Config.grid_points = 32 })
+
+(* one solve of the grid-32 chain against a fresh setup, with span recording
+   forced or off; returns pi's bits, the cycle count, the level count and
+   the spans the solve left behind *)
+let mg_solve ?pool ~forced () =
+  let m = Lazy.force mg_model in
+  let chain = m.Cdr.Model.chain in
+  let setup = Markov.Multigrid.setup ~hierarchy:(Cdr.Model.hierarchy m) chain in
+  Cdr_obs.Span.reset ();
+  Cdr_obs.Span.set_forced forced;
+  Fun.protect ~finally:(fun () -> Cdr_obs.Span.set_forced false) @@ fun () ->
+  let sol, stats = Markov.Multigrid.solve_with ?pool setup chain in
+  let spans = Cdr_obs.Span.roots () in
+  Cdr_obs.Span.reset ();
+  ( Array.map Int64.bits_of_float sol.Markov.Solution.pi,
+    stats.Markov.Multigrid.cycles,
+    Markov.Multigrid.levels setup,
+    spans )
+
+let test_mg_tracing_moves_no_bit () =
+  let same label run =
+    let bits_off, cycles_off, _, spans_off = run ~forced:false in
+    let bits_on, cycles_on, _, spans_on = run ~forced:true in
+    check_int (label ^ ": no span when off") 0 (List.length spans_off);
+    check_bool (label ^ ": spans when forced") true (spans_on <> []);
+    check_int (label ^ ": same cycles") cycles_off cycles_on;
+    check_bool (label ^ ": pi bitwise equal") true (bits_off = bits_on)
+  in
+  same "jobs=1" (fun ~forced -> mg_solve ~forced ());
+  Cdr_par.Pool.with_pool ~jobs:2 (fun pool ->
+      same "jobs=2 pool" (fun ~forced -> mg_solve ~pool ~forced ()))
+
+let test_mg_stage_span_counts () =
+  let _, cycles, levels, spans = mg_solve ~forced:true () in
+  let count name = List.length (List.filter (fun sp -> sp.Cdr_obs.Span.name = name) spans) in
+  check_bool "more than one level" true (levels > 1);
+  check_int "two smoothing calls per level above the coarsest per cycle"
+    (2 * (levels - 1) * cycles)
+    (count "multigrid.smooth");
+  check_int "one coarsest solve per cycle" cycles (count "multigrid.coarsest");
+  check_int "one residual per cycle" cycles (count "multigrid.residual");
+  List.iter
+    (fun sp ->
+      check_bool (sp.Cdr_obs.Span.name ^ " is a multigrid stage") true
+        (String.starts_with ~prefix:"multigrid." sp.Cdr_obs.Span.name);
+      check_bool (sp.Cdr_obs.Span.name ^ " has a level") true
+        (List.mem_assoc "level" sp.Cdr_obs.Span.attrs);
+      check_int (sp.Cdr_obs.Span.name ^ " is a leaf") 0 (List.length sp.Cdr_obs.Span.children))
+    spans
+
 (* ---------- Trace ---------- *)
 
 let test_trace () =
@@ -381,6 +434,11 @@ let () =
         [
           Alcotest.test_case "nesting and order" `Quick test_span_nesting;
           Alcotest.test_case "disabled / exceptions" `Quick test_span_disabled_and_exceptions;
+        ] );
+      ( "multigrid spans",
+        [
+          Alcotest.test_case "tracing moves no bit" `Quick test_mg_tracing_moves_no_bit;
+          Alcotest.test_case "one span per stage call" `Quick test_mg_stage_span_counts;
         ] );
       ("trace", [ Alcotest.test_case "samples, sweeps, csv" `Quick test_trace ]);
       ("sink", [ Alcotest.test_case "jsonl file round-trip" `Quick test_sink_jsonl_file ]);

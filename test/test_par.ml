@@ -246,61 +246,6 @@ let test_sink_hammer () =
    with End_of_file -> close_in ic);
   check_int "one intact line per span" (domains * per_domain) !lines
 
-(* ---------- Pool profiler ---------- *)
-
-(* Concurrent per-slot busy accounting must not lose time across domains:
-   with profiling on, the busy total for a phase must cover the spin time
-   every task provably burned, and every batch and task must be counted
-   exactly once whether it was dispatched to the pool or ran serially. *)
-let test_profiler_accounting () =
-  Cdr_obs.Metrics.reset ();
-  Cdr_par.Pool.set_profiling true;
-  Fun.protect ~finally:(fun () ->
-      Cdr_par.Pool.set_profiling false;
-      Cdr_obs.Metrics.reset ())
-  @@ fun () ->
-  let spin_s = 0.002 in
-  let spin () =
-    let t0 = Cdr_obs.Clock.monotonic () in
-    while Cdr_obs.Clock.monotonic () -. t0 < spin_s do
-      ()
-    done
-  in
-  let slots = 8 and batches = 3 in
-  let before = Cdr_obs.Profile.collect () in
-  Cdr_par.Pool.with_pool ~jobs:4 (fun pool ->
-      for _ = 1 to batches do
-        Cdr_par.Pool.with_phase ~labels:[ ("level", "0") ] "proftest" (fun () ->
-            Cdr_par.Pool.run_slots pool ~slots (fun _ -> spin ()))
-      done);
-  let prof = Cdr_obs.Profile.sub (Cdr_obs.Profile.collect ()) before in
-  let row =
-    match List.find_opt (fun r -> Cdr_obs.Profile.phase r = "proftest") prof with
-    | Some r -> r
-    | None -> Alcotest.fail "no proftest row in the profile"
-  in
-  (* every task spun for at least spin_s on whichever domain ran it; the
-     per-slot accounting must add up to at least that much busy time *)
-  let expected_busy = float_of_int (slots * batches) *. spin_s in
-  check_bool "no lost busy time across domains" true
-    (row.Cdr_obs.Profile.busy >= 0.99 *. expected_busy);
-  check_int "every task accounted once" (slots * batches) row.Cdr_obs.Profile.tasks;
-  check_int "every batch accounted once" batches
-    (row.Cdr_obs.Profile.dispatches + row.Cdr_obs.Profile.serial);
-  check_bool "idle clamped non-negative" true (row.Cdr_obs.Profile.idle >= 0.0);
-  check_bool "phase wall covers at least one task" true
-    (row.Cdr_obs.Profile.wall >= spin_s);
-  check_bool "with_phase extra labels retained" true
-    (List.assoc_opt "level" row.Cdr_obs.Profile.labels = Some "0");
-  (* with profiling off again, pool runs must not create new series *)
-  Cdr_par.Pool.set_profiling false;
-  let series_off = List.length (Cdr_obs.Metrics.dump ()) in
-  Cdr_par.Pool.with_pool ~jobs:4 (fun pool ->
-      Cdr_par.Pool.with_phase "offphase" (fun () ->
-          Cdr_par.Pool.run_slots pool ~slots (fun _ -> ())));
-  check_int "profiling off records nothing" series_off
-    (List.length (Cdr_obs.Metrics.dump ()))
-
 let () =
   Alcotest.run "cdr_par"
     [
@@ -323,8 +268,6 @@ let () =
           Alcotest.test_case "jobs=1 vs jobs=4 bitwise" `Quick test_sweep_deterministic;
           Alcotest.test_case "optimal_of_points" `Quick test_optimal_of_points;
         ] );
-      ( "profiler",
-        [ Alcotest.test_case "no lost busy time" `Quick test_profiler_accounting ] );
       ( "obs-domain-safety",
         [
           Alcotest.test_case "metrics hammer" `Quick test_metrics_hammer;

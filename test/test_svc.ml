@@ -251,6 +251,66 @@ let test_engine_bad_config () =
 
 let kron_params = { tiny_params with Cdr_svc.Params.backend = `Kron }
 
+(* The span-name tree of one request through Engine.handle with recording
+   forced: every distinct root-to-span path, in first-visit order (a V-cycle
+   stage visited once per cycle is listed once). *)
+let span_paths params =
+  let engine = Cdr_svc.Engine.create () in
+  let reply, replies = reply_capture () in
+  Cdr_obs.Span.reset ();
+  Cdr_obs.Span.set_forced true;
+  Fun.protect ~finally:(fun () ->
+      Cdr_obs.Span.set_forced false;
+      Cdr_obs.Span.reset ())
+  @@ fun () ->
+  Cdr_svc.Engine.handle engine
+    {
+      Cdr_svc.Engine.request = analyze_req ~params ();
+      deadline = None;
+      admitted = Cdr_obs.Clock.monotonic ();
+      reply;
+    };
+  List.iter (fun r -> check_bool "analyze served" true (is_ok r)) (replies ());
+  let seen = ref [] in
+  let rec walk prefix (sp : Cdr_obs.Span.t) =
+    let path = if prefix = "" then sp.name else prefix ^ "/" ^ sp.name in
+    if not (List.mem path !seen) then seen := path :: !seen;
+    List.iter (walk path) sp.children
+  in
+  List.iter (walk "") (Cdr_obs.Span.roots ());
+  List.rev !seen
+
+let test_engine_span_trees () =
+  let check_paths what expected actual =
+    Alcotest.(check (list string)) (what ^ " analyze span tree") expected actual
+  in
+  let solve = "serve.request/serve.solve/report.run/report.solve/model.solve" in
+  let stages names = List.map (fun n -> solve ^ "/multigrid." ^ n) names in
+  check_paths "csr"
+    ([
+       "serve.request";
+       "serve.request/serve.solve";
+       "serve.request/serve.solve/model.build";
+       "serve.request/serve.solve/report.run";
+       "serve.request/serve.solve/report.run/report.solve";
+       solve;
+     ]
+    @ stages [ "scatter"; "smooth"; "aggregate"; "restrict"; "coarsest"; "prolong"; "residual" ])
+    (span_paths tiny_params);
+  (* the matrix-free IAD solve opens no span of its own; its one coarse
+     V-cycle per outer cycle runs Multigrid's stages, with no residual *)
+  check_paths "kron"
+    ([
+       "serve.request";
+       "serve.request/serve.solve";
+       "serve.request/serve.solve/kron_model.build";
+       "serve.request/serve.solve/report.run";
+       "serve.request/serve.solve/report.run/report.solve";
+       solve;
+     ]
+    @ stages [ "scatter"; "smooth"; "aggregate"; "restrict"; "coarsest"; "prolong" ])
+    (span_paths kron_params)
+
 let test_engine_kron_analyze () =
   let engine = Cdr_svc.Engine.create () in
   let reply, replies = reply_capture () in
@@ -686,6 +746,7 @@ let () =
           Alcotest.test_case "kron setup transplant across sigma_w" `Quick
             test_engine_kron_setup_transplant;
           Alcotest.test_case "stats round-trip" `Quick test_engine_stats_roundtrip;
+          Alcotest.test_case "analyze span trees, csr and kron" `Quick test_engine_span_trees;
         ] );
       ( "cache",
         [
